@@ -4,10 +4,8 @@
 #include <atomic>
 #include <functional>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "common/logging.hh"
@@ -263,23 +261,15 @@ class SessionImpl
 
 /**
  * A session whose recurrent state lives in this process (local: and
- * cluster: endpoints): engine::LstmSession around a submit callback
- * that throws the engine's failure exceptions on get().
+ * cluster: endpoints): engine::LstmSession around the serving
+ * cluster's M×V, whose futures throw the engine's failures on get().
  */
 class InProcessSession final : public SessionImpl
 {
   public:
-    /** The per-step M×V: packed raw input + scheduling knobs and the
-     *  step's trace id in, raw pre-activations out; throws on
-     *  failure. */
-    using Mxv = std::function<std::vector<std::int64_t>(
-        std::vector<std::int64_t>, std::int32_t,
-        std::chrono::microseconds, std::uint64_t)>;
-
-    InProcessSession(std::string model, const core::EieConfig &config,
-                     const engine::LstmShape &shape, Mxv mxv)
-        : model_(std::move(model)), session_(config, shape),
-          mxv_(std::move(mxv))
+    InProcessSession(serve::ClusterEngine &cluster,
+                     const engine::LstmShape &shape)
+        : cluster_(cluster), session_(cluster.model().config(), shape)
     {}
 
     Session::StepResult
@@ -294,8 +284,12 @@ class InProcessSession final : public SessionImpl
         try {
             nn::Vector h = session_.step(
                 x, [&](std::vector<std::int64_t> packed) {
-                    return mxv_(std::move(packed), priority,
-                                deadline, trace_id);
+                    engine::SubmitOptions submit;
+                    submit.priority = priority;
+                    submit.deadline = deadline;
+                    submit.trace_id = trace_id;
+                    return cluster_.submit(std::move(packed), submit)
+                        .get();
                 });
             return {Status::success(), std::move(h), trace_id};
         } catch (...) {
@@ -317,13 +311,16 @@ class InProcessSession final : public SessionImpl
     {
         return session_.shape().hidden_size;
     }
-    const std::string &model() const override { return model_; }
+    const std::string &
+    model() const override
+    {
+        return cluster_.model().name();
+    }
     std::uint64_t steps() const override { return session_.steps(); }
 
   private:
-    std::string model_;
+    serve::ClusterEngine &cluster_;
     engine::LstmSession session_;
-    Mxv mxv_;
     bool closed_ = false;
 };
 
@@ -419,372 +416,23 @@ class Transport
     virtual void close() = 0;
 };
 
-/** The in-process transports' trace dump: this process's span ring
- *  (the spans the engine/cluster recorded right here). */
-Status
-localTraceDump(std::string &out)
-{
-    out = obs::renderChromeTrace(obs::processTraceRing().snapshot());
-    return Status::success();
-}
-
-// ------------------------------------------------------ LocalTransport
-
-/**
- * `local:` — one engine::ExecutionBackend per served model (built by
- * name/threads/kernel from the endpoint), each behind its own
- * micro-batching InferenceServer so scheduling semantics (priority,
- * deadline drops, stopped-endpoint failures) match the remote
- * transports exactly. Models come from ClientOptions::models
- * (in-memory stacks) or a ModelRegistry directory.
- */
-class LocalTransport final : public Transport
-{
-  public:
-    LocalTransport(const ParsedEndpoint &endpoint,
-                   const ClientOptions &options)
-        : config_(options.config), backend_name_(endpoint.backend),
-          kernel_(endpoint.kernel.empty()
-                      ? core::kernel::KernelVariant::Auto
-                      : core::kernel::kernelVariantFromName(
-                            endpoint.kernel)),
-          residency_(endpoint.residency.empty()
-                         ? core::kernel::Residency::Decoded
-                         : core::kernel::residencyFromName(
-                               endpoint.residency)),
-          threads_(endpoint.threads ? endpoint.threads : 1),
-          server_options_(options.server), models_(options.models)
-    {
-        const std::string dir =
-            !endpoint.dir.empty() ? endpoint.dir : options.registry;
-        if (!dir.empty())
-            registry_ = std::make_unique<serve::ModelRegistry>(
-                dir, config_);
-    }
-
-    Status
-    info(const std::string &model, std::uint32_t version,
-         ModelInfo &out) override
-    {
-        Status status;
-        const Entry *entry =
-            entryFor(model, version, nn::Nonlinearity::ReLU, status);
-        if (entry != nullptr)
-            out = entry->info;
-        return status;
-    }
-
-    FrameFuture
-    submitFrame(const std::string &model, std::uint32_t version,
-                std::vector<std::int64_t> frame, std::int32_t priority,
-                std::chrono::microseconds deadline,
-                std::uint64_t trace_id) override
-    {
-        Status status;
-        Entry *entry =
-            entryFor(model, version, nn::Nonlinearity::ReLU, status);
-        if (entry == nullptr)
-            return readyFrame(std::move(status));
-        if (frame.size() != entry->info.input_size)
-            return readyFrame(Status::error(
-                StatusCode::InvalidArgument,
-                "input length " + std::to_string(frame.size()) +
-                    " != model input size " +
-                    std::to_string(entry->info.input_size)));
-        engine::SubmitOptions submit;
-        submit.priority = priority;
-        submit.deadline = deadline;
-        submit.trace_id = trace_id;
-        return FrameFuture::ofEngine(
-            entry->server->submit(std::move(frame), submit));
-    }
-
-    std::unique_ptr<SessionImpl>
-    openSession(const std::string &model, std::uint32_t version,
-                Status &status) override
-    {
-        // Registry-backed entries get a dedicated None-drain plan
-        // (the gate pre-activations feed host sigmoids/tanh);
-        // in-memory stacks are served as registered — the caller
-        // owns their nonlinearity.
-        Entry *entry =
-            entryFor(model, version, nn::Nonlinearity::None, status);
-        if (entry == nullptr)
-            return nullptr;
-        engine::LstmShape shape;
-        std::string error;
-        if (!engine::LstmShape::derive(entry->info.input_size,
-                                       entry->info.output_size,
-                                       shape, error)) {
-            status = Status::error(StatusCode::InvalidArgument,
-                                   std::move(error));
-            return nullptr;
-        }
-        engine::InferenceServer *server = entry->server.get();
-        std::string model_name = entry->info.model;
-        status = Status::success();
-        return std::make_unique<InProcessSession>(
-            std::move(model_name), config_, shape,
-            [server](std::vector<std::int64_t> packed,
-                     std::int32_t priority,
-                     std::chrono::microseconds deadline,
-                     std::uint64_t trace_id) {
-                engine::SubmitOptions submit;
-                submit.priority = priority;
-                submit.deadline = deadline;
-                submit.trace_id = trace_id;
-                return server->submit(std::move(packed), submit)
-                    .get();
-            });
-    }
-
-    Status
-    stats(EndpointStats &out) override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        out = EndpointStats{};
-        // Latencies aggregate by histogram merge — percentiles of
-        // the union, not the statistically-meaningless
-        // request-weighted average of per-model percentiles.
-        obs::HistogramSnapshot latency{};
-        obs::JsonWriter json;
-        json.beginObject();
-        json.key("models");
-        json.beginArray();
-        for (const auto &[key, entry] : entries_) {
-            const engine::ServerStats stats = entry.server->stats();
-            out.requests += stats.requests;
-            out.dropped_deadline += stats.dropped_deadline;
-            out.requests_shed += stats.requests_shed;
-            out.mean_batch += stats.mean_batch *
-                static_cast<double>(stats.requests);
-            latency.merge(stats.latency);
-            out.max_queue_depth =
-                std::max(out.max_queue_depth, stats.max_queue_depth);
-            for (const engine::LayerDispatchStats &layer :
-                 stats.layers)
-                out.layers.push_back({entry.info.model, layer.layer,
-                                      layer.kernel,
-                                      layer.last_act_density,
-                                      layer.mean_act_density,
-                                      layer.residency,
-                                      layer.decoded_bytes,
-                                      layer.compressed_bytes,
-                                      layer.mean_decode_us});
-            json.beginObject();
-            json.field("model", entry.info.model);
-            json.field("requests", stats.requests);
-            json.field("requests_shed", stats.requests_shed);
-            json.field("mean_batch", stats.mean_batch);
-            json.field("p50_latency_us", stats.p50_latency_us);
-            json.field("p95_latency_us", stats.p95_latency_us);
-            json.field("p99_latency_us", stats.p99_latency_us);
-            json.field("p999_latency_us", stats.p999_latency_us);
-            json.field("forming_delay_us", stats.forming_delay_us);
-            json.key("layers");
-            json.beginArray();
-            for (const engine::LayerDispatchStats &layer :
-                 stats.layers) {
-                json.beginObject();
-                json.field("layer", layer.layer);
-                json.field("kernel", layer.kernel);
-                json.field("act_density", layer.last_act_density);
-                json.field("mean_act_density",
-                           layer.mean_act_density);
-                json.field("residency", layer.residency);
-                json.field("decoded_bytes", layer.decoded_bytes);
-                json.field("compressed_bytes",
-                           layer.compressed_bytes);
-                json.field("decode_us", layer.mean_decode_us);
-                json.endObject();
-            }
-            json.endArray();
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        if (out.requests > 0)
-            out.mean_batch /= static_cast<double>(out.requests);
-        const obs::LatencySummary summary = latency.summary();
-        out.p50_latency_us = summary.p50;
-        out.p95_latency_us = summary.p95;
-        out.p99_latency_us = summary.p99;
-        out.p999_latency_us = summary.p999;
-        out.json = json.str();
-        return Status::success();
-    }
-
-    Status
-    traceDump(std::string &out) override
-    {
-        return localTraceDump(out);
-    }
-
-    void
-    close() override
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = true;
-        for (auto &[key, entry] : entries_)
-            entry.server->stop();
-    }
-
-  private:
-    struct Entry
-    {
-        /** Keeps a registry model's plan alive (null in-memory). */
-        std::shared_ptr<const serve::LoadedModel> loaded;
-        std::unique_ptr<engine::InferenceServer> server;
-        ModelInfo info;
-    };
-
-    /** The cached entry under @p key, or null. Map nodes are stable
-     *  and never erased, so returned pointers outlive the lock. */
-    Entry *
-    findEntry(const std::string &key)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = entries_.find(key);
-        return it == entries_.end() ? nullptr : &it->second;
-    }
-
-    /** Insert @p entry under @p key unless the endpoint closed or a
-     *  racing build won; a losing build is discarded (its server
-     *  stops in the destructor). */
-    Entry *
-    insertEntry(const std::string &key, Entry entry, Status &status)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (closed_) {
-            status = Status::error(StatusCode::Unavailable,
-                                   "client endpoint is closed");
-            return nullptr;
-        }
-        status = Status::success();
-        auto it = entries_.find(key);
-        if (it == entries_.end())
-            it = entries_.emplace(key, std::move(entry)).first;
-        return &it->second;
-    }
-
-    /** Find-or-build the served entry. Model resolution and backend
-     *  compilation happen outside mutex_ (first touch of a model
-     *  must not stall requests for models already serving); a racing
-     *  duplicate build wastes one backend, the first insert wins. */
-    Entry *
-    entryFor(const std::string &model, std::uint32_t version,
-             nn::Nonlinearity nonlin, Status &status)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_) {
-                status = Status::error(StatusCode::Unavailable,
-                                       "client endpoint is closed");
-                return nullptr;
-            }
-        }
-
-        // In-memory models first (version 1 by definition; models_
-        // is immutable after construction).
-        for (const LocalModel &local : models_) {
-            if (local.name != model)
-                continue;
-            if (version > 1) {
-                status = Status::error(
-                    StatusCode::NotFound,
-                    "in-memory model '" + model + "' has no version " +
-                        std::to_string(version));
-                return nullptr;
-            }
-            const std::string key = "mem:" + model;
-            if (Entry *entry = findEntry(key)) {
-                status = Status::success();
-                return entry;
-            }
-            Entry entry;
-            entry.server = std::make_unique<engine::InferenceServer>(
-                engine::makeBackend(backend_name_, config_,
-                                    local.plans, threads_, kernel_,
-                                    residency_),
-                server_options_);
-            entry.info.model = model;
-            entry.info.version = 1;
-            entry.info.input_size = entry.server->backend().inputSize();
-            entry.info.output_size =
-                entry.server->backend().outputSize();
-            return insertEntry(key, std::move(entry), status);
-        }
-
-        if (!registry_) {
-            status = Status::error(
-                StatusCode::NotFound,
-                "model '" + model +
-                    "' not found (no in-memory model of that name "
-                    "and no registry directory configured for this "
-                    "local: endpoint)");
-            return nullptr;
-        }
-        const std::shared_ptr<const serve::LoadedModel> loaded =
-            registry_->load(model, version, nonlin);
-        if (!loaded) {
-            status = Status::error(
-                StatusCode::NotFound,
-                "model '" + model + "'" +
-                    (version ? " version " + std::to_string(version)
-                             : "") +
-                    " not found in registry '" + registry_->root() +
-                    "'");
-            return nullptr;
-        }
-        const std::string key = "reg:" + model + "@" +
-            std::to_string(loaded->version()) + "#" +
-            std::to_string(static_cast<int>(nonlin));
-        if (Entry *entry = findEntry(key)) {
-            status = Status::success();
-            return entry;
-        }
-        Entry entry;
-        entry.loaded = loaded;
-        entry.server = std::make_unique<engine::InferenceServer>(
-            engine::makeBackend(backend_name_, config_,
-                                {&loaded->plan()}, threads_, kernel_,
-                                residency_),
-            server_options_);
-        entry.info.model = loaded->name();
-        entry.info.version = loaded->version();
-        entry.info.input_size = loaded->inputSize();
-        entry.info.output_size = loaded->outputSize();
-        return insertEntry(key, std::move(entry), status);
-    }
-
-    core::EieConfig config_;
-    std::string backend_name_;
-    core::kernel::KernelVariant kernel_;
-    core::kernel::Residency residency_;
-    unsigned threads_;
-    engine::ServerOptions server_options_;
-    std::vector<LocalModel> models_;
-    std::unique_ptr<serve::ModelRegistry> registry_;
-
-    std::mutex mutex_;
-    std::map<std::string, Entry> entries_;
-    bool closed_ = false;
-};
-
 // ---------------------------------------------------- ClusterTransport
 
-/** `cluster:` — an in-process ServingDirectory over the registry at
- *  the endpoint's directory; the same engine the TCP daemon fronts,
- *  minus the socket. */
+/**
+ * `local:` and `cluster:` — an in-process ServingDirectory, the same
+ * engine the TCP daemon fronts, minus the socket. `cluster:<dir>`
+ * shards the registry at <dir> per ClientOptions::cluster;
+ * `local:<backend>` is one replicated shard over the in-memory
+ * ClientOptions::models and an optional registry.
+ */
 class ClusterTransport final : public Transport
 {
   public:
     ClusterTransport(const ParsedEndpoint &endpoint,
                      const ClientOptions &options)
-        : config_(options.config),
-          registry_(endpoint.dir, options.config),
-          directory_(registry_,
-                     clusterOptions(endpoint, options))
+        : registry_(openRegistry(endpoint, options)),
+          directory_(registry_.get(), clusterOptions(endpoint, options),
+                     inMemoryModels(endpoint, options))
     {}
 
     Status
@@ -817,9 +465,8 @@ class ClusterTransport final : public Transport
                 std::chrono::microseconds deadline,
                 std::uint64_t trace_id) override
     {
-        // The closed flag guards model lookups too: a stopped
-        // directory would otherwise happily build a fresh live
-        // cluster for a first-touch model.
+        // Fast path only: the stopped directory itself latches, so a
+        // lookup racing close() cannot serve either.
         if (closed_.load())
             return readyFrame(Status::error(
                 StatusCode::Unavailable,
@@ -873,19 +520,7 @@ class ClusterTransport final : public Transport
             return nullptr;
         }
         status = Status::success();
-        return std::make_unique<InProcessSession>(
-            cluster->model().name(), config_, shape,
-            [cluster](std::vector<std::int64_t> packed,
-                      std::int32_t priority,
-                      std::chrono::microseconds deadline,
-                      std::uint64_t trace_id) {
-                engine::SubmitOptions submit;
-                submit.priority = priority;
-                submit.deadline = deadline;
-                submit.trace_id = trace_id;
-                return cluster->submit(std::move(packed), submit)
-                    .get();
-            });
+        return std::make_unique<InProcessSession>(*cluster, shape);
     }
 
     Status
@@ -929,10 +564,13 @@ class ClusterTransport final : public Transport
         return Status::success();
     }
 
+    /** This process's span ring: the spans the engine recorded right
+     *  here. */
     Status
     traceDump(std::string &out) override
     {
-        return localTraceDump(out);
+        out = obs::renderChromeTrace(obs::processTraceRing().snapshot());
+        return Status::success();
     }
 
     void
@@ -943,11 +581,44 @@ class ClusterTransport final : public Transport
     }
 
   private:
+    /** cluster:<dir>, or local:'s dir= falling back to
+     *  ClientOptions::registry; null when local: names neither. */
+    static std::unique_ptr<serve::ModelRegistry>
+    openRegistry(const ParsedEndpoint &endpoint,
+                 const ClientOptions &options)
+    {
+        const std::string &dir =
+            endpoint.kind == TransportKind::Local && endpoint.dir.empty()
+            ? options.registry
+            : endpoint.dir;
+        if (dir.empty())
+            return nullptr;
+        return std::make_unique<serve::ModelRegistry>(dir,
+                                                      options.config);
+    }
+
+    static std::vector<std::shared_ptr<const serve::LoadedModel>>
+    inMemoryModels(const ParsedEndpoint &endpoint,
+                   const ClientOptions &options)
+    {
+        std::vector<std::shared_ptr<const serve::LoadedModel>> models;
+        if (endpoint.kind == TransportKind::Local)
+            for (const LocalModel &model : options.models)
+                models.push_back(serve::LoadedModel::fromPlans(
+                    model.name, model.plans, options.config));
+        return models;
+    }
+
     static serve::ClusterOptions
     clusterOptions(const ParsedEndpoint &endpoint,
                    const ClientOptions &options)
     {
-        serve::ClusterOptions cluster = options.cluster;
+        // local: is one replicated shard on its own backend.
+        serve::ClusterOptions cluster;
+        if (endpoint.kind == TransportKind::Local)
+            cluster.backend = endpoint.backend;
+        else
+            cluster = options.cluster;
         if (endpoint.shards != 0)
             cluster.shards = endpoint.shards;
         if (!endpoint.placement.empty())
@@ -967,8 +638,7 @@ class ClusterTransport final : public Transport
         return cluster;
     }
 
-    core::EieConfig config_;
-    serve::ModelRegistry registry_;
+    std::unique_ptr<serve::ModelRegistry> registry_;
     serve::ServingDirectory directory_;
     std::atomic<bool> closed_{false};
 };
@@ -977,7 +647,7 @@ class ClusterTransport final : public Transport
 
 /** `tcp://` — a remote eie_serve daemon over the async wire client;
  *  responses correlate by id, failures arrive as wire error codes.
- *  A lost connection is re-dialed (with a fresh wire-v2 handshake)
+ *  A lost connection is re-dialed (with a fresh wire handshake)
  *  on the next call, so a bounced daemon costs the in-flight
  *  requests, not the client object. */
 class TcpTransport final : public Transport
@@ -1723,9 +1393,6 @@ Client::connect(const std::string &endpoint,
     std::unique_ptr<detail::Transport> transport;
     switch (parsed.kind) {
       case TransportKind::Local:
-        transport = std::make_unique<detail::LocalTransport>(
-            parsed, options);
-        break;
       case TransportKind::Cluster:
         transport = std::make_unique<detail::ClusterTransport>(
             parsed, options);

@@ -10,17 +10,19 @@
  * Client replaces them with one typed request/response API
  * (InferenceRequest/InferenceResult plus the Status taxonomy of
  * client/status.hh) constructed from an endpoint string
- * (client/endpoint.hh) that resolves to any of the three transports:
+ * (client/endpoint.hh) that resolves to any of the four transports:
  *
- *   local:<backend>...   in-process ExecutionBackend per model,
- *                        behind a micro-batching InferenceServer
+ *   local:<backend>...   a one-shard in-process cluster: the
+ *                        cluster: engine over in-memory models
+ *                        and/or a ModelRegistry
  *   cluster:<dir>...     in-process sharded ClusterEngine(s) via a
  *                        ServingDirectory over a ModelRegistry
  *   tcp://host:port      a remote eie_serve daemon over the binary
  *                        wire protocol (async, id-correlated)
+ *   http://host:port     a remote eie_gateway over JSON/HTTP
  *
  * The same request produces bit-exact outputs and identical Status
- * codes on all three (tests/client/test_client.cc holds that
+ * codes on all of them (tests/client/test_client.cc holds that
  * contract), so moving a caller from an in-process prototype to a
  * daemon is an endpoint-string edit. openSession() adds the
  * recurrent half: a Session threads LSTM hidden/cell state across
@@ -153,7 +155,7 @@ struct LayerKernelStats
 
 /** Aggregate serving statistics of an endpoint. Structured fields
  *  are filled by the in-process transports; `json` carries the
- *  transport-native rendering for all three. */
+ *  transport-native rendering for every transport. */
 struct EndpointStats
 {
     std::uint64_t requests = 0;
@@ -175,7 +177,9 @@ struct EndpointStats
 
 /** An in-memory model served by a `local:` endpoint — how tools and
  *  examples that build layers on the fly (eie_sim, quickstart) put
- *  them behind the Client API without a registry directory. */
+ *  them behind the Client API without a registry directory. Served
+ *  as built under every request kind: the plans fix their own drain
+ *  non-linearities (plan an LSTM gate stack without one). */
 struct LocalModel
 {
     std::string name;
@@ -192,8 +196,8 @@ struct ClientOptions
      *  raw fixed-point frames are interpreted in its formats. */
     core::EieConfig config;
 
-    /** Micro-batcher policy of every `local:` per-model server and
-     *  (unless overridden there) of ClusterOptions::server. */
+    /** Micro-batcher policy of every in-process shard: the `local:`
+     *  shard's, and ClusterOptions::server's for `cluster:`. */
     engine::ServerOptions server;
 
     /** Fallback registry directory of `local:` endpoints without a
@@ -297,7 +301,8 @@ class Client
     /** The endpoint string the client was built from. */
     const std::string &endpoint() const { return endpoint_; }
 
-    /** The resolved transport's name: "local", "cluster" or "tcp". */
+    /** The resolved transport's name: "local", "cluster", "tcp" or
+     *  "http". */
     const char *transport() const;
 
     /**

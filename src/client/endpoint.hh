@@ -1,16 +1,16 @@
 /**
  * @file
  * The endpoint-string grammar of eie::client::Client — one string
- * names any of the three transports plus its per-endpoint knobs:
+ * names any of the four transports plus its per-endpoint knobs:
  *
  *   local:<backend>[,kernel=K][,residency=R][,threads=N][,dir=PATH]
- *       In-process engine::ExecutionBackend (behind a per-model
- *       micro-batching InferenceServer). <backend> is a registry
- *       name ("scalar" | "compiled" | "sim"); dir= points at a
- *       ModelRegistry directory (defaults to
- *       ClientOptions::registry); residency= selects the compiled
+ *       A one-shard in-process cluster: the cluster: engine with one
+ *       replicated shard on execution backend <backend> ("scalar" |
+ *       "compiled" | "sim"), serving ClientOptions::models before
+ *       the optional ModelRegistry at dir= (defaults to
+ *       ClientOptions::registry). residency= selects the compiled
  *       backend's resident stream form ("decoded" | "compressed" |
- *       "auto").
+ *       "auto"). ClientOptions::cluster does not apply.
  *
  *   cluster:<dir>[,shards=N][,policy=replicated|partitioned]
  *                [,backend=B][,kernel=K][,residency=R][,threads=N]
@@ -45,7 +45,7 @@ namespace eie::client {
 /** Which transport an endpoint string selects. */
 enum class TransportKind
 {
-    Local,   ///< in-process ExecutionBackend
+    Local,   ///< in-process one-shard cluster
     Cluster, ///< in-process ClusterEngine via ServingDirectory
     Tcp,     ///< remote daemon over the wire protocol
     Http,    ///< remote gateway over JSON/HTTP

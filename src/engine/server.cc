@@ -92,43 +92,6 @@ formBatch(std::deque<Pending> &queue, std::size_t max_batch,
 
 } // namespace detail
 
-/** Latency reservoir size: large enough for stable p99 estimates,
- *  small enough that stats() copies are trivial. */
-static constexpr std::size_t kLatencySampleCap = 16384;
-
-void
-LatencyReservoir::record(double latency_us)
-{
-    ++seen_;
-    if (sample_.size() < kLatencySampleCap) {
-        sample_.push_back(latency_us);
-        return;
-    }
-    // Algorithm R: keep each seen latency with probability cap/seen,
-    // using a cheap xorshift stream (statistics, not cryptography).
-    rng_ ^= rng_ << 13;
-    rng_ ^= rng_ >> 7;
-    rng_ ^= rng_ << 17;
-    const std::uint64_t slot = rng_ % seen_;
-    if (slot < kLatencySampleCap)
-        sample_[slot] = latency_us;
-}
-
-double
-percentileOf(std::vector<double> sample, double p)
-{
-    if (sample.empty())
-        return 0.0;
-    // Nearest-rank via the shared index rule. The old computation
-    // (floor(p * (n-1))) under-selected near the tail: p99 of a
-    // two-element sample returned the *minimum*.
-    const std::size_t rank = obs::nearestRankIndex(sample.size(), p);
-    std::nth_element(sample.begin(),
-                     sample.begin() + static_cast<std::ptrdiff_t>(rank),
-                     sample.end());
-    return sample[rank];
-}
-
 namespace {
 
 /** Fail a request's future with the deadline-drop error. */

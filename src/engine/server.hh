@@ -100,35 +100,6 @@ class ServerOverloaded : public std::exception
 std::vector<double> openLoopArrivals(std::size_t count,
                                      double rate_per_sec, Rng &rng);
 
-/**
- * Bounded uniform sample of a latency stream (algorithm R): a
- * long-lived recorder keeps O(1) memory and snapshots copy a
- * fixed-size sample. Not thread-safe — callers hold their own lock.
- * The serving path now records into obs::Histogram (mergeable,
- * lock-free); this stays for consumers that need exact raw samples.
- */
-class LatencyReservoir
-{
-  public:
-    void record(double latency_us);
-
-    /** The current sample (bounded; uniform over everything seen). */
-    const std::vector<double> &sample() const { return sample_; }
-
-  private:
-    std::vector<double> sample_;
-    std::uint64_t seen_ = 0;
-    std::uint64_t rng_ = 0x9e3779b97f4a7c15ull;
-};
-
-/**
- * Nearest-rank percentile of an unsorted sample: 0 when empty, the
- * minimum for p <= 0, the maximum for p >= 1. Rank selection is
- * obs::nearestRankIndex — the same code the histogram quantile path
- * uses — so the exact and bucketed estimators cannot drift.
- */
-double percentileOf(std::vector<double> sample, double p);
-
 /** What admission control sheds when the queue is at max_queue. */
 enum class ShedPolicy {
     /** Always reject the newly arriving request. */

@@ -17,10 +17,10 @@
  * relaxed atomic operations — no lock, no allocation — so recording
  * from the batcher and kernel dispatch paths is within noise.
  *
- * Quantile policy: one nearest-rank implementation
- * (nearestRankIndex) shared by engine::percentileOf (exact, over raw
- * samples) and HistogramSnapshot::quantile (bucketed, linear
- * interpolation inside the bucket), so the two paths cannot drift.
+ * Quantile policy: one nearest-rank rule (nearestRankIndex) behind
+ * HistogramSnapshot::quantile (bucketed, linear interpolation inside
+ * the bucket) and any exact quantile over raw samples, so the two
+ * cannot drift.
  */
 
 #ifndef EIE_OBS_METRICS_HH

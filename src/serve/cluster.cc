@@ -112,8 +112,8 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
 
     if (options_.placement == Placement::Replicated) {
         col_bounds_ = {0, model_->inputSize()};
-        const std::vector<const core::LayerPlan *> plans{
-            &model_->plan()};
+        const std::vector<const core::LayerPlan *> &plans =
+            model_->plans();
         // "compiled" shards adopt one shared pre-decoded stack: N
         // replicas, one copy of the weights.
         std::shared_ptr<const engine::CompiledStack> stack;
@@ -668,8 +668,18 @@ mergeLayerDispatch(const std::vector<ShardStats> &shards)
 
 ServingDirectory::ServingDirectory(ModelRegistry &registry,
                                    const ClusterOptions &defaults)
-    : registry_(registry), defaults_(defaults)
+    : ServingDirectory(&registry, defaults, {})
 {}
+
+ServingDirectory::ServingDirectory(
+    ModelRegistry *registry, const ClusterOptions &defaults,
+    std::vector<std::shared_ptr<const LoadedModel>> models)
+    : registry_(registry), defaults_(defaults), models_(std::move(models))
+{
+    fatal_if(!models_.empty() &&
+                 defaults_.placement != Placement::Replicated,
+             "in-memory models are served replicated only");
+}
 
 ServingDirectory::~ServingDirectory()
 {
@@ -689,25 +699,52 @@ ServingDirectory::cluster(const std::string &name,
         return nullptr;
     };
 
-    LoadError load_error = LoadError::None;
-    std::string load_detail;
-    const std::shared_ptr<const LoadedModel> model = registry_.load(
-        name, version, nonlin, &load_error, &load_detail);
-    if (!model) {
-        // Corrupt is not NotFound: the model is published but its
-        // file is unreadable (truncated, bad checksum...), so tell
-        // the caller something is wrong server-side rather than
-        // inviting a doomed republish-and-retry loop.
-        if (load_error == LoadError::Corrupt)
-            return fail(LookupStatus::Rejected,
-                        "model '" + name + "' is unreadable: " +
-                            load_detail);
+    std::shared_ptr<const LoadedModel> model;
+    std::string key;
+    const auto local = std::find_if(
+        models_.begin(), models_.end(),
+        [&](const auto &candidate) { return candidate->name() == name; });
+    if (local != models_.end()) {
+        if (version > 1)
+            return fail(LookupStatus::NotFound,
+                        "in-memory model '" + name +
+                            "' has no version " +
+                            std::to_string(version));
+        model = *local;
+        // One cluster under every non-linearity: the stack's plans
+        // already fix their drains. ':' never occurs in registry keys.
+        key = "mem:" + name;
+    } else if (registry_ == nullptr) {
         return fail(LookupStatus::NotFound,
-                    "model '" + name + "'" +
-                        (version
-                             ? " version " + std::to_string(version)
-                             : "") +
-                        " not found in registry");
+                    "model '" + name +
+                        "' not found (no in-memory model of that name "
+                        "and no registry configured)");
+    } else {
+        LoadError load_error = LoadError::None;
+        std::string load_detail;
+        model = registry_->load(name, version, nonlin, &load_error,
+                                &load_detail);
+        if (!model) {
+            // Corrupt is not NotFound: the model is published but its
+            // file is unreadable (truncated, bad checksum...), so tell
+            // the caller something is wrong server-side rather than
+            // inviting a doomed republish-and-retry loop.
+            if (load_error == LoadError::Corrupt)
+                return fail(LookupStatus::Rejected,
+                            "model '" + name + "' is unreadable: " +
+                                load_detail);
+            return fail(LookupStatus::NotFound,
+                        "model '" + name + "'" +
+                            (version ? " version " +
+                                     std::to_string(version)
+                                     : "") +
+                            " not found in registry");
+        }
+        // Nonlinearity is part of the identity: an LSTM session's
+        // None cluster must never alias the default ReLU inference
+        // cluster.
+        key = model->name() + "@" + std::to_string(model->version()) +
+            "#" + std::to_string(static_cast<int>(nonlin));
     }
     // Preflight what ClusterEngine's constructor would fatal() on: a
     // client request must never be able to take the daemon down.
@@ -721,11 +758,6 @@ ServingDirectory::cluster(const std::string &name,
                         " partitioned shards");
     if (status != nullptr)
         *status = LookupStatus::Ok;
-    // Nonlinearity is part of the identity: an LSTM session's None
-    // cluster must never alias the default ReLU inference cluster.
-    const std::string key = model->name() + "@" +
-        std::to_string(model->version()) + "#" +
-        std::to_string(static_cast<int>(nonlin));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = clusters_.find(key);
@@ -743,8 +775,12 @@ ServingDirectory::cluster(const std::string &name,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = clusters_.find(key);
-        if (it == clusters_.end())
+        if (it == clusters_.end()) {
+            // A first lookup racing stopAll() must not serve.
+            if (stopped_)
+                built->stop();
             it = clusters_.emplace(key, std::move(built)).first;
+        }
         result = it->second.get();
     }
     return result; // a losing `built` drains its shards here
@@ -839,6 +875,7 @@ void
 ServingDirectory::stopAll()
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    stopped_ = true;
     for (auto &[key, cluster] : clusters_)
         cluster->stop();
 }

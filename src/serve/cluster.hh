@@ -299,8 +299,9 @@ class ClusterEngine
 };
 
 /**
- * Lazily-built ClusterEngines over a ModelRegistry, one per served
- * (model, version): the lookup the TCP front end dispatches on.
+ * Lazily-built ClusterEngines over a ModelRegistry and/or in-memory
+ * plan stacks, one per served (model, version): the lookup the TCP
+ * front end and the in-process client transports dispatch on.
  */
 class ServingDirectory
 {
@@ -308,6 +309,18 @@ class ServingDirectory
     /** Clusters are built on first request with @p defaults. */
     ServingDirectory(ModelRegistry &registry,
                      const ClusterOptions &defaults);
+
+    /**
+     * Serve the in-memory @p models (LoadedModel::fromPlans stacks),
+     * looked up before @p registry, which may be null. An in-memory
+     * model is version 1 only and is served as its plans were built,
+     * under every drain non-linearity. @p defaults must place
+     * replicated whenever @p models is non-empty.
+     */
+    ServingDirectory(ModelRegistry *registry,
+                     const ClusterOptions &defaults,
+                     std::vector<std::shared_ptr<const LoadedModel>>
+                         models);
 
     ~ServingDirectory();
 
@@ -330,10 +343,10 @@ class ServingDirectory
      * drain non-linearity @p nonlin, building it on first use.
      * Plain inference uses the default ReLU; streaming LSTM sessions
      * ask for Nonlinearity::None (gate pre-activations feed
-     * sigmoids/tanh on the host, so the M×V must not rectify) — the
-     * two are distinct cache entries sharing one LoadedModel's
-     * weights. Returns nullptr and sets @p error (and, when given,
-     * @p status) when the lookup fails.
+     * sigmoids/tanh on the host, so the M×V must not rectify) — for
+     * a registry model the two are distinct cache entries sharing one
+     * LoadedModel's weights. Returns nullptr and sets @p error (and,
+     * when given, @p status) when the lookup fails.
      */
     ClusterEngine *cluster(const std::string &name,
                            std::uint32_t version, std::string &error,
@@ -357,15 +370,20 @@ class ServingDirectory
      *  for in-process callers that aggregate rather than print. */
     std::vector<ClusterSnapshot> statsSnapshot() const;
 
-    /** Stop (drain) every cluster. */
+    /** Stop (drain) every cluster. Latches: a cluster first built
+     *  after this call comes up stopped, so its submits fail with
+     *  engine::ServerStopped. */
     void stopAll();
 
   private:
-    ModelRegistry &registry_;
+    ModelRegistry *registry_;
     ClusterOptions defaults_;
+    /** Immutable after construction, so lookups scan it unlocked. */
+    const std::vector<std::shared_ptr<const LoadedModel>> models_;
 
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<ClusterEngine>> clusters_;
+    bool stopped_ = false; ///< guarded by mutex_
 };
 
 } // namespace eie::serve

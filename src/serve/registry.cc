@@ -72,11 +72,18 @@ LoadedModel::LoadedModel(std::string name, std::uint32_t version,
                          const core::EieConfig &config,
                          nn::SparseMatrix quantized,
                          compress::Codebook codebook)
-    : name_(std::move(name)), version_(version), nonlin_(nonlin),
-      config_(config), quantized_(std::move(quantized)),
-      codebook_(std::move(codebook)),
-      plan_(core::planLayer(name_, quantized_, codebook_, nonlin_,
-                            config_))
+    : name_(std::move(name)), version_(version), config_(config),
+      quantized_(std::move(quantized)), codebook_(std::move(codebook)),
+      plan_(core::planLayer(name_, quantized_, codebook_, nonlin,
+                            config_)),
+      plans_{&plan_}
+{}
+
+LoadedModel::LoadedModel(std::string name,
+                         std::vector<const core::LayerPlan *> plans,
+                         const core::EieConfig &config)
+    : name_(std::move(name)), version_(1), config_(config),
+      codebook_({0.0f}), plans_(std::move(plans))
 {}
 
 std::shared_ptr<const LoadedModel>
@@ -92,6 +99,20 @@ LoadedModel::fromStorage(std::string name, std::uint32_t version,
     return std::shared_ptr<const LoadedModel>(new LoadedModel(
         std::move(name), version, nonlin, config, storage.decode(),
         storage.codebook()));
+}
+
+std::shared_ptr<const LoadedModel>
+LoadedModel::fromPlans(std::string name,
+                       std::vector<const core::LayerPlan *> plans,
+                       const core::EieConfig &config)
+{
+    fatal_if(plans.empty() ||
+                 std::find(plans.begin(), plans.end(), nullptr) !=
+                     plans.end(),
+             "in-memory model '%s' needs a stack of plans",
+             name.c_str());
+    return std::shared_ptr<const LoadedModel>(
+        new LoadedModel(std::move(name), std::move(plans), config));
 }
 
 // -------------------------------------------------------- ModelRegistry

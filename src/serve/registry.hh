@@ -51,8 +51,10 @@ struct ModelId
 /**
  * A model loaded and planned for one machine configuration. Immutable
  * after construction; shards of a cluster share it by shared_ptr.
- * The quantised weights and codebook are retained so the cluster can
- * build column-partitioned sub-plans without re-reading the file.
+ * A stored model retains its quantised weights and codebook so the
+ * cluster can build column-partitioned sub-plans without re-reading
+ * the file; an in-memory plan stack keeps neither and is served
+ * replicated only.
  */
 class LoadedModel
 {
@@ -64,13 +66,33 @@ class LoadedModel
                 const compress::InterleavedCsc &storage,
                 nn::Nonlinearity nonlin, const core::EieConfig &config);
 
+    /** Serve the in-memory stack @p plans (execution order) as version
+     *  1 of @p name. The plans are borrowed: they, and what they point
+     *  into, must outlive the model. */
+    static std::shared_ptr<const LoadedModel>
+    fromPlans(std::string name,
+              std::vector<const core::LayerPlan *> plans,
+              const core::EieConfig &config);
+
+    LoadedModel(const LoadedModel &) = delete;
+    LoadedModel &operator=(const LoadedModel &) = delete;
+
     const std::string &name() const { return name_; }
     std::uint32_t version() const { return version_; }
     const core::EieConfig &config() const { return config_; }
-    nn::Nonlinearity nonlin() const { return nonlin_; }
 
-    /** The full-layer plan, compiled for config(). */
-    const core::LayerPlan &plan() const { return plan_; }
+    /** The drain non-linearity of the top layer. */
+    nn::Nonlinearity nonlin() const { return plans_.back()->nonlin; }
+
+    /** The first layer's plan, compiled for config() (a stored
+     *  model's only layer). */
+    const core::LayerPlan &plan() const { return *plans_.front(); }
+
+    /** Every layer's plan, execution order. */
+    const std::vector<const core::LayerPlan *> &plans() const
+    {
+        return plans_;
+    }
 
     /** Codebook-quantised weights (decoded from the stored image). */
     const nn::SparseMatrix &quantized() const { return quantized_; }
@@ -78,21 +100,24 @@ class LoadedModel
     /** The shared-weight table of the stored image. */
     const compress::Codebook &codebook() const { return codebook_; }
 
-    std::size_t inputSize() const { return plan_.input_size; }
-    std::size_t outputSize() const { return plan_.output_size; }
+    std::size_t inputSize() const { return plan().input_size; }
+    std::size_t outputSize() const { return plans_.back()->output_size; }
 
   private:
     LoadedModel(std::string name, std::uint32_t version,
                 nn::Nonlinearity nonlin, const core::EieConfig &config,
                 nn::SparseMatrix quantized, compress::Codebook codebook);
+    LoadedModel(std::string name,
+                std::vector<const core::LayerPlan *> plans,
+                const core::EieConfig &config);
 
     std::string name_;
     std::uint32_t version_;
-    nn::Nonlinearity nonlin_;
     core::EieConfig config_;
     nn::SparseMatrix quantized_;
     compress::Codebook codebook_;
-    core::LayerPlan plan_;
+    core::LayerPlan plan_; ///< a stored model's plan (unused by stacks)
+    std::vector<const core::LayerPlan *> plans_;
 };
 
 /** Why ModelRegistry::load() returned nullptr. */

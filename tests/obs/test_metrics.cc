@@ -1,12 +1,10 @@
 /**
  * @file
- * The telemetry substrate: nearest-rank quantile selection shared by
- * the exact (engine::percentileOf) and bucketed
- * (HistogramSnapshot::quantile) estimators, the lock-free log-scale
- * histogram, snapshot merging, the registry's handle stability and
- * both exposition formats — plus the LatencyReservoir/percentileOf
- * edge cases (empty, single sample, q = 0/1) the old floor-rank
- * implementation got wrong.
+ * The telemetry substrate: nearest-rank quantile selection behind
+ * HistogramSnapshot::quantile (including the tiny-sample tail and
+ * q = 0/1 edges the old floor-rank implementation got wrong), the
+ * lock-free log-scale histogram, snapshot merging, the registry's
+ * handle stability and both exposition formats.
  */
 
 #include <cmath>
@@ -15,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/server.hh"
 #include "obs/json.hh"
 #include "obs/metrics.hh"
 
@@ -27,7 +24,9 @@ TEST(NearestRankIndex, SelectsNearestRank)
     // rank = ceil(q * n), clamped to [1, n]; returned 0-based.
     EXPECT_EQ(nearestRankIndex(1, 0.5), 0u);
     EXPECT_EQ(nearestRankIndex(2, 0.5), 0u);  // ceil(1.0) = 1
-    EXPECT_EQ(nearestRankIndex(2, 0.99), 1u); // ceil(1.98) = 2
+    // ceil(1.98) = 2: p99 of two samples is the maximum (the old
+    // floor(q * (n-1)) rank returned the minimum).
+    EXPECT_EQ(nearestRankIndex(2, 0.99), 1u);
     EXPECT_EQ(nearestRankIndex(100, 0.5), 49u);
     EXPECT_EQ(nearestRankIndex(100, 0.99), 98u);
     EXPECT_EQ(nearestRankIndex(100, 0.999), 99u);
@@ -39,71 +38,6 @@ TEST(NearestRankIndex, QuantileBoundsClampToMinAndMax)
     EXPECT_EQ(nearestRankIndex(10, -3.0), 0u);
     EXPECT_EQ(nearestRankIndex(10, 1.0), 9u);
     EXPECT_EQ(nearestRankIndex(10, 7.0), 9u);
-}
-
-TEST(PercentileOf, EmptySampleIsZero)
-{
-    EXPECT_EQ(engine::percentileOf({}, 0.5), 0.0);
-    EXPECT_EQ(engine::percentileOf({}, 0.0), 0.0);
-    EXPECT_EQ(engine::percentileOf({}, 1.0), 0.0);
-}
-
-TEST(PercentileOf, SingleSampleIsEveryQuantile)
-{
-    const std::vector<double> one{42.0};
-    EXPECT_EQ(engine::percentileOf(one, 0.0), 42.0);
-    EXPECT_EQ(engine::percentileOf(one, 0.5), 42.0);
-    EXPECT_EQ(engine::percentileOf(one, 0.99), 42.0);
-    EXPECT_EQ(engine::percentileOf(one, 1.0), 42.0);
-}
-
-TEST(PercentileOf, ExtremeQuantilesSelectMinAndMax)
-{
-    const std::vector<double> sample{5.0, 1.0, 9.0, 3.0};
-    EXPECT_EQ(engine::percentileOf(sample, 0.0), 1.0);
-    EXPECT_EQ(engine::percentileOf(sample, -1.0), 1.0);
-    EXPECT_EQ(engine::percentileOf(sample, 1.0), 9.0);
-    EXPECT_EQ(engine::percentileOf(sample, 2.0), 9.0);
-}
-
-TEST(PercentileOf, HighQuantileOfTinySampleIsTheMaximum)
-{
-    // The old floor(p * (n-1)) rank made p99 of two samples return
-    // the MINIMUM; nearest-rank returns the maximum.
-    EXPECT_EQ(engine::percentileOf({10.0, 1000.0}, 0.99), 1000.0);
-    EXPECT_EQ(engine::percentileOf({10.0, 1000.0}, 0.5), 10.0);
-}
-
-TEST(PercentileOf, MatchesNearestRankOnLargerSamples)
-{
-    std::vector<double> sample;
-    for (int i = 1; i <= 100; ++i)
-        sample.push_back(static_cast<double>(i));
-    EXPECT_EQ(engine::percentileOf(sample, 0.50), 50.0);
-    EXPECT_EQ(engine::percentileOf(sample, 0.95), 95.0);
-    EXPECT_EQ(engine::percentileOf(sample, 0.99), 99.0);
-    EXPECT_EQ(engine::percentileOf(sample, 0.999), 100.0);
-}
-
-TEST(LatencyReservoir, EmptyAndSingleSample)
-{
-    engine::LatencyReservoir reservoir;
-    EXPECT_TRUE(reservoir.sample().empty());
-    EXPECT_EQ(engine::percentileOf(reservoir.sample(), 0.99), 0.0);
-
-    reservoir.record(17.0);
-    ASSERT_EQ(reservoir.sample().size(), 1u);
-    EXPECT_EQ(engine::percentileOf(reservoir.sample(), 0.0), 17.0);
-    EXPECT_EQ(engine::percentileOf(reservoir.sample(), 1.0), 17.0);
-}
-
-TEST(LatencyReservoir, BoundedUnderLongStreams)
-{
-    engine::LatencyReservoir reservoir;
-    for (int i = 0; i < 100000; ++i)
-        reservoir.record(static_cast<double>(i));
-    EXPECT_LE(reservoir.sample().size(), 100000u);
-    EXPECT_GT(reservoir.sample().size(), 0u);
 }
 
 TEST(HistogramBuckets, MonotoneAndExhaustive)

@@ -48,28 +48,14 @@ expectKeys(const obs::JsonValue &object,
     EXPECT_EQ(object.keys(), golden) << what;
 }
 
-TEST(StatsSchema, ClusterStatsJsonKeySetIsPinned)
+/** The statsJson document of a ServingDirectory serving one model on
+ *  @p shard_count shards: the schema every in-process and tcp://
+ *  endpoint reports. */
+void
+expectClusterStatsSchema(const std::string &json,
+                         std::size_t shard_count)
 {
-    const fs::path dir = scratchDir("cluster");
-    core::EieConfig config;
-    config.n_pe = 4;
-    serve::ModelRegistry registry(dir.string(), config);
-    registry.publish(
-        "fc", 1,
-        test::randomCompressedLayer(96, 64, 0.25, 4, 31).storage());
-
-    serve::ClusterOptions options;
-    options.shards = 2;
-    serve::ServingDirectory directory(registry, options);
-    std::string error;
-    serve::ClusterEngine *cluster =
-        directory.cluster("fc", 0, error);
-    ASSERT_NE(cluster, nullptr) << error;
-    // One request so layer dispatch stats exist, not just zeros.
-    cluster->infer(std::vector<std::int64_t>(64, 1));
-
-    const obs::JsonValue root =
-        obs::parseJson(directory.statsJson());
+    const obs::JsonValue root = obs::parseJson(json);
     expectKeys(root, {"clusters"}, "statsJson root");
     const obs::JsonValue &clusters = *root.find("clusters");
     ASSERT_TRUE(clusters.isArray());
@@ -96,12 +82,35 @@ TEST(StatsSchema, ClusterStatsJsonKeySetIsPinned)
 
     const obs::JsonValue &shards = *entry.find("shard_stats");
     ASSERT_TRUE(shards.isArray());
-    ASSERT_EQ(shards.array.size(), 2u);
+    ASSERT_EQ(shards.array.size(), shard_count);
     expectKeys(shards.array[0],
                {"requests", "queue_depth", "utilization", "shed",
                 "forming_delay_us", "health", "failures",
                 "col_begin", "col_end"},
                "shard entry");
+}
+
+TEST(StatsSchema, ClusterStatsJsonKeySetIsPinned)
+{
+    const fs::path dir = scratchDir("cluster");
+    core::EieConfig config;
+    config.n_pe = 4;
+    serve::ModelRegistry registry(dir.string(), config);
+    registry.publish(
+        "fc", 1,
+        test::randomCompressedLayer(96, 64, 0.25, 4, 31).storage());
+
+    serve::ClusterOptions options;
+    options.shards = 2;
+    serve::ServingDirectory directory(registry, options);
+    std::string error;
+    serve::ClusterEngine *cluster =
+        directory.cluster("fc", 0, error);
+    ASSERT_NE(cluster, nullptr) << error;
+    // One request so layer dispatch stats exist, not just zeros.
+    cluster->infer(std::vector<std::int64_t>(64, 1));
+
+    expectClusterStatsSchema(directory.statsJson(), 2);
 
     directory.stopAll();
     fs::remove_all(dir);
@@ -155,24 +164,9 @@ TEST(StatsSchema, LocalEndpointStatsJsonKeySetIsPinned)
     // JSON document.
     EXPECT_GE(stats.p999_latency_us, stats.p50_latency_us);
 
-    const obs::JsonValue root = obs::parseJson(stats.json);
-    expectKeys(root, {"models"}, "local stats root");
-    const obs::JsonValue &models = *root.find("models");
-    ASSERT_TRUE(models.isArray());
-    ASSERT_EQ(models.array.size(), 1u);
-    expectKeys(models.array[0],
-               {"model", "requests", "requests_shed", "mean_batch",
-                "p50_latency_us", "p95_latency_us", "p99_latency_us",
-                "p999_latency_us", "forming_delay_us", "layers"},
-               "local model entry");
-    const obs::JsonValue &layers = *models.array[0].find("layers");
-    ASSERT_TRUE(layers.isArray());
-    ASSERT_FALSE(layers.array.empty());
-    expectKeys(layers.array[0],
-               {"layer", "kernel", "act_density",
-                "mean_act_density", "residency", "decoded_bytes",
-                "compressed_bytes", "decode_us"},
-               "local layer entry");
+    // A local: endpoint is a one-shard in-process cluster, and
+    // reports exactly the cluster schema.
+    expectClusterStatsSchema(stats.json, 1);
 
     client->close();
     fs::remove_all(dir);

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <future>
 #include <thread>
+
+#include <unistd.h>
 
 #include "core/functional.hh"
 #include "engine/backend.hh"
@@ -227,6 +230,28 @@ TEST(ClusterEngine, StopDrainsAndRejectsLateSubmits)
     auto late = cluster->submit(fx.randomInput(6000));
     EXPECT_THROW(late.get(), engine::ServerStopped);
     cluster.reset(); // double-stop via destructor is fine
+}
+
+TEST(ServingDirectory, StopAllLatchesModelsFirstServedAfterIt)
+{
+    ClusterFixture fx;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("eie_cluster_test_latch_" + std::to_string(::getpid()));
+    serve::ModelRegistry registry(dir.string(), fx.config);
+    registry.publish("fc", 1, fx.layer.storage());
+    serve::ServingDirectory directory(
+        registry, fx.options(1, serve::Placement::Replicated));
+    directory.stopAll();
+
+    // A model whose first lookup races (here: follows) stopAll() must
+    // not come up as a live cluster: its submits fail as stopped.
+    std::string error;
+    serve::ClusterEngine *cluster = directory.cluster("fc", 0, error);
+    ASSERT_NE(cluster, nullptr) << error;
+    auto late = cluster->submit(fx.randomInput(7000));
+    EXPECT_THROW(late.get(), engine::ServerStopped);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ClusterEngine, DeadlinesPropagateToShardsAndAreCounted)

@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build and ctest the whole tree in
-# Release and Debug, failing on any test regression. The kernel
+# Release and Debug, failing on any test regression. The Release pass
+# then runs two examples end to end: example_quickstart serves the
+# paper's Figure 2 layer over `local:` on the scalar, compiled and sim
+# backends and exits 1 unless the outputs are bit-exact, and
+# example_image_captioning serves in-memory models and a streaming
+# LSTM session and exits 1 on any failed request. The kernel
 # equivalence suites (`-L kernel`: test_kernel + test_kernel_variants)
 # are additionally run with verbose output so a bit-exactness break —
 # in any kernel variant — is loud in CI logs.
@@ -56,6 +61,11 @@ for build_type in Release Debug; do
         -DCMAKE_BUILD_TYPE="${build_type}" "$@"
     cmake --build "${build_dir}" -j "${jobs}"
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
+    if [ "${build_type}" = Release ]; then
+        echo "=== Release examples (quickstart, image_captioning) ==="
+        "${build_dir}/example_quickstart"
+        "${build_dir}/example_image_captioning"
+    fi
     echo "=== ${build_type} kernel equivalence (-L kernel) ==="
     ctest --test-dir "${build_dir}" --output-on-failure -L kernel
     echo "=== ${build_type} serving cluster (-L serve) ==="
