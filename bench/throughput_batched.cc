@@ -13,10 +13,11 @@
  * Part 1b — batch-1 latency vs activation density on the NT-We
  * workload: the EIE activation-sparsity story. One frame at a time
  * (the latency-bound serving shape), densities 5%..100%, comparing
- * the fused dense-walk against the actsparse nonzero-queue walk;
- * the "batch1_density_series" object in BENCH_throughput.json gates
- * actsparse > fused at every density <= 50% on SIMD boxes and stamps
- * the paper-reported NT densities for context.
+ * the reference dense-walk against the actsparse nonzero-queue walk
+ * (both over the PE-merged stream, as every serial sweep is); the
+ * "batch1_density_series" object in BENCH_throughput.json gates
+ * actsparse > reference at every density <= 50% on SIMD boxes and
+ * stamps the paper-reported NT densities for context.
  *
  * Part 1c — decoded vs compressed residency on NT-We: the
  * "residency_series" object stamps frames/sec and resident stream
@@ -259,12 +260,11 @@ main(int argc, char **argv)
     const std::vector<core::kernel::KernelVariant> variants{
         core::kernel::KernelVariant::Reference,
         core::kernel::KernelVariant::Vector,
-        core::kernel::KernelVariant::Fused,
         core::kernel::KernelVariant::ActSparse,
         core::kernel::KernelVariant::Auto,
     };
 
-    // One pre-decoded stack (fused stream included) shared by every
+    // One pre-decoded stack (PE-merged stream included) shared by every
     // (variant x threads) backend: the compiled image is
     // variant-independent, the variant only picks the inner loop.
     const std::vector<const core::LayerPlan *> plan_stack{&plan};
@@ -336,12 +336,6 @@ main(int argc, char **argv)
 
     for (const core::kernel::KernelVariant kernel : variants) {
         for (const unsigned threads : thread_counts) {
-            // A multi-thread pool demotes "fused" to the reference
-            // loop; re-measuring it there would just stamp reference
-            // timings with the wrong label.
-            if (kernel == core::kernel::KernelVariant::Fused &&
-                threads > 1)
-                continue;
             const engine::CompiledBackend compiled(
                 plan_stack, shared_stack, threads, kernel);
             measureSeries(compiled,
@@ -394,8 +388,8 @@ main(int argc, char **argv)
     std::cout << "best speedup over scalar interpreter: " << best
               << "x\n";
 
-    // The headline regression gate: the SIMD (or fused) inner loop
-    // must out-run the reference loop at the serving batch size.
+    // The headline regression gate: the SIMD inner loop must out-run
+    // the reference loop at the serving batch size.
     auto rateAt = [&](const char *kernel, std::size_t batch) {
         double rate = 0.0;
         for (const Point &p : points)
@@ -405,23 +399,20 @@ main(int argc, char **argv)
     };
     const double reference_64 = rateAt("reference", 64);
     const double vector_64 = rateAt("vector", 64);
-    const double fused_64 = rateAt("fused", 64);
     std::cout << "batch 64: reference " << reference_64
-              << " f/s, vector " << vector_64 << " f/s, fused "
-              << fused_64 << " f/s\n";
+              << " f/s, vector " << vector_64 << " f/s\n";
     // With real SIMD lanes this is a hard regression gate; on a box
     // whose dispatch fell back to the portable scalar loop the dense
     // sweep can legitimately lose to the sparse gather, so only warn.
     const bool have_simd =
         std::string(core::kernel::simdIsaName()) != "scalar";
-    fatal_if(have_simd && std::max(vector_64, fused_64) <= reference_64,
-             "neither vector nor fused beat the reference kernel at "
-             "batch 64 despite %s lanes",
+    fatal_if(have_simd && vector_64 <= reference_64,
+             "vector did not beat the reference kernel at batch 64 "
+             "despite %s lanes",
              core::kernel::simdIsaName());
-    if (std::max(vector_64, fused_64) <= reference_64)
-        std::cout << "WARNING: neither vector nor fused beat the "
-                     "reference kernel at batch 64 (scalar fallback "
-                     "dispatch)\n";
+    if (vector_64 <= reference_64)
+        std::cout << "WARNING: vector did not beat the reference "
+                     "kernel at batch 64 (scalar fallback dispatch)\n";
 
     bench::Json throughput_points = bench::Json::array();
     for (const Point &p : points) {
@@ -444,11 +435,8 @@ main(int argc, char **argv)
     bench::Json batch64_json;
     batch64_json.set("reference_fps", reference_64)
         .set("vector_fps", vector_64)
-        .set("fused_fps", fused_64)
-        .set("best_over_reference",
-             reference_64 > 0.0
-                 ? std::max(vector_64, fused_64) / reference_64
-                 : 0.0);
+        .set("vector_over_reference",
+             reference_64 > 0.0 ? vector_64 / reference_64 : 0.0);
     // The footprint story: compressed residency must shrink the
     // resident stream bytes of this paper-shaped FC layer by at
     // least 1.8x. Pure byte accounting — deterministic, so a hard
@@ -488,7 +476,7 @@ main(int argc, char **argv)
     // The paper's activation-sparsity win is a batch-1 latency story:
     // one frame at a time, the actsparse queue walk touching only the
     // nonzero columns. Sweep density 5%..100% on the NT-We shape and
-    // time reference/fused/actsparse a single frame at a time.
+    // time reference/actsparse a single frame at a time.
     workloads::SuiteRunner suite_runner(2016);
     const workloads::Benchmark &ntwe = workloads::findBenchmark("NT-We");
     const auto ntwe_plan = suite_runner.plan(ntwe, config);
@@ -509,12 +497,11 @@ main(int argc, char **argv)
                                         0.50, 0.75, 1.00};
     const std::vector<core::kernel::KernelVariant> density_variants{
         core::kernel::KernelVariant::Reference,
-        core::kernel::KernelVariant::Fused,
         core::kernel::KernelVariant::ActSparse,
     };
 
     std::vector<DensityPoint> density_points;
-    double fused_at_35 = 0.0;
+    double reference_at_35 = 0.0;
     double actsparse_at_35 = 0.0;
     for (const double density : densities) {
         // Fresh frames at this exact density, plus one oracle pass.
@@ -529,7 +516,7 @@ main(int argc, char **argv)
         for (const auto &single : singles)
             oracle.push_back(ntwe_scalar->runBatch(single).outputs);
 
-        double fused_fps = 0.0;
+        double reference_fps = 0.0;
         double actsparse_fps = 0.0;
         for (const core::kernel::KernelVariant kernel :
              density_variants) {
@@ -556,15 +543,15 @@ main(int argc, char **argv)
             p.kernel = core::kernel::kernelVariantName(kernel);
             p.mean_us = 1e6 * best_s / kDensityFrames;
             p.frames_per_sec = kDensityFrames / best_s;
-            if (kernel == core::kernel::KernelVariant::Fused)
-                fused_fps = p.frames_per_sec;
+            if (kernel == core::kernel::KernelVariant::Reference)
+                reference_fps = p.frames_per_sec;
             if (kernel == core::kernel::KernelVariant::ActSparse)
                 actsparse_fps = p.frames_per_sec;
             density_points.push_back(std::move(p));
         }
 
         if (density == 0.35) {
-            fused_at_35 = fused_fps;
+            reference_at_35 = reference_fps;
             actsparse_at_35 = actsparse_fps;
         }
         // The sparsity gate: wherever at least half the activations
@@ -572,10 +559,10 @@ main(int argc, char **argv)
         // scalar-dispatch box can legitimately be memory-bound enough
         // that the queue build dominates).
         fatal_if(have_simd && density <= 0.50 &&
-                     actsparse_fps <= fused_fps,
-                 "actsparse (%.1f f/s) did not beat fused (%.1f f/s) "
+                     actsparse_fps <= reference_fps,
+                 "actsparse (%.1f f/s) did not beat reference (%.1f f/s) "
                  "at batch 1, %.0f%% activation density",
-                 actsparse_fps, fused_fps, 100.0 * density);
+                 actsparse_fps, reference_fps, 100.0 * density);
     }
 
     TextTable density_table(
@@ -592,8 +579,8 @@ main(int argc, char **argv)
               << kDensityFrames << " frames per density\n";
     density_table.print(std::cout);
     const double actsparse_speedup_35 =
-        fused_at_35 > 0.0 ? actsparse_at_35 / fused_at_35 : 0.0;
-    std::cout << "actsparse over fused at 35% density: "
+        reference_at_35 > 0.0 ? actsparse_at_35 / reference_at_35 : 0.0;
+    std::cout << "actsparse over reference at 35% density: "
               << actsparse_speedup_35 << "x\n";
 
     bench::Json density_series = bench::Json::array();
@@ -620,7 +607,7 @@ main(int argc, char **argv)
         .set("threads", 1u)
         .set("batch", std::uint64_t{1})
         .set("points", std::move(density_series))
-        .set("actsparse_over_fused_at_35pct", actsparse_speedup_35)
+        .set("actsparse_over_reference_at_35pct", actsparse_speedup_35)
         .set("paper_act_density", std::move(paper_density));
     throughput_json.set("batch1_density_series",
                         std::move(density_json));

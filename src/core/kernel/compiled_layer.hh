@@ -22,9 +22,9 @@
  * saturating MAC over 32-bit lanes (weights stream through one array,
  * rows through another, nothing interleaved), and each tile optionally
  * carries a slice-fused single stream — all PE slices merged per
- * column, rows sorted — so a 1-thread run walks one column extent
- * instead of one per PE. See core/kernel/variant.hh for the variant
- * registry that picks the inner loop.
+ * column, rows sorted — so a 1-thread run of any variant walks one
+ * column extent instead of one per PE. See core/kernel/variant.hh for
+ * the variant registry that picks the inner loop.
  *
  * The tile grid of the plan (row batches x column passes) is preserved
  * so the execution semantics — per-batch accumulator initialisation,
@@ -91,9 +91,9 @@ struct CompileOptions
      *  compile work and resident entry storage. */
     bool host_stream = true;
 
-    /** Also build the per-tile slice-fused single stream the "fused"
-     *  kernel variant walks on 1-thread runs. Costs a second resident
-     *  copy of the host entries; ignored without host_stream. */
+    /** Also build the per-tile slice-fused stream every decoded
+     *  variant walks on 1-thread runs. Costs a second resident copy
+     *  of the host entries; ignored without host_stream. */
     bool fused_stream = true;
 
     /** Also build the padding-preserving per-PE SimEntry streams the

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <chrono>
 
+#include <unistd.h>
+
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
 
@@ -177,6 +179,21 @@ macRowSse41(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
     macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
 }
 
+/** One 16-lane block of the AVX-512 MAC row. Lanes outside @p mask
+ *  are neither loaded nor stored, so a partial block stays bit-exact
+ *  with the scalar loop. */
+__attribute__((target("avx512f"))) inline void
+macBlockAvx512(std::int32_t *acc, const std::int32_t *act, __m512i vw,
+               __m128i vshift, __m512i vlo, __m512i vhi, __mmask16 mask)
+{
+    const __m512i va = _mm512_maskz_loadu_epi32(mask, act);
+    const __m512i vacc = _mm512_maskz_loadu_epi32(mask, acc);
+    __m512i v = _mm512_add_epi32(
+        vacc, _mm512_sra_epi32(_mm512_mullo_epi32(vw, va), vshift));
+    v = _mm512_min_epi32(_mm512_max_epi32(v, vlo), vhi);
+    _mm512_mask_storeu_epi32(acc, mask, v);
+}
+
 __attribute__((target("avx512f,avx512bw"))) void
 macRowAvx512(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
              int shift, std::int32_t lo, std::int32_t hi, std::size_t n)
@@ -186,18 +203,15 @@ macRowAvx512(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
     const __m512i vhi = _mm512_set1_epi32(hi);
     const __m128i vshift = _mm_cvtsi32_si128(shift);
     std::size_t b = 0;
-    for (; b + 16 <= n; b += 16) {
-        const __m512i va = _mm512_loadu_si512(
-            reinterpret_cast<const void *>(act + b));
-        const __m512i vacc = _mm512_loadu_si512(
-            reinterpret_cast<const void *>(acc + b));
-        __m512i v = _mm512_add_epi32(
-            vacc,
-            _mm512_sra_epi32(_mm512_mullo_epi32(vw, va), vshift));
-        v = _mm512_min_epi32(_mm512_max_epi32(v, vlo), vhi);
-        _mm512_storeu_si512(reinterpret_cast<void *>(acc + b), v);
-    }
-    macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
+    for (; b + 16 <= n; b += 16)
+        macBlockAvx512(acc + b, act + b, vw, vshift, vlo, vhi, 0xffff);
+    // A remainder of more than 8 lanes takes one masked pass; up to 8
+    // lanes the scalar loop measured faster under a multi-thread pool.
+    if (n - b > 8)
+        macBlockAvx512(acc + b, act + b, vw, vshift, vlo, vhi,
+                       static_cast<__mmask16>((1u << (n - b)) - 1));
+    else
+        macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
 }
 
 __attribute__((target("avx2"))) void
@@ -258,7 +272,7 @@ const MacRowFn g_mac_row = g_mac_row_kernel.fn;
 // ------------------------------------------------- slice inner loops
 
 /** Sweep one SoA stream over the gathered sparse panel (the scalar
- *  reference loop; also walks the slice-fused stream). */
+ *  reference loop). */
 void
 runStreamReference(const SliceStream &stream,
                    const ActivationPanel &panel, std::size_t batch,
@@ -472,63 +486,69 @@ forEachSlice(const CompiledTile &tile, WorkerPool *pool,
             run_pe(k);
 }
 
-/** The reference and fused variants: int64 accumulators, sparse
- *  gather panel; fused walks one merged stream serially. */
-void
-executeSparse(const CompiledLayer &layer, const Batch &inputs,
-              WorkerPool *pool, bool fused, Batch &outputs)
+/** Per-core L2 capacity, 1 MiB where the platform does not report
+ *  it. */
+std::size_t
+l2CacheBytes()
 {
-    const std::size_t batch = inputs.size();
-    ActivationPanel panel;
-    executeTiles<std::int64_t>(
+    static const long reported = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    return reported > 0 ? static_cast<std::size_t>(reported)
+                        : std::size_t{1} << 20;
+}
+
+/**
+ * The tile driver of every decoded variant and its one stream choice.
+ * A serial run (no pool, or a one-thread pool) walks each tile's
+ * PE-merged stream when the layer carries it — one column extent
+ * instead of one per PE, since one thread has no second PE to hand a
+ * slice to — as long as the row batch's accumulators fit the L2: the
+ * merged walk scatters over all of them in every column, while a PE
+ * slice stays within its own rows. Otherwise @p sweep walks the per-PE
+ * slices, in parallel under a multi-thread pool (PE rows are
+ * disjoint, so the workers never share an accumulator).
+ */
+template <typename AccT, typename Panel, typename Sweep>
+void
+executeDecoded(const CompiledLayer &layer, const Batch &inputs,
+               WorkerPool *pool, Batch &outputs, Panel &panel,
+               const Sweep &sweep)
+{
+    const bool serial = !pool || pool->threads() <= 1;
+    executeTiles<AccT>(
         layer, inputs, outputs, panel,
-        [&](const CompiledTile &tile, std::int64_t *acc) {
-            if (fused) {
-                runStreamReference(tile.fused, panel, batch, acc,
-                                   layer.weight_format,
-                                   layer.act_format);
-                return;
-            }
-            forEachSlice(tile, pool, [&](std::size_t k) {
-                runStreamReference(tile.slices[k].stream, panel, batch,
-                                   acc, layer.weight_format,
-                                   layer.act_format);
-            });
+        [&](const CompiledTile &tile, AccT *acc) {
+            const std::size_t acc_bytes = (tile.row_end - tile.row_begin) *
+                inputs.size() * sizeof(AccT);
+            if (serial && layer.has_fused_stream &&
+                acc_bytes < l2CacheBytes())
+                sweep(tile.fused, acc);
+            else
+                forEachSlice(tile, pool, [&](std::size_t k) {
+                    sweep(tile.slices[k].stream, acc);
+                });
         });
 }
 
-/** The actsparse variant: int64 accumulators, per-frame nonzero
- *  queues; per-slice parallelism as in the reference loop (PE rows
- *  are disjoint), and a single-thread run walks the slice-fused
- *  stream when the layer carries one (one merged column extent
- *  instead of one per PE). */
+/** The reference and actsparse variants: int64 accumulators, the
+ *  variant's activation @p Panel and its @p run_stream loop. */
+template <typename Panel, typename RunStream>
 void
-executeActSparse(const CompiledLayer &layer, const Batch &inputs,
-                 WorkerPool *pool, Batch &outputs)
+executeSparse(const CompiledLayer &layer, const Batch &inputs,
+              WorkerPool *pool, const RunStream &run_stream,
+              Batch &outputs)
 {
     const std::size_t batch = inputs.size();
-    const unsigned threads = pool ? pool->threads() : 1;
-    const bool fused = threads <= 1 && layer.has_fused_stream;
-    QueuePanel panel;
-    executeTiles<std::int64_t>(
-        layer, inputs, outputs, panel,
-        [&](const CompiledTile &tile, std::int64_t *acc) {
-            if (fused) {
-                runStreamActSparse(tile.fused, panel, batch, acc,
-                                   layer.weight_format,
-                                   layer.act_format);
-                return;
-            }
-            forEachSlice(tile, pool, [&](std::size_t k) {
-                runStreamActSparse(tile.slices[k].stream, panel, batch,
-                                   acc, layer.weight_format,
-                                   layer.act_format);
-            });
+    Panel panel;
+    executeDecoded<std::int64_t>(
+        layer, inputs, pool, outputs, panel,
+        [&](const SliceStream &stream, std::int64_t *acc) {
+            run_stream(stream, panel, batch, acc, layer.weight_format,
+                       layer.act_format);
         });
 }
 
 /** The vector variant: int32 accumulators, dense panel, SIMD MAC
- *  rows; per-slice parallelism as in the reference loop. */
+ *  rows. */
 void
 executeVector(const CompiledLayer &layer, const Batch &inputs,
               WorkerPool *pool, Batch &outputs)
@@ -541,13 +561,10 @@ executeVector(const CompiledLayer &layer, const Batch &inputs,
     const auto hi = static_cast<std::int32_t>(layer.act_format.maxRaw());
 
     DensePanel panel;
-    executeTiles<std::int32_t>(
-        layer, inputs, outputs, panel,
-        [&](const CompiledTile &tile, std::int32_t *acc) {
-            forEachSlice(tile, pool, [&](std::size_t k) {
-                runStreamVector(tile.slices[k].stream, panel, batch,
-                                acc, shift, lo, hi);
-            });
+    executeDecoded<std::int32_t>(
+        layer, inputs, pool, outputs, panel,
+        [&](const SliceStream &stream, std::int32_t *acc) {
+            runStreamVector(stream, panel, batch, acc, shift, lo, hi);
         });
 }
 
@@ -710,11 +727,9 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
         return outputs;
     }
 
-    const unsigned threads = pool ? pool->threads() : 1;
     const double act_density = probeActivationDensity(inputs);
     KernelVariant resolved =
-        resolveKernelVariant(variant, layer, batch, threads,
-                             act_density);
+        resolveKernelVariant(variant, layer, batch, act_density);
     if (resolved == KernelVariant::Vector &&
         !withinActFormat(inputs, layer.act_format))
         resolved = KernelVariant::Reference;
@@ -723,17 +738,16 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
       case KernelVariant::Vector:
         executeVector(layer, inputs, pool, outputs);
         break;
-      case KernelVariant::Fused:
-        executeSparse(layer, inputs, pool, /*fused=*/true, outputs);
-        break;
       case KernelVariant::ActSparse:
-        executeActSparse(layer, inputs, pool, outputs);
+        executeSparse<QueuePanel>(layer, inputs, pool, runStreamActSparse,
+                                  outputs);
         break;
       case KernelVariant::Compressed:
         executeCompressed(layer, inputs, pool, outputs, &decode_us);
         break;
       case KernelVariant::Reference:
-        executeSparse(layer, inputs, pool, /*fused=*/false, outputs);
+        executeSparse<ActivationPanel>(layer, inputs, pool,
+                                       runStreamReference, outputs);
         break;
       case KernelVariant::Auto:
         panic("resolveKernelVariant returned Auto");

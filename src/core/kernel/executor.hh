@@ -5,23 +5,23 @@
  * One sweep over the compressed columns is amortized across the whole
  * batch. The inner loop is selected by KernelVariant (see
  * variant.hh): the scalar sparse-gather reference walk, the SIMD
- * dense-batch vector MAC, the slice-fused serial stream, or the
- * activation-sparse queue walk (a front-end nonzero scan compresses
- * each frame into a compact (column, value) queue — the paper's
- * NZ-detect stage — and the inner loop touches only nonzero
- * columns). Every
- * variant preserves the exact per-accumulator update sequence of the
- * scalar interpreter (passes, then columns, then at most one entry
- * per accumulator per column; a zero activation contributes a zero
- * product and sat(acc + 0) == acc), so outputs are bit-exact with
+ * dense-batch vector MAC, or the activation-sparse queue walk (a
+ * front-end nonzero scan compresses each frame into a compact
+ * (column, value) queue — the paper's NZ-detect stage — and the inner
+ * loop touches only nonzero columns). Every variant preserves the
+ * exact per-accumulator update sequence of the scalar interpreter
+ * (passes, then columns, then at most one entry per accumulator per
+ * column; a zero activation contributes a zero product and
+ * sat(acc + 0) == acc), so outputs are bit-exact with
  * FunctionalModel::run — saturation order included — regardless of
  * the variant.
  *
  * Parallel execution splits the work across PE slices: PE k only ever
  * writes output rows i mod N == k, so threads share the accumulator
- * buffer without synchronization or write conflicts. The fused
- * variant is the single-thread form; under a multi-thread pool it
- * demotes to the per-slice reference loop (outputs unchanged).
+ * buffer without synchronization or write conflicts. A serial run
+ * walks each tile's PE-merged stream instead when the layer carries
+ * it and the row batch's accumulators fit the L2, whichever loop the
+ * variant selects.
  *
  * Inputs are raw act_format values (quantizeInput or a previous
  * layer's outputs); the vector variant relies on that contract to

@@ -11,8 +11,7 @@ const std::vector<std::string> &
 kernelVariantNames()
 {
     static const std::vector<std::string> names{
-        "auto",      "reference", "vector",
-        "fused",     "actsparse", "compressed"};
+        "auto", "reference", "vector", "actsparse", "compressed"};
     return names;
 }
 
@@ -26,8 +25,6 @@ kernelVariantName(KernelVariant variant)
         return "reference";
       case KernelVariant::Vector:
         return "vector";
-      case KernelVariant::Fused:
-        return "fused";
       case KernelVariant::ActSparse:
         return "actsparse";
       case KernelVariant::Compressed:
@@ -46,8 +43,6 @@ kernelVariantFromName(const std::string &name)
         return KernelVariant::Reference;
     if (name == "vector")
         return KernelVariant::Vector;
-    if (name == "fused")
-        return KernelVariant::Fused;
     if (name == "actsparse")
         return KernelVariant::ActSparse;
     if (name == "compressed")
@@ -90,8 +85,7 @@ vectorEligible(const CompiledLayer &layer)
 
 KernelVariant
 resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
-                     std::size_t batch, unsigned threads,
-                     double act_density)
+                     std::size_t batch, double act_density)
 {
     // A compressed-resident layer has no decoded arrays: every
     // request resolves to the decode-on-the-fly path, the only
@@ -109,18 +103,12 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
         fatal_if(!vectorEligible(layer),
                  "kernel variant 'vector' is not bit-exact for layer "
                  "'%s' (weights Q%u.%u, accumulator Q%u.%u overflow "
-                 "32-bit lanes); use 'auto', 'reference', 'fused' or "
+                 "32-bit lanes); use 'auto', 'reference' or "
                  "'actsparse'",
                  layer.name.c_str(), layer.weight_format.totalBits,
                  layer.weight_format.fracBits,
                  layer.act_format.totalBits, layer.act_format.fracBits);
         return KernelVariant::Vector;
-      case KernelVariant::Fused:
-        // Fusion is the single-thread form; a pooled run executes the
-        // per-slice streams instead (outputs unchanged).
-        if (threads > 1 || !layer.has_fused_stream)
-            return KernelVariant::Reference;
-        return KernelVariant::Fused;
       case KernelVariant::Compressed:
         fatal_if(!layer.has_compressed_stream,
                  "kernel variant 'compressed' needs the compressed "
@@ -135,16 +123,14 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
         return KernelVariant::Vector;
     if (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity)
         return KernelVariant::ActSparse;
-    if (threads <= 1 && layer.has_fused_stream)
-        return KernelVariant::Fused;
     return KernelVariant::Reference;
 }
 
 KernelVariant
 resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
-                     std::size_t batch, unsigned threads)
+                     std::size_t batch)
 {
-    return resolveKernelVariant(requested, layer, batch, threads, -1.0);
+    return resolveKernelVariant(requested, layer, batch, -1.0);
 }
 
 // simdIsaName() is defined in executor.cc, next to the MAC row

@@ -4,26 +4,22 @@
  *
  * One pre-decoded KernelStream (see compiled_layer.hh) can be walked
  * by more than one inner loop, and which loop wins depends on the
- * batch size, the thread count and the datapath formats. Instead of
- * forking the executor per loop, every consumer — CompiledBackend,
- * the WorkerPool batched executor, the serving cluster and the CLI
- * tools — selects a KernelVariant by name and kernel::runBatch
- * dispatches:
+ * batch size, the activation density and the datapath formats. The
+ * variant picks the loop, never the stream (the executor walks the
+ * PE-merged stream on a serial run, the per-PE slices on a pooled
+ * one). Instead of forking the executor per loop, every consumer —
+ * CompiledBackend, the WorkerPool batched executor, the serving
+ * cluster and the CLI tools — selects a KernelVariant by name and
+ * kernel::runBatch dispatches:
  *
- *  - "reference": the scalar sparse-gather loop over the per-slice
- *    streams. Bit-exact for every format; the in-process oracle the
- *    other variants are validated against.
+ *  - "reference": the scalar sparse-gather loop. Bit-exact for every
+ *    format; the in-process oracle the other variants are validated
+ *    against.
  *  - "vector": a 32-bit-lane SIMD saturating MAC, dense over the
  *    batch dimension (zero activations contribute a zero product, and
  *    sat(acc + 0) == acc, so skipping them is an optimization, not a
  *    semantic — the dense sweep is bit-exact). Requires the layer's
  *    formats to fit 32-bit lanes; see vectorEligible().
- *  - "fused": the per-column slice-fused stream — all PE slices of a
- *    tile merged into one row-sorted stream per column, so a
- *    single-thread run walks one column extent instead of one per PE
- *    and never scatters between per-slice accumulator views. With a
- *    multi-thread pool (fusion is the 1-thread form) it falls back to
- *    the per-slice reference loop, outputs unchanged.
  *  - "actsparse": the paper's leading-nonzero-detect datapath. A
  *    front-end scan compresses each input frame into a compact
  *    (column, value) activation queue, and the inner loop walks only
@@ -41,10 +37,10 @@
  *    compressed residency); a compressed-resident layer resolves
  *    every request to this variant — it is the only executable form.
  *  - "auto": the fastest variant that is bit-exact for the layer's
- *    formats and the call's batch/thread shape; the default
- *    everywhere. When the caller supplies a measured activation
- *    density, auto is density-aware: small-batch low-density calls
- *    route to "actsparse" (see kActSparseAutoMaxDensity).
+ *    formats and the call's batch size; the default everywhere. When
+ *    the caller supplies a measured activation density, auto is
+ *    density-aware: small-batch low-density calls route to
+ *    "actsparse" (see kActSparseAutoMaxDensity).
  *
  * All variants produce bit-identical outputs (the saturating-MAC
  * update sequence per accumulator is preserved exactly); "vector" is
@@ -70,7 +66,6 @@ enum class KernelVariant
     Auto,       ///< fastest bit-exact variant for the call shape
     Reference,  ///< scalar sparse-gather loop, the oracle
     Vector,     ///< SIMD 32-bit-lane dense-batch saturating MAC
-    Fused,      ///< slice-fused single stream per column (1 thread)
     ActSparse,  ///< nonzero-activation queue walk (EIE NZ-detect)
     Compressed, ///< decode-on-the-fly over compressed-resident streams
 };
@@ -114,11 +109,7 @@ bool vectorEligible(const CompiledLayer &layer);
  *  - Auto picks Vector when the formats are eligible and the batch is
  *    wide enough to fill lanes (>= kVectorAutoBatch); below that it
  *    picks ActSparse when @p act_density is known (>= 0) and at most
- *    kActSparseAutoMaxDensity, then the Fused stream for serial
- *    batches, and Reference otherwise.
- *  - Fused demotes to Reference when the pool runs more than one
- *    thread (the fused stream is a single serial walk) or the layer
- *    was compiled without the fused stream.
+ *    kActSparseAutoMaxDensity, and Reference otherwise.
  *  - Vector is fatal when the layer's formats are not eligible: the
  *    lanes would overflow, silently breaking bit-exactness.
  *  - ActSparse and Reference always resolve to themselves: both are
@@ -134,14 +125,14 @@ bool vectorEligible(const CompiledLayer &layer);
  */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
-                                   std::size_t batch, unsigned threads,
+                                   std::size_t batch,
                                    double act_density);
 
 /** Density-blind overload: resolves with unknown activation density
  *  (Auto never picks ActSparse). */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
-                                   std::size_t batch, unsigned threads);
+                                   std::size_t batch);
 
 /**
  * The instruction set the SIMD MAC row kernel dispatched to at

@@ -188,12 +188,7 @@ compiledStackOptions(unsigned threads,
                      core::kernel::Residency residency)
 {
     core::kernel::CompileOptions options;
-    // Auto can resolve to Fused or ActSparse, and a single-thread
-    // ActSparse run walks the fused stream too — keep it reachable.
-    options.fused_stream = threads <= 1 &&
-        (kernel == core::kernel::KernelVariant::Auto ||
-         kernel == core::kernel::KernelVariant::Fused ||
-         kernel == core::kernel::KernelVariant::ActSparse);
+    options.fused_stream = threads <= 1;
     options.residency = residency;
     // An explicit "compressed" kernel request must stay executable
     // even under decoded residency: compile both stream forms.
@@ -229,8 +224,7 @@ CompiledBackend::CompiledBackend(
     if (kernel_ == core::kernel::KernelVariant::Vector)
         for (const core::kernel::CompiledLayer &layer : *layers_)
             core::kernel::resolveKernelVariant(kernel_, layer,
-                                               /*batch=*/1,
-                                               /*threads=*/1);
+                                               /*batch=*/1);
     if (threads > 1)
         pool_ = std::make_unique<core::kernel::WorkerPool>(threads);
 }

@@ -42,9 +42,8 @@ using CompiledStack = std::vector<core::kernel::CompiledLayer>;
  * across several CompiledBackend instances: replicated serving shards
  * execute the same immutable arrays instead of compiling (and
  * holding) one copy each. @p options tunes the compile — e.g. skip
- * the fused stream (a second resident copy of the entries) when
- * every consumer runs a multi-thread pool, where the fused variant
- * is unreachable.
+ * the PE-merged stream (a second resident copy of the entries) when
+ * every consumer runs a multi-thread pool, which never walks it.
  *
  * The returned stack also keeps the process-wide
  * `eie_model_resident_bytes` gauge current: the stack's resident
@@ -58,12 +57,12 @@ compileLayerStack(const core::EieConfig &config,
 
 /**
  * Compile options for a stack whose consumers all run @p threads
- * worker threads with the @p kernel variant: the fused stream (a
- * second resident copy of the entries) is compiled only where the
- * fused variant is reachable — serial consumers requesting Fused or
- * Auto. A multi-thread pool demotes Fused to the per-slice loop, and
- * explicit Reference/Vector never walk it. The one rule both
- * CompiledBackend and the serving cluster's shared stacks follow.
+ * worker threads with the @p kernel variant: the PE-merged stream (a
+ * second resident copy of the entries) is compiled exactly for
+ * serial consumers (@p threads <= 1), whose decoded sweeps walk it
+ * whatever the variant; a multi-thread pool walks the per-PE slices
+ * instead. The one rule both CompiledBackend and the serving
+ * cluster's shared stacks follow.
  *
  * @p residency selects the resident stream form; an explicit
  * Compressed kernel request additionally compiles the compressed

@@ -85,18 +85,6 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
     fatal_if(!model_, "cluster needs a model");
     fatal_if(options_.shards == 0, "cluster needs at least one shard");
 
-    // Multi-thread shards demote the fused variant to the per-slice
-    // loop (and their shared stack skips the fused stream entirely);
-    // normalize here so stats and banners report the variant that
-    // actually runs.
-    if (options_.kernel == core::kernel::KernelVariant::Fused &&
-        options_.threads_per_shard > 1) {
-        warn("kernel 'fused' is the single-thread form; shards with "
-             "%u threads run 'reference' instead",
-             options_.threads_per_shard);
-        options_.kernel = core::kernel::KernelVariant::Reference;
-    }
-
     const core::EieConfig &config = model_->config();
     shards_.reserve(options_.shards);
 

@@ -99,6 +99,7 @@ TEST(Endpoint, MalformedStringsAreInvalidArgumentNotFatal)
         "local:",
         "local:no-such-backend",
         "local:compiled,kernel=warp",       // unknown kernel
+        "local:compiled,kernel=fused",      // deleted kernel variant
         "local:compiled,threads=0",         // zero threads
         "local:compiled,threads=lots",      // non-numeric
         // beyond ULONG_MAX: must be InvalidArgument, not a thrown
@@ -110,6 +111,7 @@ TEST(Endpoint, MalformedStringsAreInvalidArgumentNotFatal)
         "cluster:",
         "cluster:/d,policy=diagonal",       // unknown placement
         "cluster:/d,backend=no-such",       // unknown backend
+        "cluster:/d,kernel=fused",          // deleted kernel variant
         "cluster:/d,frobnicate=1",          // unknown option
         "tcp://",
         "tcp://hostonly",

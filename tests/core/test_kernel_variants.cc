@@ -1,11 +1,11 @@
 /**
  * @file
  * Kernel-variant tests: the variant registry (auto / reference /
- * vector / fused) must resolve as documented, every variant must be
- * bit-exact with the scalar oracle exactly at the saturation
- * boundary of the accumulator format, and ragged / all-zero
- * activation batches (the panel skip paths and the SIMD tail lanes)
- * must flow through every variant — including the threads>1
+ * vector / actsparse / compressed) must resolve as documented, every
+ * variant must be bit-exact with the scalar oracle exactly at the
+ * saturation boundary of the accumulator format, and ragged /
+ * all-zero activation batches (the panel skip paths and the SIMD tail
+ * lanes) must flow through every variant — including the threads>1
  * WorkerPool route — without divergence.
  *
  * The column-partitioned serving caveat that motivates the
@@ -33,12 +33,11 @@ using core::kernel::KernelVariant;
 
 const std::vector<KernelVariant> kAllVariants{
     KernelVariant::Auto, KernelVariant::Reference,
-    KernelVariant::Vector, KernelVariant::Fused,
-    KernelVariant::ActSparse};
+    KernelVariant::Vector, KernelVariant::ActSparse};
 
 const std::vector<KernelVariant> kExplicitVariants{
     KernelVariant::Reference, KernelVariant::Vector,
-    KernelVariant::Fused, KernelVariant::ActSparse};
+    KernelVariant::ActSparse};
 
 /**
  * A dense layer whose partial sums slam into both accumulator rails:
@@ -63,7 +62,7 @@ saturatingLayer(std::size_t rows, std::size_t cols, unsigned n_pe,
 
 TEST(KernelVariants, RegistryNamesRoundTrip)
 {
-    ASSERT_EQ(core::kernel::kernelVariantNames().size(), 6u);
+    ASSERT_EQ(core::kernel::kernelVariantNames().size(), 5u);
     for (const std::string &name : core::kernel::kernelVariantNames())
         EXPECT_STREQ(core::kernel::kernelVariantName(
                          core::kernel::kernelVariantFromName(name)),
@@ -97,49 +96,36 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::resolveKernelVariant;
-    // Auto: wide batch fills SIMD lanes; serial small batch takes the
-    // fused stream; pooled small batch the per-slice reference loop.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64, 1),
+    // Auto: wide batch fills SIMD lanes; small batch the reference
+    // loop.
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
               KernelVariant::Vector);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 1),
-              KernelVariant::Fused);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 4),
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
               KernelVariant::Reference);
-    // Fusion is the 1-thread form: a pooled request demotes.
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Fused, compiled, 8, 4),
-        KernelVariant::Reference);
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Fused, compiled, 8, 1),
-        KernelVariant::Fused);
     // Explicit requests stick where legal.
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
+              KernelVariant::Vector);
     EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Vector, compiled, 1, 4),
-        KernelVariant::Vector);
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Reference, compiled, 64, 1),
+        resolveKernelVariant(KernelVariant::Reference, compiled, 64),
         KernelVariant::Reference);
 
-    // Without the fused stream every fused request demotes and Auto
-    // never selects it.
+    // The merged stream only picks which stream a serial sweep walks,
+    // never the loop: a layer compiled without it resolves the same.
     core::kernel::CompileOptions no_fused;
     no_fused.fused_stream = false;
     const auto lean =
         core::kernel::CompiledLayer::compile(plan, config, no_fused);
     ASSERT_FALSE(lean.has_fused_stream);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Fused, lean, 1, 1),
-              KernelVariant::Reference);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, lean, 1, 1),
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, lean, 1),
               KernelVariant::Reference);
 
     // An explicit actsparse request never demotes: it needs neither
-    // SIMD eligibility, a fused stream, nor a single thread.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::ActSparse, compiled,
-                                   64, 4),
-              KernelVariant::ActSparse);
+    // SIMD eligibility nor a merged stream.
     EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::ActSparse, lean, 1, 1),
+        resolveKernelVariant(KernelVariant::ActSparse, compiled, 64),
         KernelVariant::ActSparse);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::ActSparse, lean, 1),
+              KernelVariant::ActSparse);
 }
 
 TEST(KernelVariants, AutoResolutionIsDensityAware)
@@ -159,38 +145,29 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
     using core::kernel::resolveKernelVariant;
 
     // Small batch + sparse activations: the nonzero-queue walk wins.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 1,
-                                   0.35),
-              KernelVariant::ActSparse);
+    EXPECT_EQ(
+        resolveKernelVariant(KernelVariant::Auto, compiled, 1, 0.35),
+        KernelVariant::ActSparse);
     // The crossover is inclusive at the documented threshold...
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 1,
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1,
                                    kActSparseAutoMaxDensity),
               KernelVariant::ActSparse);
-    // ...and dense activations above it keep the fused sweep.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 1,
-                                   0.75),
-              KernelVariant::Fused);
+    // ...and dense activations above it keep the reference loop.
+    EXPECT_EQ(
+        resolveKernelVariant(KernelVariant::Auto, compiled, 1, 0.75),
+        KernelVariant::Reference);
     // Batch wins over density: SIMD lanes fill at kVectorAutoBatch
     // regardless of how sparse the activations are.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
-                                   kVectorAutoBatch, 1, 0.05),
+                                   kVectorAutoBatch, 0.05),
               KernelVariant::Vector);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
-                                   kVectorAutoBatch - 1, 1, 0.05),
-              KernelVariant::ActSparse);
-    // The sparse walk is pool-safe (PE rows are disjoint), so a
-    // pooled low-density call still takes it where a fused request
-    // would have demoted to reference.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2, 4,
-                                   0.2),
+                                   kVectorAutoBatch - 1, 0.05),
               KernelVariant::ActSparse);
     // Unknown density (no probe) preserves the density-blind rules.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 1,
-                                   -1.0),
-              KernelVariant::Fused);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1, 4,
-                                   -1.0),
-              KernelVariant::Reference);
+    EXPECT_EQ(
+        resolveKernelVariant(KernelVariant::Auto, compiled, 1, -1.0),
+        KernelVariant::Reference);
 }
 
 TEST(KernelVariants, FusedStreamMergesEverySliceRowSorted)
@@ -279,8 +256,8 @@ TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
         core::kernel::CompiledLayer::compile(plan, config);
     ASSERT_FALSE(core::kernel::vectorEligible(compiled));
     EXPECT_EQ(core::kernel::resolveKernelVariant(KernelVariant::Auto,
-                                                 compiled, 64, 1),
-              KernelVariant::Fused);
+                                                 compiled, 64),
+              KernelVariant::Reference);
 
     const core::FunctionalModel model(config);
     core::kernel::Batch frames;
@@ -293,8 +270,7 @@ TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
         reference.push_back(model.run(plan, frame).output_raw);
 
     for (const KernelVariant kernel :
-         {KernelVariant::Auto, KernelVariant::Reference,
-          KernelVariant::Fused}) {
+         {KernelVariant::Auto, KernelVariant::Reference}) {
         const auto outputs =
             core::kernel::runBatch(compiled, frames, nullptr, kernel);
         for (std::size_t b = 0; b < frames.size(); ++b)
@@ -349,6 +325,11 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
     const auto compiled =
         core::kernel::CompiledLayer::compile(plan, config);
+    // Without the merged stream a serial run walks the per-PE slices.
+    core::kernel::CompileOptions no_fused;
+    no_fused.fused_stream = false;
+    const auto lean =
+        core::kernel::CompiledLayer::compile(plan, config, no_fused);
     const core::FunctionalModel model(config);
     core::kernel::WorkerPool pool(3);
 
@@ -382,19 +363,22 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
         for (const auto &frame : frames)
             reference.push_back(model.run(plan, frame).output_raw);
 
-        for (core::kernel::WorkerPool *p :
-             {static_cast<core::kernel::WorkerPool *>(nullptr),
-              &pool}) {
-            for (const KernelVariant kernel : kAllVariants) {
-                const auto outputs =
-                    core::kernel::runBatch(compiled, frames, p, kernel);
-                ASSERT_EQ(outputs.size(), frames.size());
-                for (std::size_t b = 0; b < frames.size(); ++b)
-                    EXPECT_EQ(outputs[b], reference[b])
-                        << core::kernel::kernelVariantName(kernel)
-                        << ", batch " << frames.size() << ", "
-                        << (p ? "pooled" : "serial") << ", frame "
-                        << b;
+        for (const auto *layer_form : {&compiled, &lean}) {
+            for (core::kernel::WorkerPool *p :
+                 {static_cast<core::kernel::WorkerPool *>(nullptr),
+                  &pool}) {
+                for (const KernelVariant kernel : kAllVariants) {
+                    const auto outputs = core::kernel::runBatch(
+                        *layer_form, frames, p, kernel);
+                    ASSERT_EQ(outputs.size(), frames.size());
+                    for (std::size_t b = 0; b < frames.size(); ++b)
+                        EXPECT_EQ(outputs[b], reference[b])
+                            << core::kernel::kernelVariantName(kernel)
+                            << (layer_form == &lean ? ", lean" : "")
+                            << ", batch " << frames.size() << ", "
+                            << (p ? "pooled" : "serial")
+                            << ", frame " << b;
+                }
             }
         }
     }
@@ -498,10 +482,9 @@ TEST(KernelVariants, CompressedResolutionFollowsResidency)
     ASSERT_TRUE(dual.has_host_stream);
     ASSERT_TRUE(dual.has_compressed_stream);
     EXPECT_EQ(dual.residency, core::kernel::Residency::Decoded);
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Compressed, dual, 64, 1),
-        KernelVariant::Compressed);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, dual, 64, 1),
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Compressed, dual, 64),
+              KernelVariant::Compressed);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, dual, 64),
               KernelVariant::Vector);
 
     // Compressed residency: the compressed stream is the only
@@ -518,9 +501,9 @@ TEST(KernelVariants, CompressedResolutionFollowsResidency)
               dual.decoded_stream_bytes);
     for (const KernelVariant kernel :
          {KernelVariant::Auto, KernelVariant::Reference,
-          KernelVariant::Vector, KernelVariant::Fused,
-          KernelVariant::ActSparse, KernelVariant::Compressed})
-        EXPECT_EQ(resolveKernelVariant(kernel, compact, 64, 4),
+          KernelVariant::Vector, KernelVariant::ActSparse,
+          KernelVariant::Compressed})
+        EXPECT_EQ(resolveKernelVariant(kernel, compact, 64),
                   KernelVariant::Compressed)
             << core::kernel::kernelVariantName(kernel);
 
@@ -629,13 +612,13 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
     EXPECT_LE(info.act_density,
               core::kernel::kActSparseAutoMaxDensity);
 
-    // A fully dense frame probes high and keeps the fused sweep.
+    // A fully dense frame probes high and keeps the reference loop.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant, KernelVariant::Fused);
+    EXPECT_EQ(info.variant, KernelVariant::Reference);
     EXPECT_GT(info.act_density,
               core::kernel::kActSparseAutoMaxDensity);
 

@@ -148,7 +148,7 @@ TEST(ExecutionBackend, NetworkRunnerHandsOutCachedBackends)
     // Non-compiled backends normalize the kernel key: one instance.
     EXPECT_EQ(&net.backend("scalar"),
               &net.backend("scalar", 1,
-                           core::kernel::KernelVariant::Fused));
+                           core::kernel::KernelVariant::ActSparse));
 
     // addLayer invalidates: a new stack means new backends.
     net.addLayer(test::randomCompressedLayer(16, 32, 0.3, 4, 621),
@@ -203,7 +203,6 @@ TEST(ExecutionBackend, CompiledKernelVariantsMatchScalarOnAStack)
          {core::kernel::KernelVariant::Auto,
           core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
-          core::kernel::KernelVariant::Fused,
           core::kernel::KernelVariant::ActSparse,
           core::kernel::KernelVariant::Compressed}) {
         // Compressed residency keeps only the compressed stream and

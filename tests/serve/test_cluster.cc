@@ -325,7 +325,6 @@ TEST(ClusterEngine, KernelVariantsServeBitExactOnEveryPlacement)
     for (const core::kernel::KernelVariant kernel :
          {core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
-          core::kernel::KernelVariant::Fused,
           core::kernel::KernelVariant::ActSparse,
           core::kernel::KernelVariant::Compressed}) {
         // The decode-on-the-fly kernel must serve bit-exact with the

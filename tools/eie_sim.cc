@@ -80,7 +80,7 @@ usage()
         "  --throughput B       run the batched host engine, B frames\n"
         "  --threads T          PE-parallel worker threads (default 1)\n"
         "  --kernel V           kernel variant: auto | reference | "
-        "vector | fused | actsparse | compressed\n"
+        "vector | actsparse | compressed\n"
         "  --residency R        resident stream form: decoded | "
         "compressed | auto\n"
         "  --act-density D      activation density of generated "
@@ -453,14 +453,6 @@ main(int argc, char **argv)
         }
     }
     config.validate();
-    // Fusion is the single-thread form; normalize here so the tables
-    // and banners label the loop that actually runs.
-    if (serve.kernel == core::kernel::KernelVariant::Fused &&
-        threads > 1) {
-        warn("kernel 'fused' is the single-thread form; %u threads "
-             "run 'reference' instead", threads);
-        serve.kernel = core::kernel::KernelVariant::Reference;
-    }
     if (names.empty() || run_all)
         for (const auto &b : workloads::suite())
             names.push_back(b.name);
