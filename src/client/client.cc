@@ -542,16 +542,6 @@ class ClusterTransport final : public Transport
                 out.max_queue_depth =
                     std::max(out.max_queue_depth,
                              shard.server.max_queue_depth);
-            for (const engine::LayerDispatchStats &layer :
-                 serve::mergeLayerDispatch(stats.shards))
-                out.layers.push_back({snapshot.model, layer.layer,
-                                      layer.kernel,
-                                      layer.last_act_density,
-                                      layer.mean_act_density,
-                                      layer.residency,
-                                      layer.decoded_bytes,
-                                      layer.compressed_bytes,
-                                      layer.mean_decode_us});
         }
         if (out.requests > 0)
             out.mean_batch /= static_cast<double>(out.requests);

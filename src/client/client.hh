@@ -134,25 +134,6 @@ struct ModelInfo
     std::string placement = "replicated";
 };
 
-/** One layer's kernel dispatch decision as seen by an endpoint: the
- *  variant the last sweep executed and the measured activation
- *  density that drove density-aware auto dispatch. */
-struct LayerKernelStats
-{
-    std::string model;              ///< owning model ("" single-model)
-    std::string layer;              ///< compiled layer name
-    std::string kernel;             ///< last executed variant
-    double act_density = -1.0;      ///< last sampled nonzero fraction
-    double mean_act_density = 0.0;  ///< mean over measured sweeps
-
-    /** Resident stream form ("decoded"/"compressed"; "" when the
-     *  endpoint does not report it). */
-    std::string residency;
-    std::uint64_t decoded_bytes = 0;    ///< resident decoded bytes
-    std::uint64_t compressed_bytes = 0; ///< resident compressed bytes
-    double decode_us = 0.0; ///< mean per-sweep decode time, us
-};
-
 /** Aggregate serving statistics of an endpoint. Structured fields
  *  are filled by the in-process transports; `json` carries the
  *  transport-native rendering for every transport. */
@@ -167,10 +148,6 @@ struct EndpointStats
     double p99_latency_us = 0.0;
     double p999_latency_us = 0.0;
     std::size_t max_queue_depth = 0;
-
-    /** Per-layer kernel dispatch decisions (in-process transports;
-     *  tcp endpoints carry them inside `json`). */
-    std::vector<LayerKernelStats> layers;
 
     std::string json;
 };

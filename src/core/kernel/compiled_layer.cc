@@ -178,8 +178,7 @@ CompiledLayer::compile(const LayerPlan &plan, const EieConfig &config,
     // resident host form: the decoded/fused arrays are never built.
     const bool build_host =
         options.host_stream && residency != Residency::Compressed;
-    const bool build_compressed = residency == Residency::Compressed ||
-        (options.compressed_stream && options.host_stream);
+    const bool build_compressed = residency == Residency::Compressed;
 
     panic_if(!build_host && !options.sim_stream && !build_compressed,
              "compile with no stream selected");
@@ -195,7 +194,6 @@ CompiledLayer::compile(const LayerPlan &plan, const EieConfig &config,
     layer.has_host_stream = build_host;
     layer.has_fused_stream = build_host && options.fused_stream;
     layer.has_sim_stream = options.sim_stream;
-    layer.has_compressed_stream = build_compressed;
     layer.residency = residency;
 
     for (const auto &batch_tiles : plan.tiles) {

@@ -53,12 +53,11 @@ namespace eie::core::kernel {
  * compile:
  *
  *  - Decoded: the pre-decoded SoA arrays (today's fast path, ~12
- *    bytes per entry). The compressed stream is built alongside only
- *    when CompileOptions::compressed_stream asks for it.
+ *    bytes per entry).
  *  - Compressed: the CompressedSliceStream per tile slice is the
  *    *only* resident form (~1-2 bytes per entry); every runBatch
- *    decodes tile-granular chunks into scratch and all variants
- *    resolve to KernelVariant::Compressed.
+ *    decodes each slice into scratch right before the variant's loop
+ *    sweeps it. There is no PE-merged stream.
  *  - Auto: per layer, Compressed when the estimated decoded
  *    footprint exceeds kAutoResidencyCompressBytes (the decoded
  *    stack would spill the last-level cache anyway, so decode ALU
@@ -100,13 +99,6 @@ struct CompileOptions
      *  cycle-accurate path consumes. Off by default: the host kernel
      *  path does not pay for timing-model state. */
     bool sim_stream = false;
-
-    /** Also build the compressed per-slice streams when the resolved
-     *  residency is Decoded, so KernelVariant::Compressed stays
-     *  executable side by side with the decoded arrays (tests,
-     *  benches, explicit --kernel compressed runs). Implied by
-     *  Residency::Compressed. */
-    bool compressed_stream = false;
 
     /** Which stream form stays resident (see Residency). */
     Residency residency = Residency::Decoded;
@@ -168,9 +160,9 @@ struct CompiledSlice
      *  only resident form). */
     SliceStream stream;
 
-    /** The compressed-resident form (CompileOptions::compressed_stream
-     *  or Residency::Compressed): 4-bit codebook nibbles + Huffman
-     *  row deltas, decoded per runBatch into scratch. */
+    /** The compressed-resident form (Residency::Compressed only):
+     *  4-bit codebook nibbles + Huffman row deltas, decoded per
+     *  runBatch into scratch. */
     CompressedSliceStream compressed;
 
     /** @name Simulator stream (only with CompileOptions::sim_stream).
@@ -235,18 +227,17 @@ struct CompiledLayer
     bool has_fused_stream = false;
     /** Slices carry the simulator stream (CompileOptions::sim_stream). */
     bool has_sim_stream = false;
-    /** Slices carry the compressed stream (compressed_stream option
-     *  or compressed residency). */
-    bool has_compressed_stream = false;
 
-    /** The resolved residency of this layer (never Auto). */
+    /** The resolved residency of this layer (never Auto); slices
+     *  carry the compressed stream exactly when it is Compressed. */
     Residency residency = Residency::Decoded;
 
     /** Resident bytes of the decoded SoA forms (per-slice streams,
      *  packed mirrors, fused streams, column pointers); 0 under
      *  compressed residency. */
     std::uint64_t decoded_stream_bytes = 0;
-    /** Resident bytes of the compressed streams; 0 when not built. */
+    /** Resident bytes of the compressed streams; 0 under decoded
+     *  residency. */
     std::uint64_t compressed_stream_bytes = 0;
 
     /** Stream bytes actually resident for this layer (the sum of

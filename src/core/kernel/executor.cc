@@ -497,8 +497,8 @@ l2CacheBytes()
 }
 
 /**
- * The tile driver of every decoded variant and its one stream choice.
- * A serial run (no pool, or a one-thread pool) walks each tile's
+ * The tile driver of every variant and its one stream choice. A
+ * serial run (no pool, or a one-thread pool) walks each tile's
  * PE-merged stream when the layer carries it — one column extent
  * instead of one per PE, since one thread has no second PE to hand a
  * slice to — as long as the row batch's accumulators fit the L2: the
@@ -506,14 +506,42 @@ l2CacheBytes()
  * slice stays within its own rows. Otherwise @p sweep walks the per-PE
  * slices, in parallel under a multi-thread pool (PE rows are
  * disjoint, so the workers never share an accumulator).
+ *
+ * Where a slice's stream comes from is the executor's one residency
+ * branch. A decoded layer hands out its resident slices[k].stream. A
+ * compressed-resident layer (which carries no merged stream) decodes
+ * slices[k].compressed into per-slice scratch — definitionally the
+ * arrays compile() would have kept resident, so every loop stays
+ * bit-exact — and the decode time, summed across workers, is
+ * returned in microseconds. Slice k is decoded and swept by exactly
+ * one worker per tile (forEachSlice indexes are disjoint), so the
+ * scratch is race-free, stays tile-sized and keeps its capacity
+ * across tiles.
  */
 template <typename AccT, typename Panel, typename Sweep>
-void
+double
 executeDecoded(const CompiledLayer &layer, const Batch &inputs,
                WorkerPool *pool, Batch &outputs, Panel &panel,
                const Sweep &sweep)
 {
     const bool serial = !pool || pool->threads() <= 1;
+    const bool compressed = layer.residency == Residency::Compressed;
+    std::vector<SliceStream> scratch(compressed ? layer.n_pe : 0);
+    std::atomic<std::int64_t> decode_ns{0};
+    const auto slice_stream =
+        [&](const CompiledTile &tile,
+            std::size_t k) -> const SliceStream & {
+        if (!compressed)
+            return tile.slices[k].stream;
+        const auto start = std::chrono::steady_clock::now();
+        tile.slices[k].compressed.decode(scratch[k]);
+        decode_ns.fetch_add(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            std::memory_order_relaxed);
+        return scratch[k];
+    };
     executeTiles<AccT>(
         layer, inputs, outputs, panel,
         [&](const CompiledTile &tile, AccT *acc) {
@@ -524,22 +552,25 @@ executeDecoded(const CompiledLayer &layer, const Batch &inputs,
                 sweep(tile.fused, acc);
             else
                 forEachSlice(tile, pool, [&](std::size_t k) {
-                    sweep(tile.slices[k].stream, acc);
+                    sweep(slice_stream(tile, k), acc);
                 });
         });
+    return static_cast<double>(decode_ns.load(std::memory_order_relaxed)) /
+        1000.0;
 }
 
 /** The reference and actsparse variants: int64 accumulators, the
- *  variant's activation @p Panel and its @p run_stream loop. */
+ *  variant's activation @p Panel and its @p run_stream loop. Returns
+ *  the decode time (executeDecoded). */
 template <typename Panel, typename RunStream>
-void
+double
 executeSparse(const CompiledLayer &layer, const Batch &inputs,
               WorkerPool *pool, const RunStream &run_stream,
               Batch &outputs)
 {
     const std::size_t batch = inputs.size();
     Panel panel;
-    executeDecoded<std::int64_t>(
+    return executeDecoded<std::int64_t>(
         layer, inputs, pool, outputs, panel,
         [&](const SliceStream &stream, std::int64_t *acc) {
             run_stream(stream, panel, batch, acc, layer.weight_format,
@@ -548,8 +579,8 @@ executeSparse(const CompiledLayer &layer, const Batch &inputs,
 }
 
 /** The vector variant: int32 accumulators, dense panel, SIMD MAC
- *  rows. */
-void
+ *  rows. Returns the decode time (executeDecoded). */
+double
 executeVector(const CompiledLayer &layer, const Batch &inputs,
               WorkerPool *pool, Batch &outputs)
 {
@@ -561,7 +592,7 @@ executeVector(const CompiledLayer &layer, const Batch &inputs,
     const auto hi = static_cast<std::int32_t>(layer.act_format.maxRaw());
 
     DensePanel panel;
-    executeDecoded<std::int32_t>(
+    return executeDecoded<std::int32_t>(
         layer, inputs, pool, outputs, panel,
         [&](const SliceStream &stream, std::int32_t *acc) {
             runStreamVector(stream, panel, batch, acc, shift, lo, hi);
@@ -587,84 +618,6 @@ withinActFormat(const Batch &inputs, const FixedFormat &fmt)
             if (a < lo || a > hi)
                 return false;
     return true;
-}
-
-/**
- * The compressed variant: each tile slice is decoded on the fly from
- * its compressed-resident stream into a per-slice scratch SliceStream
- * and swept by the existing inner loops — the SIMD dense-batch MAC
- * when the call shape and formats allow it (the same gates runBatch
- * applies to the vector variant), the activation-sparse queue walk
- * everywhere else. The decoded scratch is definitionally identical to
- * the arrays compile() would have kept resident, and the sweeps are
- * the untouched vector/actsparse loops, so outputs are bit-exact with
- * every other variant; only the resident form (and the decode time,
- * reported through @p decode_us_out) differs.
- *
- * Scratch is one stream per PE slice, reused across tiles: slice k is
- * decoded and swept by exactly one worker per tile (forEachSlice
- * indexes are disjoint), so the buffers are race-free, stay
- * tile-sized (cache-resident for the plan's SRAM-scaled tiles) and
- * keep their capacity across column passes.
- */
-void
-executeCompressed(const CompiledLayer &layer, const Batch &inputs,
-                  WorkerPool *pool, Batch &outputs,
-                  double *decode_us_out)
-{
-    const std::size_t batch = inputs.size();
-    std::vector<SliceStream> scratch(layer.n_pe);
-    std::atomic<std::int64_t> decode_ns{0};
-
-    const auto decode_slice =
-        [&](const CompiledTile &tile,
-            std::size_t k) -> const SliceStream & {
-        const auto start = std::chrono::steady_clock::now();
-        tile.slices[k].compressed.decode(scratch[k]);
-        decode_ns.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count(),
-            std::memory_order_relaxed);
-        return scratch[k];
-    };
-
-    if (vectorEligible(layer) && batch >= kVectorAutoBatch &&
-        withinActFormat(inputs, layer.act_format)) {
-        const int shift =
-            2 * static_cast<int>(layer.weight_format.fracBits) -
-            static_cast<int>(layer.act_format.fracBits);
-        const auto lo =
-            static_cast<std::int32_t>(layer.act_format.minRaw());
-        const auto hi =
-            static_cast<std::int32_t>(layer.act_format.maxRaw());
-        DensePanel panel;
-        executeTiles<std::int32_t>(
-            layer, inputs, outputs, panel,
-            [&](const CompiledTile &tile, std::int32_t *acc) {
-                forEachSlice(tile, pool, [&](std::size_t k) {
-                    runStreamVector(decode_slice(tile, k), panel,
-                                    batch, acc, shift, lo, hi);
-                });
-            });
-    } else {
-        QueuePanel panel;
-        executeTiles<std::int64_t>(
-            layer, inputs, outputs, panel,
-            [&](const CompiledTile &tile, std::int64_t *acc) {
-                forEachSlice(tile, pool, [&](std::size_t k) {
-                    runStreamActSparse(decode_slice(tile, k), panel,
-                                       batch, acc,
-                                       layer.weight_format,
-                                       layer.act_format);
-                });
-            });
-    }
-    if (decode_us_out)
-        *decode_us_out =
-            static_cast<double>(
-                decode_ns.load(std::memory_order_relaxed)) /
-            1000.0;
 }
 
 } // namespace
@@ -709,7 +662,8 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
          WorkerPool *pool, KernelVariant variant, DispatchInfo *dispatch)
 {
     const std::size_t batch = inputs.size();
-    panic_if(!layer.has_host_stream && !layer.has_compressed_stream,
+    panic_if(!layer.has_host_stream &&
+                 layer.residency != Residency::Compressed,
              "layer '%s' compiled without the host kernel arrays "
              "(CompileOptions::host_stream) or a compressed stream",
              layer.name.c_str());
@@ -736,18 +690,15 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
     double decode_us = 0.0;
     switch (resolved) {
       case KernelVariant::Vector:
-        executeVector(layer, inputs, pool, outputs);
+        decode_us = executeVector(layer, inputs, pool, outputs);
         break;
       case KernelVariant::ActSparse:
-        executeSparse<QueuePanel>(layer, inputs, pool, runStreamActSparse,
-                                  outputs);
-        break;
-      case KernelVariant::Compressed:
-        executeCompressed(layer, inputs, pool, outputs, &decode_us);
+        decode_us = executeSparse<QueuePanel>(
+            layer, inputs, pool, runStreamActSparse, outputs);
         break;
       case KernelVariant::Reference:
-        executeSparse<ActivationPanel>(layer, inputs, pool,
-                                       runStreamReference, outputs);
+        decode_us = executeSparse<ActivationPanel>(
+            layer, inputs, pool, runStreamReference, outputs);
         break;
       case KernelVariant::Auto:
         panic("resolveKernelVariant returned Auto");

@@ -21,7 +21,9 @@
  * buffer without synchronization or write conflicts. A serial run
  * walks each tile's PE-merged stream instead when the layer carries
  * it and the row batch's accumulators fit the L2, whichever loop the
- * variant selects.
+ * variant selects. On a compressed-resident layer each PE slice is
+ * decoded into scratch right before the variant's loop sweeps it;
+ * that is the only place the executor looks at the residency.
  *
  * Inputs are raw act_format values (quantizeInput or a previous
  * layer's outputs); the vector variant relies on that contract to
@@ -59,7 +61,7 @@ struct DispatchInfo
     double act_density = -1.0; ///< sampled nonzero fraction, <0 unknown
 
     /** Time this sweep spent decoding compressed-resident streams
-     *  into scratch, microseconds (0 for every other variant). Summed
+     *  into scratch, microseconds (0 on a decoded layer). Summed
      *  across worker threads, so it is decode CPU time, not added
      *  wall-clock. */
     double decode_us = 0.0;
@@ -77,16 +79,17 @@ double probeActivationDensity(const Batch &inputs);
 /**
  * Execute @p layer on every frame of @p inputs.
  *
- * @param layer   a compiled layer (host stream required)
+ * @param layer   a compiled layer (host stream or compressed
+ *                residency required)
  * @param inputs  B activation vectors of layer.input_size each
  * @param pool    optional worker pool; when non-null and holding more
  *                than one thread, PE slices execute in parallel
  * @param variant inner-loop selection; Auto resolves to the fastest
  *                bit-exact variant for the layer's formats, this
- *                call's batch/thread shape and the probed activation
- *                density (resolveKernelVariant)
- * @param dispatch optional out-param recording the executed variant
- *                and the probed activation density
+ *                call's batch size and the probed activation density
+ *                (resolveKernelVariant)
+ * @param dispatch optional out-param recording the executed variant,
+ *                the probed activation density and the decode time
  * @return B output vectors of layer.output_size each
  */
 Batch runBatch(const CompiledLayer &layer, const Batch &inputs,

@@ -11,7 +11,7 @@ const std::vector<std::string> &
 kernelVariantNames()
 {
     static const std::vector<std::string> names{
-        "auto", "reference", "vector", "actsparse", "compressed"};
+        "auto", "reference", "vector", "actsparse"};
     return names;
 }
 
@@ -27,8 +27,6 @@ kernelVariantName(KernelVariant variant)
         return "vector";
       case KernelVariant::ActSparse:
         return "actsparse";
-      case KernelVariant::Compressed:
-        return "compressed";
     }
     panic("invalid kernel variant %d", static_cast<int>(variant));
     return ""; // unreachable: panic() aborts
@@ -45,8 +43,6 @@ kernelVariantFromName(const std::string &name)
         return KernelVariant::Vector;
     if (name == "actsparse")
         return KernelVariant::ActSparse;
-    if (name == "compressed")
-        return KernelVariant::Compressed;
     std::string known;
     for (const std::string &n : kernelVariantNames())
         known += (known.empty() ? "" : ", ") + n;
@@ -87,11 +83,6 @@ KernelVariant
 resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
                      std::size_t batch, double act_density)
 {
-    // A compressed-resident layer has no decoded arrays: every
-    // request resolves to the decode-on-the-fly path, the only
-    // executable (and bit-exact) form.
-    if (!layer.has_host_stream && layer.has_compressed_stream)
-        return KernelVariant::Compressed;
     switch (requested) {
       case KernelVariant::Reference:
         return KernelVariant::Reference;
@@ -109,19 +100,15 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
                  layer.weight_format.fracBits,
                  layer.act_format.totalBits, layer.act_format.fracBits);
         return KernelVariant::Vector;
-      case KernelVariant::Compressed:
-        fatal_if(!layer.has_compressed_stream,
-                 "kernel variant 'compressed' needs the compressed "
-                 "stream, but layer '%s' was compiled without it "
-                 "(CompileOptions::compressed_stream or compressed "
-                 "residency)", layer.name.c_str());
-        return KernelVariant::Compressed;
       case KernelVariant::Auto:
         break;
     }
     if (vectorEligible(layer) && batch >= kVectorAutoBatch)
         return KernelVariant::Vector;
-    if (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity)
+    // A single frame has no stream re-walk to amortize: the LNZD
+    // queue walk wins at every density.
+    if (batch == 1 ||
+        (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity))
         return KernelVariant::ActSparse;
     return KernelVariant::Reference;
 }

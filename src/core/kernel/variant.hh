@@ -5,9 +5,12 @@
  * One pre-decoded KernelStream (see compiled_layer.hh) can be walked
  * by more than one inner loop, and which loop wins depends on the
  * batch size, the activation density and the datapath formats. The
- * variant picks the loop, never the stream (the executor walks the
- * PE-merged stream on a serial run, the per-PE slices on a pooled
- * one). Instead of forking the executor per loop, every consumer —
+ * variant picks the loop, never the stream: the executor walks the
+ * PE-merged stream on a serial run and the per-PE slices on a pooled
+ * one, and the layer's residency decides whether a slice is resident
+ * decoded or is decoded from its compressed form on every call.
+ * Every variant runs on both residencies. Instead of forking the
+ * executor per loop, every consumer —
  * CompiledBackend, the WorkerPool batched executor, the serving
  * cluster and the CLI tools — selects a KernelVariant by name and
  * kernel::runBatch dispatches:
@@ -27,20 +30,12 @@
  *    nothing, so batch-1 latency scales with activation density
  *    instead of layer width. Works for every format (int64 scalar
  *    MAC, like reference) and any thread count.
- *  - "compressed": the decode-on-the-fly path over the
- *    compressed-resident streams (compressed_stream.hh). Each tile
- *    slice is expanded into a small thread-local scratch stream and
- *    swept by the existing vector/actsparse inner loops, so outputs
- *    stay bit-exact while the resident form is the 4-bit nibble +
- *    Huffman row-delta stream. Requires the layer to carry the
- *    compressed stream (CompileOptions::compressed_stream or
- *    compressed residency); a compressed-resident layer resolves
- *    every request to this variant — it is the only executable form.
  *  - "auto": the fastest variant that is bit-exact for the layer's
- *    formats and the call's batch size; the default everywhere. When
- *    the caller supplies a measured activation density, auto is
- *    density-aware: small-batch low-density calls route to
- *    "actsparse" (see kActSparseAutoMaxDensity).
+ *    formats and the call's batch size; the default everywhere. A
+ *    single frame always takes "actsparse" (the paper's
+ *    one-vector-at-a-time operating point); other small batches are
+ *    density-aware and take "actsparse" only at low measured
+ *    activation density (see kActSparseAutoMaxDensity).
  *
  * All variants produce bit-identical outputs (the saturating-MAC
  * update sequence per accumulator is preserved exactly); "vector" is
@@ -67,7 +62,6 @@ enum class KernelVariant
     Reference,  ///< scalar sparse-gather loop, the oracle
     Vector,     ///< SIMD 32-bit-lane dense-batch saturating MAC
     ActSparse,  ///< nonzero-activation queue walk (EIE NZ-detect)
-    Compressed, ///< decode-on-the-fly over compressed-resident streams
 };
 
 /** Auto routes to Vector at or above this batch when the formats are
@@ -75,9 +69,11 @@ enum class KernelVariant
  *  the sparse gather loops. */
 constexpr std::size_t kVectorAutoBatch = 8;
 
-/** Auto routes small batches to ActSparse when the measured
- *  activation density is at or below this fraction; above it the
- *  per-frame stream re-walk stops paying for the skipped zeros. */
+/** Auto routes batches of 2 up to kVectorAutoBatch - 1 frames to
+ *  ActSparse when the measured activation density is at or below this
+ *  fraction; above it the per-frame stream re-walk stops paying for
+ *  the skipped zeros. A single frame has no re-walk and takes
+ *  ActSparse at any density. */
 constexpr double kActSparseAutoMaxDensity = 0.5;
 
 /** Registry names, selection order ("auto", "reference", ...). */
@@ -107,21 +103,20 @@ bool vectorEligible(const CompiledLayer &layer);
  * Resolve @p requested for one runBatch call:
  *
  *  - Auto picks Vector when the formats are eligible and the batch is
- *    wide enough to fill lanes (>= kVectorAutoBatch); below that it
- *    picks ActSparse when @p act_density is known (>= 0) and at most
- *    kActSparseAutoMaxDensity, and Reference otherwise.
+ *    wide enough to fill lanes (>= kVectorAutoBatch); otherwise
+ *    ActSparse for a single frame, or when @p act_density is known
+ *    (>= 0) and at most kActSparseAutoMaxDensity; Reference
+ *    otherwise.
  *  - Vector is fatal when the layer's formats are not eligible: the
  *    lanes would overflow, silently breaking bit-exactness.
  *  - ActSparse and Reference always resolve to themselves: both are
  *    int64 scalar paths, bit-exact for every format and thread count.
- *  - Compressed is fatal when the layer carries no compressed stream;
- *    on a compressed-resident layer (no decoded arrays) every request
- *    — Auto or explicit — resolves to Compressed, the only executable
- *    form (bit-exact, so the demotion is always safe).
  *
- * @p act_density is the measured fraction of nonzero input
- * activations, or negative when unknown (the density-blind overload).
- * The returned variant is always directly executable on @p layer.
+ * The layer's residency plays no part: every variant runs on both
+ * residencies. @p act_density is the measured fraction of nonzero
+ * input activations, or negative when unknown (the density-blind
+ * overload). The returned variant is always directly executable on
+ * @p layer.
  */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
@@ -129,7 +124,7 @@ KernelVariant resolveKernelVariant(KernelVariant requested,
                                    double act_density);
 
 /** Density-blind overload: resolves with unknown activation density
- *  (Auto never picks ActSparse). */
+ *  (Auto picks ActSparse only for a single frame). */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
                                    std::size_t batch);

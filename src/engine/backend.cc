@@ -183,17 +183,12 @@ compileLayerStack(const core::EieConfig &config,
 }
 
 core::kernel::CompileOptions
-compiledStackOptions(unsigned threads,
-                     core::kernel::KernelVariant kernel,
+compiledStackOptions(unsigned threads, core::kernel::KernelVariant,
                      core::kernel::Residency residency)
 {
     core::kernel::CompileOptions options;
     options.fused_stream = threads <= 1;
     options.residency = residency;
-    // An explicit "compressed" kernel request must stay executable
-    // even under decoded residency: compile both stream forms.
-    options.compressed_stream =
-        kernel == core::kernel::KernelVariant::Compressed;
     return options;
 }
 

@@ -57,31 +57,31 @@ compileLayerStack(const core::EieConfig &config,
 
 /**
  * Compile options for a stack whose consumers all run @p threads
- * worker threads with the @p kernel variant: the PE-merged stream (a
- * second resident copy of the entries) is compiled exactly for
- * serial consumers (@p threads <= 1), whose decoded sweeps walk it
- * whatever the variant; a multi-thread pool walks the per-PE slices
- * instead. The one rule both CompiledBackend and the serving
- * cluster's shared stacks follow.
+ * worker threads: the PE-merged stream (a second resident copy of the
+ * entries) is compiled exactly for serial consumers (@p threads <= 1),
+ * whose decoded sweeps walk it whatever the variant; a multi-thread
+ * pool walks the per-PE slices instead. The one rule both
+ * CompiledBackend and the serving cluster's shared stacks follow.
+ * @p residency selects the resident stream form.
  *
- * @p residency selects the resident stream form; an explicit
- * Compressed kernel request additionally compiles the compressed
- * stream alongside decoded residency so the variant is executable.
+ * The kernel variant does not shape the compile (every variant runs
+ * on either residency); the unnamed parameter stays only because the
+ * perfbench/ harness calls the two-argument form.
  */
 core::kernel::CompileOptions
-compiledStackOptions(unsigned threads,
-                     core::kernel::KernelVariant kernel,
+compiledStackOptions(unsigned threads, core::kernel::KernelVariant,
                      core::kernel::Residency residency =
                          core::kernel::Residency::Decoded);
 
 /**
- * The compiled host-kernel path: pre-decoded SoA streams, column
- * sweeps amortized over the batch, PE-parallel worker pool, inner
- * loop selected by kernel variant (core/kernel/variant.hh; Auto picks
- * the fastest bit-exact loop per call). Compiles every layer at
- * construction (or adopts a pre-compiled shared stack) and does not
- * retain the plans. Concurrent runBatch() callers serialize on the
- * shared pool.
+ * The compiled host-kernel path: pre-decoded SoA streams (or
+ * compressed-resident ones, decoded per call), column sweeps
+ * amortized over the batch, PE-parallel worker pool, inner loop
+ * selected by kernel variant on either residency
+ * (core/kernel/variant.hh; Auto picks the fastest bit-exact loop per
+ * call). Compiles every layer at construction (or adopts a
+ * pre-compiled shared stack) and does not retain the plans.
+ * Concurrent runBatch() callers serialize on the shared pool.
  */
 class CompiledBackend : public ExecutionBackend
 {

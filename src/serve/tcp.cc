@@ -143,6 +143,22 @@ clusterErrorCode(ServingDirectory::LookupStatus status)
         : wire::ErrorCode::Internal;
 }
 
+/** Map the exception a request or session step failed with onto the
+ *  wire taxonomy. A shed is "not now", not "broken": Unavailable, so
+ *  clients know a backoff-retry can succeed. */
+wire::ErrorCode
+wireErrorCode(const std::exception &error)
+{
+    if (dynamic_cast<const std::invalid_argument *>(&error))
+        return wire::ErrorCode::InvalidArgument;
+    if (dynamic_cast<const engine::DeadlineExpired *>(&error))
+        return wire::ErrorCode::DeadlineExpired;
+    if (dynamic_cast<const engine::ServerOverloaded *>(&error) ||
+        dynamic_cast<const engine::ServerStopped *>(&error))
+        return wire::ErrorCode::Unavailable;
+    return wire::ErrorCode::Internal;
+}
+
 } // namespace
 
 // ------------------------------------------------------------ TcpServer
@@ -366,17 +382,8 @@ TcpServer::handleSessionStep(Connection &connection,
                 });
             state.ok = true;
             state.h.assign(h.begin(), h.end());
-        } catch (const std::invalid_argument &error) {
-            state.code = wire::ErrorCode::InvalidArgument;
-            state.error = error.what();
-        } catch (const engine::DeadlineExpired &error) {
-            state.code = wire::ErrorCode::DeadlineExpired;
-            state.error = error.what();
-        } catch (const engine::ServerStopped &error) {
-            state.code = wire::ErrorCode::Unavailable;
-            state.error = error.what();
         } catch (const std::exception &error) {
-            state.code = wire::ErrorCode::Internal;
+            state.code = wireErrorCode(error);
             state.error = error.what();
         }
     }
@@ -567,19 +574,8 @@ TcpServer::writerLoop(Connection &connection)
             try {
                 response.output = outbound.pending.get();
                 response.ok = true;
-            } catch (const engine::DeadlineExpired &error) {
-                response.code = wire::ErrorCode::DeadlineExpired;
-                response.error = error.what();
-            } catch (const engine::ServerOverloaded &error) {
-                // A shed is "not now", not "broken": Unavailable, so
-                // clients know a backoff-retry can succeed.
-                response.code = wire::ErrorCode::Unavailable;
-                response.error = error.what();
-            } catch (const engine::ServerStopped &error) {
-                response.code = wire::ErrorCode::Unavailable;
-                response.error = error.what();
             } catch (const std::exception &error) {
-                response.code = wire::ErrorCode::Internal;
+                response.code = wireErrorCode(error);
                 response.error = error.what();
             }
             message = std::move(response);

@@ -100,6 +100,7 @@ TEST(Endpoint, MalformedStringsAreInvalidArgumentNotFatal)
         "local:no-such-backend",
         "local:compiled,kernel=warp",       // unknown kernel
         "local:compiled,kernel=fused",      // deleted kernel variant
+        "local:compiled,kernel=compressed", // a residency, not a loop
         "local:compiled,threads=0",         // zero threads
         "local:compiled,threads=lots",      // non-numeric
         // beyond ULONG_MAX: must be InvalidArgument, not a thrown
@@ -112,6 +113,7 @@ TEST(Endpoint, MalformedStringsAreInvalidArgumentNotFatal)
         "cluster:/d,policy=diagonal",       // unknown placement
         "cluster:/d,backend=no-such",       // unknown backend
         "cluster:/d,kernel=fused",          // deleted kernel variant
+        "cluster:/d,kernel=compressed",     // a residency, not a loop
         "cluster:/d,frobnicate=1",          // unknown option
         "tcp://",
         "tcp://hostonly",

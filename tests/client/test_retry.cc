@@ -2,16 +2,19 @@
  * @file
  * Client-side resilience: the RetryPolicy schedule (deterministic
  * backoff with jitter), retry of shed requests, the idempotent-only
- * guard, the per-request wall-clock timeout, and TcpTransport's
+ * guard, the per-request wall-clock timeout, TcpTransport's
  * transparent reconnect (wire-v2 re-handshake) across a daemon
- * bounce and an injected connection drop. Runs under ThreadSanitizer
- * and ASan/UBSan in tools/check.sh.
+ * bounce and an injected connection drop, and shed session steps
+ * surfacing as Unavailable on every transport. Runs under
+ * ThreadSanitizer and ASan/UBSan in tools/check.sh.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "client/client.hh"
@@ -386,6 +389,132 @@ TEST(ClientRetry, InjectedConnectionDropIsTransparent)
     client->close();
     server.stop();
     fx.directory.stopAll();
+}
+
+/** A one-shard daemon (and the matching in-process options) serving
+ *  an LSTM-shaped packed-gate model, (4H) x (X+H+1), behind a
+ *  micro-batcher that runs one frame per batch and queues one more. */
+struct SheddingSessionFixture
+{
+    static constexpr std::size_t kX = 8;
+    static constexpr std::size_t kH = 8;
+
+    fs::path dir;
+    core::EieConfig config;
+    serve::ModelRegistry registry;
+    serve::ServingDirectory directory;
+    serve::TcpServer server;
+
+    SheddingSessionFixture()
+        : dir(scratchDir("sessions")), config(makeConfig()),
+          registry(dir.string(), config),
+          directory(registry, clusterOptions()), server(directory)
+    {
+        registry.publish("nt-lstm", 1,
+                         test::randomCompressedLayer(
+                             4 * kH, kX + kH + 1, 0.4, 4, 813)
+                             .storage());
+        server.start();
+    }
+
+    ~SheddingSessionFixture()
+    {
+        server.stop();
+        directory.stopAll();
+        fs::remove_all(dir);
+    }
+
+    static serve::ClusterOptions
+    clusterOptions()
+    {
+        serve::ClusterOptions options;
+        options.shards = 1;
+        options.server.max_batch = 1;
+        options.server.max_queue = 1;
+        return options;
+    }
+
+    std::unique_ptr<client::Client>
+    connect(const std::string &endpoint) const
+    {
+        client::ClientOptions options;
+        options.config = config;
+        options.cluster = clusterOptions();
+        options.server = options.cluster.server;
+        client::Status status;
+        auto connected =
+            client::Client::connect(endpoint, options, status);
+        EXPECT_NE(connected, nullptr)
+            << endpoint << ": " << status.toString();
+        return connected;
+    }
+};
+
+TEST(ClientRetry, ShedSessionStepsAreUnavailableOnEveryTransport)
+{
+    FaultGuard guard;
+    SheddingSessionFixture fx;
+    constexpr std::size_t kCallers = 6;
+    constexpr int kSteps = 3;
+
+    for (const std::string &endpoint :
+         {"local:compiled,dir=" + fx.dir.string(),
+          "cluster:" + fx.dir.string() + ",shards=1",
+          "tcp://127.0.0.1:" + std::to_string(fx.server.port())}) {
+        // Each caller steps its own session. An in-process endpoint
+        // owns its serving core, so the callers share one Client
+        // there; over tcp each needs its own connection, because the
+        // daemon serves one connection's steps in order.
+        const bool per_caller = endpoint.rfind("tcp://", 0) == 0;
+        std::vector<std::unique_ptr<client::Client>> clients;
+        std::vector<std::unique_ptr<client::Session>> sessions;
+        for (std::size_t c = 0; c < kCallers; ++c) {
+            if (clients.empty() || per_caller)
+                clients.push_back(fx.connect(endpoint));
+            ASSERT_NE(clients.back(), nullptr);
+            client::Status status;
+            sessions.push_back(
+                clients.back()->openSession("nt-lstm", 0, status));
+            ASSERT_NE(sessions.back(), nullptr)
+                << endpoint << ": " << status.toString();
+        }
+
+        // Six callers against one running and one queued step, with
+        // every batch stalled 25 ms: steps must shed.
+        fault::arm("batcher.stall");
+        std::atomic<bool> go{false};
+        std::vector<std::vector<client::StatusCode>> failures(kCallers);
+        std::vector<std::thread> callers;
+        for (std::size_t c = 0; c < kCallers; ++c)
+            callers.emplace_back([&, c] {
+                while (!go.load())
+                    std::this_thread::yield();
+                for (int t = 0; t < kSteps; ++t) {
+                    const client::Session::StepResult result =
+                        sessions[c]->step(test::randomActivations(
+                            SheddingSessionFixture::kX, 0.7,
+                            900 + 10 * c + t));
+                    if (!result.ok())
+                        failures[c].push_back(result.status.code);
+                }
+            });
+        go.store(true);
+        for (std::thread &caller : callers)
+            caller.join();
+        fault::disarmAll();
+
+        std::size_t failed = 0;
+        for (const auto &codes : failures)
+            for (const client::StatusCode code : codes) {
+                EXPECT_EQ(code, client::StatusCode::Unavailable)
+                    << endpoint << ": " << client::statusCodeName(code);
+                ++failed;
+            }
+        EXPECT_GE(failed, 1u) << endpoint;
+        sessions.clear();
+        for (const auto &connected : clients)
+            connected->close();
+    }
 }
 
 } // namespace

@@ -30,9 +30,7 @@ using core::kernel::CompressedSliceStream;
 using core::kernel::CompressedStreamError;
 using core::kernel::SliceStream;
 
-/** Every compressed tile slice of a representative layer (built side
- *  by side with the decoded streams so the round-trip has its
- *  oracle). */
+/** Every tile slice of a compiled layer, in tile order. */
 std::vector<const core::kernel::CompiledSlice *>
 compiledSlices(const core::kernel::CompiledLayer &layer)
 {
@@ -44,50 +42,61 @@ compiledSlices(const core::kernel::CompiledLayer &layer)
     return slices;
 }
 
+/** A representative layer compiled in @p residency. */
 core::kernel::CompiledLayer
-compileWithCompressed(unsigned seed, double density = 0.25)
+compileIn(core::kernel::Residency residency, unsigned seed)
 {
     core::EieConfig config;
     config.n_pe = 4;
-    const auto layer =
-        test::randomCompressedLayer(96, 64, density, 4, seed);
+    const auto layer = test::randomCompressedLayer(96, 64, 0.25, 4, seed);
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
     core::kernel::CompileOptions options;
-    options.compressed_stream = true;
+    options.residency = residency;
     return core::kernel::CompiledLayer::compile(plan, config, options);
 }
 
 TEST(CompressedStream, RoundTripsEveryCompiledSlice)
 {
+    // The decoded form of the same plan is the round-trip's oracle.
     for (const unsigned seed : {7u, 8u}) {
-        const auto compiled = compileWithCompressed(seed);
-        ASSERT_TRUE(compiled.has_compressed_stream);
-        ASSERT_TRUE(compiled.has_host_stream);
+        const auto decoded =
+            compileIn(core::kernel::Residency::Decoded, seed);
+        const auto compressed =
+            compileIn(core::kernel::Residency::Compressed, seed);
+        ASSERT_TRUE(decoded.has_host_stream);
+        ASSERT_FALSE(compressed.has_host_stream);
+        const auto oracle_slices = compiledSlices(decoded);
+        const auto slices = compiledSlices(compressed);
+        ASSERT_EQ(slices.size(), oracle_slices.size());
 
         SliceStream scratch;
-        for (const auto *slice : compiledSlices(compiled)) {
-            slice->compressed.decode(scratch);
-            EXPECT_EQ(scratch.rows, slice->stream.rows);
-            EXPECT_EQ(scratch.weights, slice->stream.weights);
-            EXPECT_EQ(scratch.col_ptr, slice->stream.col_ptr);
+        for (std::size_t i = 0; i < slices.size(); ++i) {
+            const core::kernel::SliceStream &oracle =
+                oracle_slices[i]->stream;
+            const CompressedSliceStream &stream = slices[i]->compressed;
+            stream.decode(scratch);
+            EXPECT_EQ(scratch.rows, oracle.rows);
+            EXPECT_EQ(scratch.weights, oracle.weights);
+            EXPECT_EQ(scratch.col_ptr, oracle.col_ptr);
             // The decoded form pays ~12 bytes/entry; the compressed
             // one must undercut it on any non-tiny slice.
             const std::size_t decoded_bytes =
-                slice->stream.rows.size() * sizeof(std::uint32_t) +
-                slice->stream.weights.size() * sizeof(std::int32_t) +
-                slice->stream.col_ptr.size() * sizeof(std::uint32_t) +
-                slice->stream.packed.size() * sizeof(std::uint32_t);
-            if (slice->compressed.entry_count > 64)
-                EXPECT_LT(slice->compressed.byteSize(),
-                          decoded_bytes);
+                oracle.rows.size() * sizeof(std::uint32_t) +
+                oracle.weights.size() * sizeof(std::int32_t) +
+                oracle.col_ptr.size() * sizeof(std::uint32_t) +
+                oracle.packed.size() * sizeof(std::uint32_t);
+            if (stream.entry_count > 64) {
+                EXPECT_LT(stream.byteSize(), decoded_bytes);
+            }
         }
     }
 }
 
 TEST(CompressedStream, TargetedMalformationsThrowTyped)
 {
-    const auto compiled = compileWithCompressed(7);
+    const auto compiled =
+        compileIn(core::kernel::Residency::Compressed, 7);
     const auto slices = compiledSlices(compiled);
     ASSERT_FALSE(slices.empty());
     const CompressedSliceStream &clean = slices.front()->compressed;
@@ -195,7 +204,8 @@ TEST(CompressedStreamFuzz, SeededMutationsOfValidStreamsFailTyped)
     // perturbed scalar header fields, truncations and extensions.
     // Seeded, so a failure reproduces exactly.
     std::uint64_t rng = 0xc0dec0dec0dec0deull;
-    const auto compiled = compileWithCompressed(7);
+    const auto compiled =
+        compileIn(core::kernel::Residency::Compressed, 7);
     SliceStream scratch;
 
     for (const auto *slice : compiledSlices(compiled)) {

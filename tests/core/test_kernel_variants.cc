@@ -1,8 +1,8 @@
 /**
  * @file
  * Kernel-variant tests: the variant registry (auto / reference /
- * vector / actsparse / compressed) must resolve as documented, every
- * variant must be bit-exact with the scalar oracle exactly at the
+ * vector / actsparse) must resolve as documented on both residencies,
+ * every variant must be bit-exact with the scalar oracle exactly at the
  * saturation boundary of the accumulator format, and ragged /
  * all-zero activation batches (the panel skip paths and the SIMD tail
  * lanes) must flow through every variant — including the threads>1
@@ -62,7 +62,7 @@ saturatingLayer(std::size_t rows, std::size_t cols, unsigned n_pe,
 
 TEST(KernelVariants, RegistryNamesRoundTrip)
 {
-    ASSERT_EQ(core::kernel::kernelVariantNames().size(), 5u);
+    ASSERT_EQ(core::kernel::kernelVariantNames().size(), 4u);
     for (const std::string &name : core::kernel::kernelVariantNames())
         EXPECT_STREQ(core::kernel::kernelVariantName(
                          core::kernel::kernelVariantFromName(name)),
@@ -96,11 +96,14 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::resolveKernelVariant;
-    // Auto: wide batch fills SIMD lanes; small batch the reference
-    // loop.
+    // Auto: wide batch fills SIMD lanes; a single frame takes the
+    // queue walk; other small batches of unknown density the
+    // reference loop.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
               KernelVariant::Vector);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
+              KernelVariant::ActSparse);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2),
               KernelVariant::Reference);
     // Explicit requests stick where legal.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
@@ -117,6 +120,8 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
         core::kernel::CompiledLayer::compile(plan, config, no_fused);
     ASSERT_FALSE(lean.has_fused_stream);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, lean, 1),
+              KernelVariant::ActSparse);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, lean, 2),
               KernelVariant::Reference);
 
     // An explicit actsparse request never demotes: it needs neither
@@ -146,16 +151,22 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
 
     // Small batch + sparse activations: the nonzero-queue walk wins.
     EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 1, 0.35),
+        resolveKernelVariant(KernelVariant::Auto, compiled, 2, 0.35),
         KernelVariant::ActSparse);
     // The crossover is inclusive at the documented threshold...
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1,
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2,
                                    kActSparseAutoMaxDensity),
               KernelVariant::ActSparse);
     // ...and dense activations above it keep the reference loop.
     EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 1, 0.75),
+        resolveKernelVariant(KernelVariant::Auto, compiled, 2, 0.75),
         KernelVariant::Reference);
+    // A single frame takes the queue walk at any density.
+    for (const double density : {0.35, 0.75, 1.0})
+        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
+                                       1, density),
+                  KernelVariant::ActSparse)
+            << density;
     // Batch wins over density: SIMD lanes fill at kVectorAutoBatch
     // regardless of how sparse the activations are.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
@@ -167,6 +178,9 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
     // Unknown density (no probe) preserves the density-blind rules.
     EXPECT_EQ(
         resolveKernelVariant(KernelVariant::Auto, compiled, 1, -1.0),
+        KernelVariant::ActSparse);
+    EXPECT_EQ(
+        resolveKernelVariant(KernelVariant::Auto, compiled, 2, -1.0),
         KernelVariant::Reference);
 }
 
@@ -472,40 +486,33 @@ TEST(KernelVariants, CompressedResolutionFollowsResidency)
 
     using core::kernel::resolveKernelVariant;
 
-    // Decoded residency + a compressed side stream: only an explicit
-    // compressed request decodes on the fly; everything else keeps
-    // its documented resolution.
-    core::kernel::CompileOptions both;
-    both.compressed_stream = true;
-    const auto dual =
-        core::kernel::CompiledLayer::compile(plan, config, both);
-    ASSERT_TRUE(dual.has_host_stream);
-    ASSERT_TRUE(dual.has_compressed_stream);
-    EXPECT_EQ(dual.residency, core::kernel::Residency::Decoded);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Compressed, dual, 64),
-              KernelVariant::Compressed);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, dual, 64),
-              KernelVariant::Vector);
+    const auto decoded = core::kernel::CompiledLayer::compile(plan, config);
+    ASSERT_TRUE(decoded.has_host_stream);
+    EXPECT_EQ(decoded.residency, core::kernel::Residency::Decoded);
+    EXPECT_EQ(decoded.compressed_stream_bytes, 0u);
 
     // Compressed residency: the compressed stream is the only
-    // resident form, so every request — Auto and every explicit
-    // variant alike — resolves to the decode-on-the-fly executor.
+    // resident form, and the residency picks only the stream — every
+    // request resolves exactly as it does on the decoded layer.
     core::kernel::CompileOptions resident;
     resident.residency = core::kernel::Residency::Compressed;
     const auto compact =
         core::kernel::CompiledLayer::compile(plan, config, resident);
     ASSERT_FALSE(compact.has_host_stream);
-    ASSERT_TRUE(compact.has_compressed_stream);
+    ASSERT_FALSE(compact.has_fused_stream);
     EXPECT_EQ(compact.residency, core::kernel::Residency::Compressed);
+    EXPECT_EQ(compact.decoded_stream_bytes, 0u);
     EXPECT_LT(compact.compressed_stream_bytes,
-              dual.decoded_stream_bytes);
-    for (const KernelVariant kernel :
-         {KernelVariant::Auto, KernelVariant::Reference,
-          KernelVariant::Vector, KernelVariant::ActSparse,
-          KernelVariant::Compressed})
-        EXPECT_EQ(resolveKernelVariant(kernel, compact, 64),
-                  KernelVariant::Compressed)
-            << core::kernel::kernelVariantName(kernel);
+              decoded.decoded_stream_bytes);
+    for (const KernelVariant kernel : kAllVariants)
+        for (const std::size_t batch : {1u, 2u, 64u})
+            for (const double density : {-1.0, 0.35, 1.0})
+                EXPECT_EQ(resolveKernelVariant(kernel, compact, batch,
+                                               density),
+                          resolveKernelVariant(kernel, decoded, batch,
+                                               density))
+                    << core::kernel::kernelVariantName(kernel)
+                    << ", batch " << batch << ", density " << density;
 
     // Auto residency resolves by decoded footprint: a layer this
     // small stays decoded.
@@ -519,13 +526,12 @@ TEST(KernelVariants, CompressedResolutionFollowsResidency)
 
 TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
 {
-    // The decode-on-the-fly executor must reproduce the reference
-    // saturating-MAC sequence exactly from the compressed stream:
-    // every activation density (empty queues at 0%, the paper's 9%
-    // weight / 35% activation regime, fully dense), ragged batch
-    // sizes off the SIMD lane grid, serial and pooled routes, and
-    // both residency modes (compressed-only resident and the
-    // decoded+compressed dual form).
+    // Every variant over the compressed-resident form must reproduce
+    // the reference saturating-MAC sequence exactly from slices
+    // decoded per call: every activation density (empty queues at 0%,
+    // the paper's 9% weight / 35% activation regime, fully dense),
+    // ragged batch sizes off the SIMD lane grid (9 reaches the vector
+    // loop under auto), serial and pooled routes.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 91);
@@ -536,11 +542,8 @@ TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
 
     core::kernel::CompileOptions resident;
     resident.residency = core::kernel::Residency::Compressed;
-    core::kernel::CompileOptions dual;
-    dual.compressed_stream = true;
-    const std::vector<core::kernel::CompiledLayer> forms{
-        core::kernel::CompiledLayer::compile(plan, config, resident),
-        core::kernel::CompiledLayer::compile(plan, config, dual)};
+    const auto compiled =
+        core::kernel::CompiledLayer::compile(plan, config, resident);
 
     std::vector<core::kernel::Batch> batches;
     for (const double density : {0.0, 0.09, 0.35, 1.0}) {
@@ -560,29 +563,29 @@ TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
         for (const auto &frame : frames)
             reference.push_back(model.run(plan, frame).output_raw);
 
-        for (const auto &compiled : forms) {
+        for (const KernelVariant kernel : kAllVariants) {
             for (core::kernel::WorkerPool *p :
                  {static_cast<core::kernel::WorkerPool *>(nullptr),
                   &pool}) {
                 core::kernel::DispatchInfo info;
                 const auto outputs = core::kernel::runBatch(
-                    compiled, frames, p, KernelVariant::Compressed,
-                    &info);
+                    compiled, frames, p, kernel, &info);
                 ASSERT_EQ(outputs.size(), frames.size());
                 // An empty batch never dispatches, so info keeps its
                 // defaults.
                 if (!frames.empty()) {
                     EXPECT_EQ(info.variant,
-                              KernelVariant::Compressed);
-                    EXPECT_GE(info.decode_us, 0.0);
+                              core::kernel::resolveKernelVariant(
+                                  kernel, compiled, frames.size(),
+                                  info.act_density));
+                    EXPECT_GT(info.decode_us, 0.0);
                 }
                 for (std::size_t b = 0; b < frames.size(); ++b)
                     EXPECT_EQ(outputs[b], reference[b])
-                        << core::kernel::residencyName(
-                               compiled.residency)
-                        << " residency, batch " << frames.size()
-                        << ", " << (p ? "pooled" : "serial")
-                        << ", frame " << b;
+                        << core::kernel::kernelVariantName(kernel)
+                        << ", batch " << frames.size() << ", "
+                        << (p ? "pooled" : "serial") << ", frame "
+                        << b;
             }
         }
     }
@@ -612,10 +615,18 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
     EXPECT_LE(info.act_density,
               core::kernel::kActSparseAutoMaxDensity);
 
-    // A fully dense frame probes high and keeps the reference loop.
+    // A fully dense single frame probes high and still takes the
+    // queue walk; two dense frames keep the reference loop.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
+    core::kernel::runBatch(compiled, dense_frames, nullptr,
+                           KernelVariant::Auto, &info);
+    EXPECT_EQ(info.variant, KernelVariant::ActSparse);
+    EXPECT_GT(info.act_density,
+              core::kernel::kActSparseAutoMaxDensity);
+    dense_frames.push_back(
+        model.quantizeInput(test::randomActivations(48, 1.0, 1003)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
     EXPECT_EQ(info.variant, KernelVariant::Reference);

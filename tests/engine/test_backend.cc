@@ -203,11 +203,10 @@ TEST(ExecutionBackend, CompiledKernelVariantsMatchScalarOnAStack)
          {core::kernel::KernelVariant::Auto,
           core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
-          core::kernel::KernelVariant::ActSparse,
-          core::kernel::KernelVariant::Compressed}) {
-        // Compressed residency keeps only the compressed stream and
-        // resolves every variant request to the decode-on-the-fly
-        // path, so all kernels stay valid — and must stay bit-exact.
+          core::kernel::KernelVariant::ActSparse}) {
+        // Every variant runs on both residencies: compressed residency
+        // keeps only the compressed stream and decodes each slice per
+        // call ahead of the variant's own loop.
         for (const core::kernel::Residency residency :
              {core::kernel::Residency::Decoded,
               core::kernel::Residency::Compressed}) {
@@ -252,10 +251,16 @@ TEST(ExecutionBackendDeath, UnknownNameAndBrokenStacks)
     narrow.act_format = FixedFormat{16, 13};
     const auto narrow_plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, narrow);
-    EXPECT_EXIT(
-        engine::makeBackend("compiled", narrow, {&narrow_plan}, 1,
-                            core::kernel::KernelVariant::Vector),
-        ::testing::ExitedWithCode(1), "not bit-exact");
+    // Residency picks only the stream, so the same request fails the
+    // same way on a compressed-resident stack.
+    for (const core::kernel::Residency residency :
+         {core::kernel::Residency::Decoded,
+          core::kernel::Residency::Compressed})
+        EXPECT_EXIT(
+            engine::makeBackend("compiled", narrow, {&narrow_plan}, 1,
+                                core::kernel::KernelVariant::Vector,
+                                residency),
+            ::testing::ExitedWithCode(1), "not bit-exact");
 }
 
 } // namespace

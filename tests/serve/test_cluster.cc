@@ -323,21 +323,14 @@ TEST(ClusterEngine, KernelVariantsServeBitExactOnEveryPlacement)
 {
     ClusterFixture fx;
     for (const core::kernel::KernelVariant kernel :
-         {core::kernel::KernelVariant::Reference,
+         {core::kernel::KernelVariant::Auto,
+          core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
-          core::kernel::KernelVariant::ActSparse,
-          core::kernel::KernelVariant::Compressed}) {
-        // The decode-on-the-fly kernel must serve bit-exact with the
-        // compressed stream side by side (decoded residency) and as
-        // the only resident form (compressed residency).
-        const std::vector<core::kernel::Residency> residencies =
-            kernel == core::kernel::KernelVariant::Compressed
-                ? std::vector<core::kernel::Residency>{
-                      core::kernel::Residency::Decoded,
-                      core::kernel::Residency::Compressed}
-                : std::vector<core::kernel::Residency>{
-                      core::kernel::Residency::Decoded};
-        for (const core::kernel::Residency residency : residencies) {
+          core::kernel::KernelVariant::ActSparse}) {
+        // Every variant serves bit-exact on both residencies.
+        for (const core::kernel::Residency residency :
+             {core::kernel::Residency::Decoded,
+              core::kernel::Residency::Compressed}) {
             for (const serve::Placement placement :
                  {serve::Placement::Replicated,
                   serve::Placement::ColumnPartitioned}) {

@@ -14,11 +14,11 @@
 # cluster, wire protocol, TCP loopback) gets its own labeled ctest
 # pass so a serving regression is called out by name even when the
 # full run already covered it. A Release variant-matrix smoke then
-# drives eie_sim through every kernel variant (--kernel
-# reference|vector|actsparse|auto at batch 12 and 16 on 1 and 4
-# threads, plus compressed in both --residency modes) in both the
-# batched-throughput and the serving path, each checked bit-exact
-# against the scalar oracle by the tool itself.
+# drives eie_sim through every kernel variant on both residencies
+# (--residency decoded|compressed x --kernel
+# reference|vector|actsparse|auto at batch 1, 12 and 16 on 1 and 4
+# threads) in both the batched-throughput and the serving path, each
+# checked bit-exact against the scalar oracle by the tool itself.
 #
 # The telemetry subsystem (src/obs/: metrics registry, histogram
 # quantiles, tracing, the stats/metrics JSON schema pin) likewise
@@ -81,27 +81,22 @@ for build_type in Release Debug; do
 done
 
 echo "=== kernel variant matrix (Release eie_sim smoke) ==="
-# One thread walks the PE-merged stream, four the per-PE slices;
-# batch 12 ends every SIMD row in a partial block, batch 16 in none.
-for kernel in reference vector actsparse auto; do
-    for batch in 12 16; do
-        for threads in 1 4; do
-            ./build-check-release/eie_sim --throughput "${batch}" \
-                --threads "${threads}" --benchmark NT-We \
-                --kernel "${kernel}"
-        done
-    done
-    ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
-        --kernel "${kernel}"
-done
-# The compressed decode-on-the-fly variant in both residency modes:
-# decoded residency keeps the compressed stream side by side, while
-# compressed residency makes it the only resident form.
+# One thread walks the PE-merged stream (decoded residency), four the
+# per-PE slices; compressed residency decodes each slice per call.
+# Batch 1 is the single-frame path, batch 12 ends every SIMD row in a
+# partial block, batch 16 in none.
 for residency in decoded compressed; do
-    ./build-check-release/eie_sim --throughput 16 --benchmark NT-We \
-        --kernel compressed --residency "${residency}"
-    ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
-        --kernel compressed --residency "${residency}"
+    for kernel in reference vector actsparse auto; do
+        for batch in 1 12 16; do
+            for threads in 1 4; do
+                ./build-check-release/eie_sim --throughput "${batch}" \
+                    --threads "${threads}" --benchmark NT-We \
+                    --kernel "${kernel}" --residency "${residency}"
+            done
+        done
+        ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
+            --kernel "${kernel}" --residency "${residency}"
+    done
 done
 
 echo "=== ThreadSanitizer (kernel + engine + server + cluster + \

@@ -102,7 +102,7 @@ usage()
         "  --policy P            replicated | partitioned\n"
         "  --backend NAME        shard backend (default compiled)\n"
         "  --kernel V            shard kernel variant: auto | "
-        "reference | vector | actsparse | compressed\n"
+        "reference | vector | actsparse\n"
         "  --residency R         resident stream form: decoded | "
         "compressed | auto\n"
         "  --threads-per-shard T worker threads per shard "

@@ -80,7 +80,7 @@ usage()
         "  --throughput B       run the batched host engine, B frames\n"
         "  --threads T          PE-parallel worker threads (default 1)\n"
         "  --kernel V           kernel variant: auto | reference | "
-        "vector | actsparse | compressed\n"
+        "vector | actsparse\n"
         "  --residency R        resident stream form: decoded | "
         "compressed | auto\n"
         "  --act-density D      activation density of generated "
