@@ -49,14 +49,22 @@ LstmSession::reset()
 nn::Vector
 LstmSession::step(const nn::Vector &x, const Mxv &mxv)
 {
+    return commit(mxv(pack(x)));
+}
+
+std::vector<std::int64_t>
+LstmSession::pack(const nn::Vector &x) const
+{
     if (x.size() != shape_.input_size)
         throw std::invalid_argument(
             "LSTM step input length " + std::to_string(x.size()) +
             " != " + std::to_string(shape_.input_size));
+    return functional_.quantizeInput(gates_.packInput(x, state_));
+}
 
-    const nn::Vector packed = gates_.packInput(x, state_);
-    std::vector<std::int64_t> preact_raw =
-        mxv(functional_.quantizeInput(packed));
+nn::Vector
+LstmSession::commit(const std::vector<std::int64_t> &preact_raw)
+{
     if (preact_raw.size() != 4 * shape_.hidden_size)
         throw std::runtime_error(
             "LSTM M×V returned " + std::to_string(preact_raw.size()) +

@@ -22,7 +22,10 @@
  * endpoints.
  *
  * Not thread-safe: a session is a strictly sequential object (step
- * N+1 consumes step N's state); callers serialize access.
+ * N+1 consumes step N's state); callers serialize access. A step
+ * splits into pack() and commit() around the M×V, so a server can
+ * hand the M×V to another thread: it must not pack the next step
+ * until the previous one has committed (or been abandoned).
  */
 
 #ifndef EIE_ENGINE_LSTM_SESSION_HH
@@ -86,15 +89,29 @@ class LstmSession
     void reset();
 
     /**
-     * One time step: pack [x; state.h; 1], quantize, run @p mxv,
-     * dequantize, apply the gates and commit the new state. Returns
-     * the new hidden state. Throws std::invalid_argument when
-     * x.size() != shape().input_size, std::runtime_error when the
-     * M×V returns the wrong length, and rethrows whatever @p mxv
-     * throws; on any throw the state is unchanged, so a failed step
-     * (e.g. a deadline drop) may simply be retried.
+     * One time step: commit(mxv(pack(x))). Returns the new hidden
+     * state. Rethrows whatever pack(), @p mxv or commit() throws; on
+     * any throw the state is unchanged, so a failed step (e.g. a
+     * deadline drop) may simply be retried.
      */
     nn::Vector step(const nn::Vector &x, const Mxv &mxv);
+
+    /**
+     * The first half of a step: pack [x; state.h; 1] and quantize it
+     * into the M×V's raw input. Reads the state, changes nothing.
+     * Throws std::invalid_argument when x.size() !=
+     * shape().input_size.
+     */
+    std::vector<std::int64_t> pack(const nn::Vector &x) const;
+
+    /**
+     * The second half of a step: dequantize the M×V's raw gate
+     * pre-activations for the state pack() read, apply the gates and
+     * commit the new state. Returns the new hidden state. Throws
+     * std::runtime_error, with the state unchanged, when
+     * preact_raw.size() != 4H.
+     */
+    nn::Vector commit(const std::vector<std::int64_t> &preact_raw);
 
   private:
     LstmShape shape_;

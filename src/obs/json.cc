@@ -1,9 +1,9 @@
 #include "obs/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace eie::obs {
@@ -96,23 +96,19 @@ JsonWriter::value(double v)
         out_ += '0';
         return *this;
     }
-    if (v == std::floor(v) && std::abs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        out_ += buf;
-        return *this;
-    }
-    // Shortest representation that parses back to exactly v: values
-    // must survive a write/parse round trip bit-exactly (the HTTP
-    // gateway ships session hidden states and float outputs as JSON).
-    char buf[48];
-    for (int precision = 6; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    out_ += buf;
+    // Whole numbers print in full, as the counters they usually are.
+    // Everything else, and a zero (whose sign the integer cast would
+    // drop), prints as the shortest string that parses back to
+    // exactly v: values must survive a write/parse round trip
+    // bit-exactly (the HTTP gateway ships session hidden states and
+    // float outputs as JSON).
+    char buf[32];
+    const bool whole = v != 0 && v == std::floor(v) && std::abs(v) < 1e15;
+    const std::to_chars_result written = whole
+        ? std::to_chars(buf, buf + sizeof(buf),
+                        static_cast<long long>(v))
+        : std::to_chars(buf, buf + sizeof(buf), v);
+    out_.append(buf, written.ptr);
     return *this;
 }
 
@@ -477,9 +473,7 @@ class Parser
     JsonValue
     parseNumber()
     {
-        std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
+        const std::size_t start = pos_;
         while (pos_ < text_.size()
                && (std::isdigit(
                        static_cast<unsigned char>(text_[pos_]))
@@ -491,11 +485,14 @@ class Parser
             fail("expected a value");
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
-        try {
-            v.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (const std::exception &) {
+        // The whole scanned token must be one number: "1.2.3" is
+        // malformed, not 1.2 followed by junk.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        const std::from_chars_result parsed =
+            std::from_chars(first, last, v.number);
+        if (parsed.ec != std::errc() || parsed.ptr != last)
             fail("bad number");
-        }
         return v;
     }
 

@@ -163,7 +163,9 @@ wireErrorCode(const std::exception &error)
 
 // ------------------------------------------------------------ TcpServer
 
-/** One open streaming LSTM session (reader-thread state). */
+/** One open streaming LSTM session. The reader packs steps and the
+ *  writer commits them; in_flight hands the state from one to the
+ *  other, so the two never touch it at once. */
 struct TcpServer::LiveSession
 {
     LiveSession(const core::EieConfig &config,
@@ -175,9 +177,10 @@ struct TcpServer::LiveSession
     /** The None-nonlinearity cluster running the gate M×V; owned by
      *  the ServingDirectory, which outlives the server. */
     ClusterEngine *cluster;
+    /** A step is submitted and not yet committed by the writer
+     *  (guarded by Connection::mutex). */
+    bool in_flight = false;
 };
-
-TcpServer::Connection::~Connection() = default;
 
 TcpServer::TcpServer(ServingDirectory &directory,
                      const TcpServerOptions &options)
@@ -297,6 +300,8 @@ TcpServer::enqueue(Connection &connection, Outbound outbound)
 {
     {
         std::lock_guard<std::mutex> lock(connection.mutex);
+        if (outbound.session != nullptr)
+            outbound.session->in_flight = true;
         connection.outbox.push_back(std::move(outbound));
     }
     connection.cv.notify_all();
@@ -338,7 +343,7 @@ TcpServer::handleSessionOpen(Connection &connection,
     } else {
         connection.sessions.emplace(
             open.session_id,
-            std::make_unique<LiveSession>(cluster->model().config(),
+            std::make_shared<LiveSession>(cluster->model().config(),
                                           shape, cluster));
         ack.ok = true;
         ack.input_size = shape.input_size;
@@ -350,10 +355,11 @@ TcpServer::handleSessionOpen(Connection &connection,
     enqueue(connection, std::move(out));
 }
 
-void
+bool
 TcpServer::handleSessionStep(Connection &connection,
                              const wire::SessionStep &step)
 {
+    Outbound out;
     wire::SessionState state;
     state.session_id = step.session_id;
     state.id = step.id;
@@ -364,33 +370,63 @@ TcpServer::handleSessionStep(Connection &connection,
         state.error = "session " + std::to_string(step.session_id) +
             " is not open on this connection";
     } else {
-        LiveSession &live = *it->second;
-        engine::SubmitOptions submit;
-        submit.priority = step.priority;
-        submit.deadline = std::chrono::microseconds(step.deadline_us);
-        submit.trace_id = step.trace_id;
-        const nn::Vector x(step.x.begin(), step.x.end());
-        // A step consumes the previous step's state, so it is served
-        // synchronously here in the reader; a failed step leaves the
-        // session state unchanged (the client may retry).
+        const std::shared_ptr<LiveSession> &live = it->second;
+        {
+            // A step consumes the previous step's state: wait for the
+            // writer to commit it. A writer that exits first sets
+            // closing, which ends the wait and this connection.
+            std::unique_lock<std::mutex> lock(connection.mutex);
+            connection.cv.wait(lock, [&] {
+                return !live->in_flight || connection.closing;
+            });
+            if (connection.closing)
+                return false;
+        }
         try {
-            const nn::Vector h = live.session.step(
-                x, [&](std::vector<std::int64_t> packed) {
-                    return live.cluster
-                        ->submit(std::move(packed), submit)
-                        .get();
-                });
-            state.ok = true;
-            state.h.assign(h.begin(), h.end());
+            std::vector<std::int64_t> packed = live->session.pack(
+                nn::Vector(step.x.begin(), step.x.end()));
+            engine::SubmitOptions submit;
+            submit.priority = step.priority;
+            submit.deadline =
+                std::chrono::microseconds(step.deadline_us);
+            submit.trace_id = step.trace_id;
+            out.pending =
+                live->cluster->submit(std::move(packed), submit);
+            out.id = step.id;
+            out.session_id = step.session_id;
+            out.session = live;
         } catch (const std::exception &error) {
             state.code = wireErrorCode(error);
             state.error = error.what();
         }
     }
-
-    Outbound out;
-    out.ready = std::move(state);
+    if (out.session == nullptr)
+        out.ready = std::move(state);
     enqueue(connection, std::move(out));
+    return true;
+}
+
+wire::SessionState
+TcpServer::commitSessionStep(Connection &connection, Outbound &outbound)
+{
+    wire::SessionState state;
+    state.session_id = outbound.session_id;
+    state.id = outbound.id;
+    // A failed M×V leaves the session state unchanged (the client
+    // may retry the step).
+    try {
+        state.h = outbound.session->session.commit(outbound.pending.get());
+        state.ok = true;
+    } catch (const std::exception &error) {
+        state.code = wireErrorCode(error);
+        state.error = error.what();
+    }
+    {
+        std::lock_guard<std::mutex> lock(connection.mutex);
+        outbound.session->in_flight = false;
+    }
+    connection.cv.notify_all();
+    return state;
 }
 
 void
@@ -526,7 +562,8 @@ TcpServer::readerLoop(Connection &connection)
                 handleSessionOpen(connection, *open);
             } else if (const auto *step =
                            std::get_if<wire::SessionStep>(&message)) {
-                handleSessionStep(connection, *step);
+                if (!handleSessionStep(connection, *step))
+                    break; // the connection is closing
             } else if (const auto *session_close =
                            std::get_if<wire::SessionClose>(
                                &message)) {
@@ -568,7 +605,9 @@ TcpServer::writerLoop(Connection &connection)
         }
 
         wire::Message message;
-        if (outbound.pending.valid()) {
+        if (outbound.session != nullptr) {
+            message = commitSessionStep(connection, outbound);
+        } else if (outbound.pending.valid()) {
             wire::InferResponse response;
             response.id = outbound.id;
             try {
@@ -595,9 +634,15 @@ TcpServer::writerLoop(Connection &connection)
         }
     }
     // Flushed (or the peer is gone): FIN the socket so the client's
-    // reads terminate, and unblock a reader still in recv() when the
+    // reads terminate, and unblock a reader still in recv() — or
+    // waiting on a step this writer will never commit — when the
     // writer is the one bailing out.
     ::shutdown(connection.fd, SHUT_RDWR);
+    {
+        std::lock_guard<std::mutex> lock(connection.mutex);
+        connection.closing = true;
+    }
+    connection.cv.notify_all();
     connection.live_threads.fetch_sub(1);
 }
 

@@ -11,18 +11,22 @@
  * per accepted connection. The reader decodes frames and submits
  * infer requests to the routed cluster immediately (so the cluster's
  * micro-batchers see the full pipeline depth); the writer completes
- * the per-request futures and streams the responses back, so a
- * client may pipeline arbitrarily many requests. Streaming LSTM
- * sessions (SessionOpen/SessionStep) are handled inline by the
- * reader — a step is inherently sequential (it consumes the previous
- * step's recurrent state), so the reader blocks on the M×V and
- * replies with the new hidden state. The handshake negotiates the
- * protocol version: both sides speak min(client, server) as long as
- * that is >= wire::kMinProtocolVersion; an older client receives a
- * HelloAck rejection encoded in the layout it can decode (see
- * wire.hh) and the connection closes. Malformed frames, handshake
- * violations and oversized bodies close the connection — they never
- * take the daemon down.
+ * the per-request futures and streams the responses back in request
+ * order, so a client may pipeline arbitrarily many requests.
+ * Streaming LSTM session steps take the same route: the reader packs
+ * [x; h; 1] and submits the gate M×V, and the writer commits the
+ * result into the session and replies with the new hidden state, so
+ * steps of different sessions on one connection reach the cluster
+ * together (side by side on its shards, or in one micro-batch). A
+ * step consumes the previous step's recurrent state, so a step that
+ * arrives while its own session's previous step is still in flight
+ * waits in the reader until the writer has committed that one. The
+ * handshake negotiates the protocol version: both sides speak
+ * min(client, server) as long as that is >= wire::kMinProtocolVersion;
+ * an older client receives a HelloAck rejection encoded in the layout
+ * it can decode (see wire.hh) and the connection closes. Malformed
+ * frames, handshake violations and oversized bodies close the
+ * connection — they never take the daemon down.
  *
  * Connection model (client): one background reader thread correlates
  * responses to in-flight requests — InferResponse and SessionState
@@ -118,31 +122,38 @@ class TcpServer
     std::size_t trackedConnections() const;
 
   private:
+    /** One open streaming LSTM session. */
+    struct LiveSession;
+
     /** One queued outbound response: either already materialised or
-     *  an in-flight inference future completed by the writer. */
+     *  an in-flight M×V future completed by the writer — an
+     *  inference, or a session step when @c session is set. */
     struct Outbound
     {
         wire::Message ready;  ///< used when !pending.valid()
         std::uint64_t id = 0; ///< request id for pending responses
         std::future<std::vector<std::int64_t>> pending;
+        /** The session a pending step commits into; shared with
+         *  Connection::sessions so a SessionClose mid-step is safe. */
+        std::shared_ptr<LiveSession> session;
+        std::uint64_t session_id = 0; ///< with @c session
     };
-
-    /** One open streaming LSTM session (reader-thread state). */
-    struct LiveSession;
 
     struct Connection
     {
-        ~Connection(); ///< out-of-line: LiveSession is incomplete here
-
         int fd = -1;
         std::thread reader;
         std::thread writer;
         std::mutex mutex;
         std::condition_variable cv;
         std::deque<Outbound> outbox;
+        /** Set by the reader, the writer or stop() when the
+         *  connection winds down; also releases a reader waiting on
+         *  a step the writer will no longer commit. */
         bool closing = false;
-        /** Open LSTM sessions by id; touched by the reader only. */
-        std::map<std::uint64_t, std::unique_ptr<LiveSession>> sessions;
+        /** Open LSTM sessions by id. The map is touched by the reader
+         *  only; an in-flight step's Outbound co-owns its session. */
+        std::map<std::uint64_t, std::shared_ptr<LiveSession>> sessions;
         /** Reader + writer still running; 0 = reapable. */
         std::atomic<int> live_threads{2};
     };
@@ -152,8 +163,12 @@ class TcpServer
     void writerLoop(Connection &connection);
     void handleSessionOpen(Connection &connection,
                            const wire::SessionOpen &open);
-    void handleSessionStep(Connection &connection,
+    /** Submit one step's M×V; false once the connection is closing. */
+    bool handleSessionStep(Connection &connection,
                            const wire::SessionStep &step);
+    /** Writer half of a step: complete its M×V and commit. */
+    wire::SessionState commitSessionStep(Connection &connection,
+                                         Outbound &outbound);
     void enqueue(Connection &connection, Outbound outbound);
     void reapFinishedLocked(); ///< caller holds connections_mutex_
 
@@ -222,8 +237,9 @@ class TcpClient
                 std::uint32_t version = 0);
 
     /** Submit one session step (x only; the state lives server
-     *  side). Steps of one session must be submitted sequentially —
-     *  wait for each SessionState before the next step. */
+     *  side). Steps of one session may be pipelined: the server runs
+     *  them in submission order, each on the state the previous one
+     *  committed. */
     std::future<wire::SessionState>
     submitStep(std::uint64_t session_id, std::vector<float> x,
                std::int32_t priority = 0,

@@ -463,8 +463,8 @@ TEST(ClientRetry, ShedSessionStepsAreUnavailableOnEveryTransport)
           "tcp://127.0.0.1:" + std::to_string(fx.server.port())}) {
         // Each caller steps its own session. An in-process endpoint
         // owns its serving core, so the callers share one Client
-        // there; over tcp each needs its own connection, because the
-        // daemon serves one connection's steps in order.
+        // there; over tcp each caller gets its own connection, the
+        // way independent clients reach a daemon.
         const bool per_caller = endpoint.rfind("tcp://", 0) == 0;
         std::vector<std::unique_ptr<client::Client>> clients;
         std::vector<std::unique_ptr<client::Session>> sessions;

@@ -7,16 +7,23 @@
  * daemon; every step's hidden state must match the scalar-oracle
  * session (FunctionalModel M×V + the same host gate math)
  * bit-exactly. Shape validation, error taxonomy and
- * failed-step-state-intact semantics ride along.
+ * failed-step-state-intact semantics ride along, as do the daemon's
+ * step scheduling on one connection: steps of different sessions
+ * reach the cluster together, steps of one session run in order, and
+ * a connection dropped mid-step is still torn down.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include <unistd.h>
 
 #include "client/client.hh"
+#include "common/faultpoint.hh"
 #include "core/functional.hh"
 #include "engine/lstm_session.hh"
 #include "helpers.hh"
@@ -40,6 +47,12 @@ makeConfig()
     return config;
 }
 
+struct FaultGuard
+{
+    FaultGuard() { fault::disarmAll(); }
+    ~FaultGuard() { fault::disarmAll(); }
+};
+
 /** Registry with an LSTM-shaped model + a plain FC one + daemon. */
 struct SessionFixture
 {
@@ -52,12 +65,13 @@ struct SessionFixture
     core::FunctionalModel functional;
     core::LayerPlan oracle_plan; ///< None-drain plan of the M×V
 
-    SessionFixture()
+    /** @p daemon_shards: shards per cluster behind the daemon. */
+    explicit SessionFixture(std::size_t daemon_shards = 2)
         : dir(scratchDir()), config(makeConfig()),
           lstm_layer(test::randomCompressedLayer(4 * kH, kX + kH + 1,
                                                  0.4, 4, 777)),
           registry(dir.string(), config),
-          directory(registry, makeClusterOptions()),
+          directory(registry, makeClusterOptions(daemon_shards)),
           server(directory), functional(config),
           oracle_plan(core::planLayer(lstm_layer,
                                       nn::Nonlinearity::None, config))
@@ -90,10 +104,10 @@ struct SessionFixture
     }
 
     static serve::ClusterOptions
-    makeClusterOptions()
+    makeClusterOptions(std::size_t shards = 2)
     {
         serve::ClusterOptions options;
-        options.shards = 2;
+        options.shards = shards;
         return options;
     }
 
@@ -132,11 +146,12 @@ struct SessionFixture
         return test::randomActivations(kX, 0.7, 5000 + t);
     }
 
-    /** The scalar-oracle hidden trajectory over T steps: the same
-     *  engine::LstmSession host math around the FunctionalModel M×V
-     *  on the original pre-file plan. */
+    /** The scalar-oracle hidden trajectory over T steps whose inputs
+     *  start at stepInput(@p first): the same engine::LstmSession
+     *  host math around the FunctionalModel M×V on the original
+     *  pre-file plan. */
     std::vector<nn::Vector>
-    oracleTrajectory(std::size_t steps) const
+    oracleTrajectory(std::size_t steps, std::uint64_t first = 0) const
     {
         engine::LstmShape shape;
         std::string error;
@@ -147,7 +162,7 @@ struct SessionFixture
         std::vector<nn::Vector> trajectory;
         for (std::size_t t = 0; t < steps; ++t)
             trajectory.push_back(session.step(
-                stepInput(t),
+                stepInput(first + t),
                 [&](std::vector<std::int64_t> packed) {
                     return functional.run(oracle_plan, packed)
                         .output_raw;
@@ -273,6 +288,128 @@ TEST(ClientSession, TwoSessionsThreadIndependentState)
         EXPECT_EQ(step_a.h, oracle[t]) << "session a, step " << t;
         EXPECT_EQ(step_b.h, oracle[t]) << "session b, step " << t;
     }
+}
+
+TEST(ClientSession, StepsOfSessionsSharingAConnectionBatchTogether)
+{
+    // The gateway sends every session over one tcp:// connection, so
+    // the daemon must not serve that connection's steps one at a
+    // time: four sessions stepping at once all reach the (stalled)
+    // shard's queue together.
+    FaultGuard guard;
+    SessionFixture fx(1);
+    constexpr std::size_t kSessions = 4;
+    const auto client = fx.connect(fx.endpoints().back()); // tcp
+    std::vector<std::unique_ptr<client::Session>> sessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        client::Status status;
+        sessions.push_back(client->openSession("nt-lstm", 0, status));
+        ASSERT_NE(sessions.back(), nullptr) << status.toString();
+    }
+
+    fault::arm("batcher.stall");
+    std::atomic<bool> go{false};
+    std::vector<client::Session::StepResult> results(kSessions);
+    std::vector<std::thread> callers;
+    for (std::size_t s = 0; s < kSessions; ++s)
+        callers.emplace_back([&, s] {
+            while (!go.load())
+                std::this_thread::yield();
+            results[s] = sessions[s]->step(fx.stepInput(s));
+        });
+    go.store(true);
+    for (std::thread &caller : callers)
+        caller.join();
+    fault::disarmAll();
+
+    for (std::size_t s = 0; s < kSessions; ++s) {
+        ASSERT_TRUE(results[s].ok())
+            << "session " << s << ": " << results[s].status.toString();
+        EXPECT_EQ(results[s].h, fx.oracleTrajectory(1, s).front())
+            << "session " << s;
+    }
+    std::string error;
+    serve::ClusterEngine *cluster = fx.directory.cluster(
+        "nt-lstm", 0, error, nn::Nonlinearity::None);
+    ASSERT_NE(cluster, nullptr) << error;
+    const serve::ClusterStats stats = cluster->stats();
+    ASSERT_EQ(stats.shards.size(), 1u);
+    EXPECT_GE(stats.shards.front().server.max_queue_depth, 2u);
+}
+
+/** Accept-time reaping runs only when a connection arrives: open
+ *  short-lived probes until the probe is the only tracked connection
+ *  (every earlier one has been reaped), or give up at @p budget. */
+bool
+reapedWithin(const serve::TcpServer &server,
+             std::chrono::milliseconds budget)
+{
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    while (std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        serve::TcpClient probe("127.0.0.1", server.port());
+        if (server.trackedConnections() == 1)
+            return true;
+    }
+    return false;
+}
+
+TEST(ClientSession, PipelinedStepsRunInOrderAndADroppedConnectionIsReaped)
+{
+    FaultGuard guard;
+    SessionFixture fx(1);
+    const std::vector<nn::Vector> oracle = fx.oracleTrajectory(4);
+
+    // Replies written on this connection: HelloAck, SessionAck and
+    // three steps; the drop lands on the fourth step's reply, while
+    // the steps behind it are in flight.
+    fault::FaultSpec drop;
+    drop.skip = 5;
+    drop.count = 1;
+    fault::arm("tcp.drop_after_write", drop);
+
+    serve::TcpClient client("127.0.0.1", fx.server.port());
+    const std::uint64_t id = client.nextSessionId();
+    const serve::wire::SessionAck ack =
+        client.openSession(id, "nt-lstm").get();
+    ASSERT_TRUE(ack.ok) << ack.error;
+
+    const auto submit = [&](std::uint64_t t) {
+        const nn::Vector x = fx.stepInput(t);
+        return client.submitStep(id, std::vector<float>(x.begin(),
+                                                        x.end()));
+    };
+    // Three steps without waiting: each runs on the state the one
+    // before it committed.
+    std::vector<std::future<serve::wire::SessionState>> steps;
+    for (std::uint64_t t = 0; t < 3; ++t)
+        steps.push_back(submit(t));
+    for (std::size_t t = 0; t < 3; ++t) {
+        const serve::wire::SessionState state = steps[t].get();
+        ASSERT_TRUE(state.ok) << "step " << t << ": " << state.error;
+        EXPECT_EQ(state.h, oracle[t]) << "step " << t;
+    }
+
+    // With every batch stalled, the next step is in flight while the
+    // two behind it wait in the daemon's reader. The writer drops the
+    // connection after the first reply; the reader must not be left
+    // waiting for a commit that will never come.
+    fault::arm("batcher.stall");
+    steps.clear();
+    for (std::uint64_t t = 3; t < 6; ++t)
+        steps.push_back(submit(t));
+    const serve::wire::SessionState last_ok = steps[0].get();
+    ASSERT_TRUE(last_ok.ok) << last_ok.error;
+    EXPECT_EQ(last_ok.h, oracle[3]);
+    for (std::size_t t = 1; t < 3; ++t)
+        EXPECT_EQ(steps[t].get().code,
+                  serve::wire::ErrorCode::Unavailable)
+            << "step " << 3 + t;
+    EXPECT_EQ(fault::hits("tcp.drop_after_write"), 1u);
+    fault::disarmAll();
+
+    EXPECT_TRUE(reapedWithin(fx.server, std::chrono::seconds(5)))
+        << fx.server.trackedConnections() << " connections tracked";
 }
 
 TEST(ClientSession, ErrorTaxonomyAndStateSafety)

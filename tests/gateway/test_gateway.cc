@@ -324,6 +324,26 @@ TEST(Gateway, StatusTaxonomyMatchesTcpForErrors)
               client::StatusCode::Unavailable);
 }
 
+TEST(Gateway, MalformedNumberInABodyIsInvalidArgument)
+{
+    // A frame of the right length whose first value is "1.2.3" is a
+    // malformed body, not a frame that starts with 1.2: the gateway
+    // answers 400 before anything is served.
+    GatewayFixture fx;
+    const auto body = [](const std::string &first) {
+        std::string frame = first;
+        for (int i = 1; i < 64; ++i)
+            frame += ",0";
+        return R"({"model":"fc","frames":[[)" + frame + "]]}";
+    };
+    EXPECT_EQ(fx.raw("POST", "/v1/infer", body("1")).status, 200);
+    const auto bad = fx.raw("POST", "/v1/infer", body("1.2.3"));
+    EXPECT_EQ(bad.status, 400);
+    EXPECT_EQ(GatewayFixture::errorCode(bad.body), "INVALID_ARGUMENT");
+    EXPECT_NE(bad.body.find("bad number"), std::string::npos)
+        << bad.body;
+}
+
 TEST(Gateway, AuthQuotasAndTiersEnforcePerTenant)
 {
     GatewayFixture fx;

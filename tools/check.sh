@@ -35,7 +35,8 @@
 # fails the check even when the race never corrupts an assertion.
 #
 # A fourth pass rebuilds the robustness suites — wire-frame fuzz,
-# HTTP-parser fuzz, compressed-stream fuzz, fault injection, retry,
+# HTTP-parser fuzz, the JSON number parser that reads untrusted
+# gateway bodies, compressed-stream fuzz, fault injection, retry,
 # model-file corruption, tenant-config parsing — under
 # Address+UndefinedBehavior sanitizers (-DEIE_ASAN=ON) so a decoder
 # overread or UB on a garbage frame, corrupt weight stream or
@@ -124,7 +125,7 @@ echo "=== Address+UB sanitizers (wire fuzz + faults + model file) ==="
 asan_dir="build-check-asan"
 asan_tests="test_wire test_model_file test_registry test_faults \
 test_retry test_client test_kernel_compressed_stream test_http \
-test_tenants"
+test_tenants test_json"
 cmake -B "${asan_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEIE_ASAN=ON "$@"
 cmake --build "${asan_dir}" -j "${jobs}" \
