@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <new>
 
 #include <unistd.h>
 
@@ -447,6 +448,45 @@ drainRowBatch(const CompiledLayer &layer, const AccT *acc,
 }
 
 /**
+ * Cache-line-aligned storage for the accumulator buffer. Pooled
+ * workers write disjoint rows of one buffer; when a row is a whole
+ * number of cache lines (an int32 row at batch 16 is exactly 64 B),
+ * alignment keeps each row on lines no other PE's rows touch. A
+ * malloc'd buffer is only 16-byte aligned, so every row would
+ * straddle a line shared with a neighbouring PE's row.
+ */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, kAlign);
+    }
+
+    template <typename U>
+    bool
+    operator==(const CacheLineAllocator<U> &) const
+    {
+        return true;
+    }
+};
+
+/**
  * The shared tile driver of every variant: accumulators zero per row
  * batch and persist across passes — frame-major per row so a PE's
  * writes stay in its own rows — and each tile gathers its panel once
@@ -458,7 +498,7 @@ executeTiles(const CompiledLayer &layer, const Batch &inputs,
              Batch &outputs, Panel &panel, const TileFn &tile_fn)
 {
     const std::size_t batch = inputs.size();
-    std::vector<AccT> acc;
+    std::vector<AccT, CacheLineAllocator<AccT>> acc;
     for (const auto &batch_tiles : layer.tiles) {
         panic_if(batch_tiles.empty(), "row batch with no tiles");
         const std::size_t row_begin = batch_tiles.front().row_begin;
