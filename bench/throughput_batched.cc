@@ -9,24 +9,22 @@
  * checks every configuration bit-exact against the "scalar" oracle
  * backend, and writes BENCH_throughput.json (frames/sec and GOP/s per
  * point) so later PRs have a perf trajectory to regress against.
+ * Three same-box gates: vector beats reference at batch 64 (SIMD
+ * boxes), auto on one thread runs at least 2x the scalar interpreter
+ * at every batch, and the "footprint" object holds the layer's
+ * resident stream bytes to at most 10 per nonzero (byte accounting,
+ * so deterministic).
  *
  * Part 1b — batch-1 latency vs activation density on the NT-We
  * workload: the EIE activation-sparsity story. One frame at a time
  * (the latency-bound serving shape), densities 5%..100%, comparing
  * the reference dense-walk against the actsparse nonzero-queue walk
- * (both over the PE-merged stream, as every serial sweep is); the
- * "batch1_density_series" object in BENCH_throughput.json gates
- * actsparse > reference at every density <= 50% on SIMD boxes and
- * stamps the paper-reported NT densities for context.
- *
- * Part 1c — decoded vs compressed residency on NT-We: the
- * "residency_series" object stamps frames/sec and resident stream
- * bytes for both resident forms at batch 1 and 64, and gates the
- * compressed-resident path within 15% of decoded at batch 64 on SIMD
- * boxes — the worst case for decode-on-the-fly, since NT-We's
- * decoded streams fit the LLC. The "compression" object gates the
- * footprint side: >= 1.8x smaller resident streams on the paper FC
- * shape.
+ * (both over the PE-merged stream, as every serial sweep is). The two
+ * kernels are timed in interleaved reps and compared by median, so a
+ * slow phase of a shared box hits both; the "batch1_density_series"
+ * object in BENCH_throughput.json gates actsparse > reference at every
+ * density <= 50% on SIMD boxes and stamps the paper-reported NT
+ * densities for context.
  *
  * Part 2 — serving latency vs offered load: an engine::InferenceServer
  * (dynamic micro-batcher) under synthetic open-loop arrivals at
@@ -53,8 +51,10 @@
  * batch-1 numbers can be read at any paper-reported density.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -86,15 +86,19 @@ constexpr unsigned kRepeats = 3;
 constexpr std::size_t kServeRequests = 96;
 
 /** Part 1b: frames per density point of the batch-1 sweep, and
- *  best-of repeats (more than Part 1: single-frame timings on a
- *  shared box need more samples for a stable minimum). */
+ *  interleaved reps per kernel (odd, so the median is one rep). */
 constexpr std::size_t kDensityFrames = 8;
 constexpr unsigned kDensityRepeats = 9;
+
+/** Part 1 gates: auto on one thread must run at least this multiple
+ *  of the scalar interpreter at every batch, and the layer's resident
+ *  streams may cost at most this many bytes per nonzero. */
+constexpr double kMinAutoSpeedup = 2.0;
+constexpr double kMaxBytesPerNonzero = 10.0;
 
 struct Point
 {
     std::string kernel;
-    std::string residency;
     std::size_t batch = 0;
     unsigned threads = 0;
     double frames_per_sec = 0.0;
@@ -138,8 +142,7 @@ seconds(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Resident stream bytes across a compiled stack (whichever forms
- *  each layer kept). */
+/** Resident stream bytes across a compiled stack. */
 std::uint64_t
 stackResidentBytes(const engine::CompiledStack &stack)
 {
@@ -158,10 +161,16 @@ stackEntries(const engine::CompiledStack &stack)
         for (const auto &batch_tiles : layer.tiles)
             for (const auto &tile : batch_tiles)
                 for (const auto &slice : tile.slices)
-                    entries += layer.has_host_stream
-                        ? slice.stream.entryCount()
-                        : slice.compressed.entry_count;
+                    entries += slice.stream.entryCount();
     return entries;
+}
+
+/** Median of @p samples (odd count: the middle one). */
+double
+median(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
 }
 
 /** The layer description both JSON files share. */
@@ -270,19 +279,8 @@ main(int argc, char **argv)
     const std::vector<const core::LayerPlan *> plan_stack{&plan};
     const auto shared_stack =
         engine::compileLayerStack(config, plan_stack);
-
-    // The compressed-resident form of the same stack: the Huffman
-    // nibble streams are the only resident copy, decoded per sweep.
-    core::kernel::CompileOptions compressed_options;
-    compressed_options.residency =
-        core::kernel::Residency::Compressed;
-    const auto compressed_stack = engine::compileLayerStack(
-        config, plan_stack, compressed_options);
     const std::uint64_t stack_entries = stackEntries(*shared_stack);
-    const std::uint64_t decoded_stack_bytes =
-        stackResidentBytes(*shared_stack);
-    const std::uint64_t compressed_stack_bytes =
-        stackResidentBytes(*compressed_stack);
+    const std::uint64_t stack_bytes = stackResidentBytes(*shared_stack);
 
     std::vector<Point> points;
     auto measureSeries = [&](const engine::CompiledBackend &compiled,
@@ -313,8 +311,6 @@ main(int argc, char **argv)
 
             Point p;
             p.kernel = kernel_name;
-            p.residency =
-                core::kernel::residencyName(stack.front().residency);
             p.batch = batch;
             p.threads = threads;
             p.frames_per_sec = kFrames / batched_s;
@@ -343,23 +339,11 @@ main(int argc, char **argv)
                           *shared_stack, threads);
         }
     }
-    // The auto series over the compressed-resident stack: the same
-    // inner loops on slices decoded per call, ~2x smaller resident
-    // streams.
-    for (const unsigned threads : thread_counts) {
-        const engine::CompiledBackend compiled(
-            plan_stack, compressed_stack, threads,
-            core::kernel::KernelVariant::Auto);
-        measureSeries(compiled, "compressed", *compressed_stack,
-                      threads);
-    }
 
-    TextTable table({"Kernel", "Residency", "Batch", "Threads",
-                     "Frames/s", "GOP/s", "Speedup", "B/nz",
-                     "Exact"});
+    TextTable table({"Kernel", "Batch", "Threads", "Frames/s", "GOP/s",
+                     "Speedup", "B/nz", "Exact"});
     table.row()
         .add("scalar")
-        .add("-")
         .add("-")
         .add(std::uint64_t{1})
         .add(scalar_fps, 1)
@@ -370,7 +354,6 @@ main(int argc, char **argv)
     for (const Point &p : points) {
         table.row()
             .add(p.kernel)
-            .add(p.residency)
             .add(static_cast<std::uint64_t>(p.batch))
             .add(static_cast<std::uint64_t>(p.threads))
             .add(p.frames_per_sec, 1)
@@ -419,7 +402,6 @@ main(int argc, char **argv)
     for (const Point &p : points) {
         bench::Json point;
         point.set("kernel", p.kernel)
-            .set("residency", p.residency)
             .set("batch", p.batch)
             .set("threads", p.threads)
             .set("frames_per_sec", p.frames_per_sec)
@@ -438,30 +420,38 @@ main(int argc, char **argv)
         .set("vector_fps", vector_64)
         .set("vector_over_reference",
              reference_64 > 0.0 ? vector_64 / reference_64 : 0.0);
-    // The footprint story: compressed residency must shrink the
-    // resident stream bytes of this paper-shaped FC layer by at
-    // least 1.8x. Pure byte accounting — deterministic, so a hard
-    // gate on every box.
-    const double compression_ratio = compressed_stack_bytes > 0
-        ? static_cast<double>(decoded_stack_bytes) /
-            static_cast<double>(compressed_stack_bytes)
-        : 0.0;
-    std::cout << "resident streams: decoded " << decoded_stack_bytes
-              << " B, compressed " << compressed_stack_bytes
-              << " B (" << compression_ratio << "x, "
-              << static_cast<double>(compressed_stack_bytes) /
-            static_cast<double>(stack_entries)
-              << " B/nonzero)\n";
-    fatal_if(compression_ratio < 1.8,
-             "compressed residency only shrank the resident streams "
-             "%.2fx (< 1.8x) on the paper FC shape",
-             compression_ratio);
 
-    bench::Json compression_json;
-    compression_json.set("decoded_stream_bytes", decoded_stack_bytes)
-        .set("compressed_stream_bytes", compressed_stack_bytes)
+    // The auto gate: what production callers get on one thread must
+    // clearly out-run the scalar interpreter at every batch of the
+    // sweep. Both sides run on this box, so the ratio is portable.
+    for (const Point &p : points) {
+        if (p.kernel != "auto" || p.threads != 1)
+            continue;
+        fatal_if(p.speedup < kMinAutoSpeedup,
+                 "auto ran %.2fx the scalar interpreter at batch %zu "
+                 "on 1 thread (< %.1fx)",
+                 p.speedup, p.batch, kMinAutoSpeedup);
+    }
+
+    // The footprint story: one (row, codebook index) entry per
+    // nonzero, per slice and merged, plus column pointers and the
+    // table. Pure byte accounting — deterministic, so a hard gate on
+    // every box.
+    const double bytes_per_nonzero = stack_entries > 0
+        ? static_cast<double>(stack_bytes) /
+            static_cast<double>(stack_entries)
+        : 0.0;
+    std::cout << "resident streams: " << stack_bytes << " B ("
+              << bytes_per_nonzero << " B/nonzero)\n";
+    fatal_if(bytes_per_nonzero > kMaxBytesPerNonzero,
+             "the resident streams cost %.2f B per nonzero (> %.0f) "
+             "on the paper FC shape",
+             bytes_per_nonzero, kMaxBytesPerNonzero);
+
+    bench::Json footprint_json;
+    footprint_json.set("resident_stream_bytes", stack_bytes)
         .set("nonzero_entries", stack_entries)
-        .set("ratio", compression_ratio);
+        .set("bytes_per_nonzero", bytes_per_nonzero);
 
     bench::Json throughput_json;
     throughput_json.set("layer", layerJson(config, act_density))
@@ -470,7 +460,7 @@ main(int argc, char **argv)
         .set("points", std::move(throughput_points))
         .set("best_speedup", best)
         .set("batch64_by_kernel", std::move(batch64_json))
-        .set("compression", std::move(compression_json));
+        .set("footprint", std::move(footprint_json));
 
     // ---- Part 1b: batch-1 latency vs activation density (NT-We) -----
 
@@ -517,33 +507,42 @@ main(int argc, char **argv)
         for (const auto &single : singles)
             oracle.push_back(ntwe_scalar->runBatch(single).outputs);
 
-        double reference_fps = 0.0;
-        double actsparse_fps = 0.0;
+        // Interleaved reps: each rep times both kernels, alternating
+        // which goes first, so a slow phase of the box hits both.
+        std::vector<std::unique_ptr<engine::CompiledBackend>> backends;
         for (const core::kernel::KernelVariant kernel :
-             density_variants) {
-            engine::CompiledBackend backend(ntwe_stack, ntwe_compiled,
-                                            1, kernel);
-            double best_s = 0.0;
-            for (unsigned rep = 0; rep < kDensityRepeats; ++rep) {
+             density_variants)
+            backends.push_back(std::make_unique<engine::CompiledBackend>(
+                ntwe_stack, ntwe_compiled, 1, kernel));
+        std::vector<std::vector<double>> rep_s(density_variants.size());
+        for (unsigned rep = 0; rep < kDensityRepeats; ++rep) {
+            for (std::size_t i = 0; i < backends.size(); ++i) {
+                const std::size_t k = (i + rep) % backends.size();
                 std::vector<core::kernel::Batch> outputs;
                 outputs.reserve(kDensityFrames);
                 const auto start = std::chrono::steady_clock::now();
                 for (const auto &single : singles)
-                    outputs.push_back(backend.runBatch(single).outputs);
-                const double elapsed = seconds(start);
-                best_s =
-                    rep == 0 ? elapsed : std::min(best_s, elapsed);
+                    outputs.push_back(
+                        backends[k]->runBatch(single).outputs);
+                rep_s[k].push_back(seconds(start));
                 fatal_if(outputs != oracle,
                          "kernel '%s' diverged from the scalar oracle "
                          "at %.0f%% activation density",
-                         core::kernel::kernelVariantName(kernel),
+                         core::kernel::kernelVariantName(
+                             density_variants[k]),
                          100.0 * density);
             }
+        }
+        double reference_fps = 0.0;
+        double actsparse_fps = 0.0;
+        for (std::size_t k = 0; k < density_variants.size(); ++k) {
+            const core::kernel::KernelVariant kernel = density_variants[k];
+            const double median_s = median(rep_s[k]);
             DensityPoint p;
             p.density = density;
             p.kernel = core::kernel::kernelVariantName(kernel);
-            p.mean_us = 1e6 * best_s / kDensityFrames;
-            p.frames_per_sec = kDensityFrames / best_s;
+            p.mean_us = 1e6 * median_s / kDensityFrames;
+            p.frames_per_sec = kDensityFrames / median_s;
             if (kernel == core::kernel::KernelVariant::Reference)
                 reference_fps = p.frames_per_sec;
             if (kernel == core::kernel::KernelVariant::ActSparse)
@@ -613,135 +612,6 @@ main(int argc, char **argv)
     throughput_json.set("batch1_density_series",
                         std::move(density_json));
 
-    // ---- Part 1c: decoded vs compressed residency on NT-We ----------
-
-    // The roofline rule made measurable: NT-We's decoded streams fit
-    // the LLC, so this is the *worst* case for decode-on-the-fly —
-    // the decode is pure added work with no DRAM traffic to save.
-    // Even here the compressed-resident path must stay within 15% of
-    // decoded at batch 64 (the decode amortizes over the batch);
-    // batch 1 is stamped unguarded to document the amortization.
-    core::kernel::CompileOptions ntwe_compressed_options;
-    ntwe_compressed_options.residency =
-        core::kernel::Residency::Compressed;
-    const auto ntwe_compressed_stack = engine::compileLayerStack(
-        config, ntwe_stack, ntwe_compressed_options);
-
-    core::kernel::Batch ntwe_frames;
-    for (std::size_t b = 0; b < kFrames; ++b) {
-        Rng frame_rng(52000 + 77 * b);
-        ntwe_frames.push_back(model.quantizeInput(
-            nn::makeActivations(ntwe.input, kActDensity, frame_rng)));
-    }
-    const core::kernel::Batch ntwe_reference =
-        ntwe_scalar->runBatch(ntwe_frames).outputs;
-
-    struct ResidencyPoint
-    {
-        std::string residency;
-        std::size_t batch = 0;
-        double frames_per_sec = 0.0;
-        std::uint64_t resident_stream_bytes = 0;
-    };
-    std::vector<ResidencyPoint> residency_points;
-    double decoded_fps_64 = 0.0;
-    double compressed_fps_64 = 0.0;
-    for (const auto &form :
-         {std::make_pair(ntwe_compiled, "decoded"),
-          std::make_pair(ntwe_compressed_stack, "compressed")}) {
-        const engine::CompiledBackend backend(ntwe_stack, form.first,
-                                              1);
-        for (const std::size_t batch :
-             {std::size_t{1}, std::size_t{64}}) {
-            core::kernel::Batch outputs;
-            double best_s = 0.0;
-            for (unsigned rep = 0; rep < kDensityRepeats; ++rep) {
-                outputs.clear();
-                const auto start = std::chrono::steady_clock::now();
-                for (std::size_t at = 0; at < kFrames; at += batch) {
-                    const core::kernel::Batch chunk(
-                        ntwe_frames.begin() + at,
-                        ntwe_frames.begin() +
-                            std::min(at + batch, kFrames));
-                    auto out = backend.runBatch(chunk).outputs;
-                    for (auto &frame_out : out)
-                        outputs.push_back(std::move(frame_out));
-                }
-                const double elapsed = seconds(start);
-                best_s =
-                    rep == 0 ? elapsed : std::min(best_s, elapsed);
-            }
-            fatal_if(outputs != ntwe_reference,
-                     "%s-resident NT-We run diverged from the scalar "
-                     "oracle at batch %zu",
-                     form.second, batch);
-            ResidencyPoint p;
-            p.residency = form.second;
-            p.batch = batch;
-            p.frames_per_sec = kFrames / best_s;
-            p.resident_stream_bytes =
-                stackResidentBytes(*form.first);
-            if (batch == 64) {
-                if (p.residency == "decoded")
-                    decoded_fps_64 = p.frames_per_sec;
-                else
-                    compressed_fps_64 = p.frames_per_sec;
-            }
-            residency_points.push_back(std::move(p));
-        }
-    }
-
-    TextTable residency_table(
-        {"Residency", "Batch", "Frames/s", "Resident KB"});
-    for (const ResidencyPoint &p : residency_points) {
-        residency_table.row()
-            .add(p.residency)
-            .add(static_cast<std::uint64_t>(p.batch))
-            .add(p.frames_per_sec, 1)
-            .add(static_cast<double>(p.resident_stream_bytes) /
-                     1024.0,
-                 1);
-    }
-    std::cout << "\nNT-We residency, 1 thread, auto kernel, "
-              << kFrames << " frames\n";
-    residency_table.print(std::cout);
-    const double residency_cost_64 = decoded_fps_64 > 0.0
-        ? compressed_fps_64 / decoded_fps_64
-        : 0.0;
-    std::cout << "compressed/decoded throughput at batch 64: "
-              << residency_cost_64 << "x\n";
-    // The batch-64 gate: decode amortized over the batch must keep
-    // compressed within 15% of decoded even with the streams in
-    // cache. Scalar-dispatch boxes only warn — their MAC loops are
-    // slow enough that the ratio is noise-dominated either way.
-    fatal_if(have_simd && residency_cost_64 < 0.85,
-             "compressed residency cost %.1f%% at batch 64 exceeds "
-             "the 15%% bound on the in-cache NT-We case",
-             100.0 * (1.0 - residency_cost_64));
-    if (residency_cost_64 < 0.85)
-        std::cout << "WARNING: compressed residency lost more than "
-                     "15% at batch 64 (scalar fallback dispatch)\n";
-
-    bench::Json residency_series = bench::Json::array();
-    for (const ResidencyPoint &p : residency_points) {
-        bench::Json point;
-        point.set("residency", p.residency)
-            .set("batch", p.batch)
-            .set("frames_per_sec", p.frames_per_sec)
-            .set("resident_stream_bytes", p.resident_stream_bytes);
-        residency_series.push(std::move(point));
-    }
-    bench::Json residency_json;
-    residency_json.set("workload", "NT-We")
-        .set("threads", 1u)
-        .set("kernel", "auto")
-        .set("act_density", kActDensity)
-        .set("frames", kFrames)
-        .set("points", std::move(residency_series))
-        .set("compressed_over_decoded_at_batch64",
-             residency_cost_64);
-    throughput_json.set("residency_series",
-                        std::move(residency_json));
     bench::writeBenchJson(throughput_path, throughput_json);
 
     // ---- Part 2: serving latency vs offered load --------------------

@@ -619,9 +619,6 @@ class ClusterTransport final : public Transport
         if (!endpoint.kernel.empty())
             cluster.kernel = core::kernel::kernelVariantFromName(
                 endpoint.kernel);
-        if (!endpoint.residency.empty())
-            cluster.residency = core::kernel::residencyFromName(
-                endpoint.residency);
         if (endpoint.threads != 0)
             cluster.threads_per_shard = endpoint.threads;
         cluster.server = options.server;

@@ -65,15 +65,6 @@ checkKernelName(const std::string &name)
 }
 
 Status
-checkResidencyName(const std::string &name)
-{
-    if (name == "decoded" || name == "compressed" || name == "auto")
-        return Status::success();
-    return badEndpoint("unknown residency '" + name +
-                       "' (known: decoded, compressed, auto)");
-}
-
-Status
 parseCount(const std::string &key, const std::string &value,
            unsigned &out)
 {
@@ -114,11 +105,6 @@ parseLocal(const std::string &rest, ParsedEndpoint &out)
             if (Status status = checkKernelName(value); !status.ok())
                 return status;
             out.kernel = value;
-        } else if (key == "residency") {
-            if (Status status = checkResidencyName(value);
-                !status.ok())
-                return status;
-            out.residency = value;
         } else if (key == "threads") {
             if (Status status = parseCount(key, value, out.threads);
                 !status.ok())
@@ -169,11 +155,6 @@ parseCluster(const std::string &rest, ParsedEndpoint &out)
             if (Status status = checkKernelName(value); !status.ok())
                 return status;
             out.kernel = value;
-        } else if (key == "residency") {
-            if (Status status = checkResidencyName(value);
-                !status.ok())
-                return status;
-            out.residency = value;
         } else if (key == "threads") {
             if (Status status = parseCount(key, value, out.threads);
                 !status.ok())
@@ -262,10 +243,9 @@ const char *
 endpointGrammar()
 {
     return
-        "  local:<backend>[,kernel=K][,residency=R][,threads=N]"
-        "[,dir=PATH]\n"
+        "  local:<backend>[,kernel=K][,threads=N][,dir=PATH]\n"
         "  cluster:<dir>[,shards=N][,policy=replicated|partitioned]"
-        "[,backend=B][,kernel=K][,residency=R][,threads=N]\n"
+        "[,backend=B][,kernel=K][,threads=N]\n"
         "  tcp://HOST:PORT\n"
         "  http://HOST:PORT[,token=TOKEN]";
 }

@@ -3,17 +3,16 @@
  * The endpoint-string grammar of eie::client::Client — one string
  * names any of the four transports plus its per-endpoint knobs:
  *
- *   local:<backend>[,kernel=K][,residency=R][,threads=N][,dir=PATH]
+ *   local:<backend>[,kernel=K][,threads=N][,dir=PATH]
  *       A one-shard in-process cluster: the cluster: engine with one
  *       replicated shard on execution backend <backend> ("scalar" |
  *       "compiled" | "sim"), serving ClientOptions::models before
  *       the optional ModelRegistry at dir= (defaults to
- *       ClientOptions::registry). residency= selects the compiled
- *       backend's resident stream form ("decoded" | "compressed" |
- *       "auto"). ClientOptions::cluster does not apply.
+ *       ClientOptions::registry). ClientOptions::cluster does not
+ *       apply.
  *
  *   cluster:<dir>[,shards=N][,policy=replicated|partitioned]
- *                [,backend=B][,kernel=K][,residency=R][,threads=N]
+ *                [,backend=B][,kernel=K][,threads=N]
  *       In-process serve::ClusterEngine(s) over the ModelRegistry at
  *       <dir>, via a ServingDirectory. Unset knobs fall back to
  *       ClientOptions::cluster.
@@ -66,7 +65,6 @@ struct ParsedEndpoint
 
     // local: + cluster: (0 / "" = fall back to ClientOptions)
     std::string kernel;    ///< kernel variant name ("" = options)
-    std::string residency; ///< resident stream form ("" = options)
     unsigned threads = 0;  ///< worker threads ("" = options)
 
     // cluster: (dir doubles as the registry directory)

@@ -1,5 +1,6 @@
 #include "compress/model_file.hh"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -239,9 +240,42 @@ deserializeModel(std::span<const std::uint8_t> bytes)
         std::vector<std::uint32_t> col_ptr(cols + 1);
         for (auto &p : col_ptr)
             p = reader.scalar<std::uint32_t>();
+        // A valid checksum does not make the contents consistent:
+        // check what PeSlice and decode() would otherwise panic on.
+        corrupt_if(col_ptr.front() != 0 || col_ptr.back() != entry_count,
+                   "PE %u column pointers span [%u, %u), not its %llu "
+                   "entries", k, col_ptr.front(), col_ptr.back(),
+                   static_cast<unsigned long long>(entry_count));
+        for (std::size_t j = 0; j < cols; ++j)
+            corrupt_if(col_ptr[j + 1] < col_ptr[j],
+                       "PE %u column pointers decrease at column %zu", k,
+                       j);
 
         const auto v_stream = readStream(reader, entry_count);
         const auto z_stream = readStream(reader, entry_count);
+        const std::uint8_t max_index =
+            v_stream.empty()
+            ? 0
+            : *std::max_element(v_stream.begin(), v_stream.end());
+        corrupt_if(max_index >= cb_size,
+                   "PE %u: codebook index %u out of %u", k, max_index,
+                   cb_size);
+        // Rows only grow within a column, so where its zero runs end
+        // bounds every row the column touches.
+        for (std::size_t j = 0; j < cols; ++j) {
+            std::uint64_t rows_spanned = 0;
+            for (std::uint32_t e = col_ptr[j]; e < col_ptr[j + 1]; ++e)
+                rows_spanned += z_stream[e] + 1u;
+            if (rows_spanned == 0)
+                continue;
+            const std::uint64_t last_row =
+                (rows_spanned - 1) * opts.n_pe + k;
+            corrupt_if(last_row >= rows,
+                       "PE %u column %zu: zero runs reach row %llu of "
+                       "%llu", k, j,
+                       static_cast<unsigned long long>(last_row),
+                       static_cast<unsigned long long>(rows));
+        }
         std::vector<CscEntry> entries(entry_count);
         for (std::size_t e = 0; e < entry_count; ++e)
             entries[e] = {v_stream[e], z_stream[e]};

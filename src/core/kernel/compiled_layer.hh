@@ -1,30 +1,32 @@
 /**
  * @file
- * The pre-decoded kernel format of the fast execution path
- * (KernelStream v2).
+ * The resident kernel format of the fast execution path: one 4-byte
+ * (row, codebook index) entry per nonzero, walked in place.
  *
  * The interleaved CSC image the hardware walks (4-bit codebook index +
- * 4-bit zero run, §III-B) is deliberately indirect: it optimizes SRAM
- * bits, and the PE pays one decode per entry per input vector. A
- * software engine must hoist that indirection out of the MAC loop (the
- * authors' 2023 retrospective makes exactly this point), so compile()
- * lowers a LayerPlan once into flat structure-of-arrays streams per PE
- * slice — codebook-pre-expanded int32 weight values, batch-local
- * output rows and per-column extents in separate contiguous arrays:
+ * 4-bit zero run, §III-B) carries two indirections: the zero run that
+ * locates the row and the table lookup that expands the weight. The
+ * PE resolves both per entry per input vector. A software engine
+ * hoists the zero-run decode out of the MAC loop (the authors' 2023
+ * retrospective makes exactly this point) and keeps the lookup, as
+ * the PE does (§IV: the 4-bit index is "expanded to a 16-bit
+ * fixed-point number via a table look up"). compile() lowers a
+ * LayerPlan once into flat streams per PE slice:
  *
  *  - zero-run deltas are resolved to absolute rows,
  *  - padding entries (codebook index 0) are stripped — they exist only
  *    to keep the 4-bit run field in range and always contribute zero,
- *  - the 16-entry codebook is materialized through Codebook::rawValues()
- *    so every weight is already a raw fixed-point operand.
+ *  - each remaining entry is one uint32_t, row << 8 | codebook index,
+ *    and the layer keeps its codebook's Codebook::rawValues() as the
+ *    lookup table the loops expand the index through.
  *
- * The SoA split is what lets the "vector" kernel variant run a SIMD
- * saturating MAC over 32-bit lanes (weights stream through one array,
- * rows through another, nothing interleaved), and each tile optionally
- * carries a slice-fused single stream — all PE slices merged per
- * column, rows sorted — so a 1-thread run of any variant walks one
- * column extent instead of one per PE. See core/kernel/variant.hh for
- * the variant registry that picks the inner loop.
+ * Every inner loop (see core/kernel/variant.hh) reads
+ * (e >> 8, lut[e & 0xff]) from the same stream, so the products, and
+ * hence the outputs, are bit-exact with the interpreter by
+ * construction. Because the row is the high field, sorting raw
+ * entries sorts them by row: each tile optionally carries a
+ * slice-fused stream — all PE slices merged per column, rows sorted —
+ * so a 1-thread run walks one column extent instead of one per PE.
  *
  * The tile grid of the plan (row batches x column passes) is preserved
  * so the execution semantics — per-batch accumulator initialisation,
@@ -43,99 +45,85 @@
 
 #include "compress/interleaved.hh"
 #include "core/config.hh"
-#include "core/kernel/compressed_stream.hh"
 #include "core/plan.hh"
 
 namespace eie::core::kernel {
 
 /**
- * Which form of a layer's weight streams stays resident after
- * compile:
- *
- *  - Decoded: the pre-decoded SoA arrays (today's fast path, ~12
- *    bytes per entry).
- *  - Compressed: the CompressedSliceStream per tile slice is the
- *    *only* resident form (~1-2 bytes per entry); every runBatch
- *    decodes each slice into scratch right before the variant's loop
- *    sweeps it. There is no PE-merged stream.
- *  - Auto: per layer, Compressed when the estimated decoded
- *    footprint exceeds kAutoResidencyCompressBytes (the decoded
- *    stack would spill the last-level cache anyway, so decode ALU
- *    trades against DRAM bandwidth), Decoded below it.
+ * The resident weight form. There is one; the enumerator survives only
+ * because the perfbench/ harness stamps residencyName() into its
+ * reports (perfbench-only: remove with the next benchmark change).
  */
 enum class Residency
 {
-    Decoded,
-    Compressed,
-    Auto,
+    Indexed, ///< (row, codebook index) entries + the layer's table
 };
 
-/** Auto residency keeps a layer decoded below this estimated decoded
- *  stream footprint and compresses it at or above (an LLC-scale
- *  threshold: in-cache layers never win by decoding on the fly). */
-constexpr std::uint64_t kAutoResidencyCompressBytes = 8ull << 20;
-
-/** Registry name of @p residency ("decoded", "compressed", "auto"). */
+/** Registry name of @p residency ("indexed"). perfbench-only. */
 const char *residencyName(Residency residency);
-
-/** Parse a residency name; fatal (listing the valid names) on an
- *  unknown one. */
-Residency residencyFromName(const std::string &name);
 
 /** Options for CompiledLayer::compile. */
 struct CompileOptions
 {
-    /** Build the padding-stripped SoA streams runBatch() consumes. On
-     *  by default; the simulator-only path turns it off to halve
-     *  compile work and resident entry storage. */
+    /** Build the padding-stripped streams runBatch() consumes. On by
+     *  default; the simulator-only path turns it off to halve compile
+     *  work and resident entry storage. */
     bool host_stream = true;
 
-    /** Also build the per-tile slice-fused stream every decoded
-     *  variant walks on 1-thread runs. Costs a second resident copy
-     *  of the host entries; ignored without host_stream. */
+    /** Also build the per-tile slice-fused stream every variant walks
+     *  on 1-thread runs. Costs a second resident copy of the host
+     *  entries; ignored without host_stream. */
     bool fused_stream = true;
 
     /** Also build the padding-preserving per-PE SimEntry streams the
      *  cycle-accurate path consumes. Off by default: the host kernel
      *  path does not pay for timing-model state. */
     bool sim_stream = false;
-
-    /** Which stream form stays resident (see Residency). */
-    Residency residency = Residency::Decoded;
 };
 
+/** Bits of a stream entry below its row: the codebook index field. */
+constexpr unsigned kEntryIndexBits = 8;
+
+/** Rows a stream entry can address (its 24-bit row field). */
+constexpr std::uint32_t kEntryRowLimit = 1u << (32 - kEntryIndexBits);
+
+/** Pack one stream entry: @p row in the high 24 bits, codebook
+ *  @p index in the low 8. */
+constexpr std::uint32_t
+packEntry(std::uint32_t row, std::uint32_t index)
+{
+    return row << kEntryIndexBits | index;
+}
+
+/** Output row of a stream entry, relative to the tile's row batch. */
+constexpr std::uint32_t
+entryRow(std::uint32_t entry)
+{
+    return entry >> kEntryIndexBits;
+}
+
+/** Codebook index of a stream entry (an index into CompiledLayer::lut). */
+constexpr std::uint32_t
+entryIndex(std::uint32_t entry)
+{
+    return entry & ((1u << kEntryIndexBits) - 1);
+}
+
 /**
- * One flat SoA kernel stream (KernelStream v2): per entry a
- * destination row and a codebook-pre-expanded weight, in separate
- * contiguous arrays, with per-column extents in col_ptr. Used both
- * per PE slice (CompiledSlice::stream) and slice-fused per tile
+ * One flat kernel stream: per nonzero one packEntry(row, index), with
+ * per-column extents in col_ptr. Used both per PE slice
+ * (CompiledSlice::stream) and slice-fused per tile
  * (CompiledTile::fused).
  */
 struct SliceStream
 {
-    /** Output row of each entry, relative to the tile's row batch
-     *  (row_begin). */
-    std::vector<std::uint32_t> rows;
-    /** Codebook-decoded fixed-point weight of each entry
-     *  (weight_format raw). */
-    std::vector<std::int32_t> weights;
-    /** Per-column extents: pass cols + 1 offsets into rows/weights. */
+    /** row << 8 | codebook index per entry; the row is relative to
+     *  the tile's row batch (row_begin). */
+    std::vector<std::uint32_t> entries;
+    /** Per-column extents: pass cols + 1 offsets into entries. */
     std::vector<std::uint32_t> col_ptr;
 
-    /**
-     * Bandwidth-halved mirror of rows/weights for the batch-1
-     * actsparse walk: entry e packed as (rows[e] << 16) | weights[e]
-     * in 16 bits each. Built only when every row index and weight raw
-     * of the stream fits (the paper's 16-bit formats always do);
-     * empty otherwise. Same per-column extents (col_ptr).
-     */
-    std::vector<std::uint32_t> packed;
-
-    std::size_t entryCount() const { return rows.size(); }
-    bool hasPacked() const { return packed.size() == rows.size(); }
-
-    /** Fill packed from rows/weights if they fit 16 bits each. */
-    void buildPacked();
+    std::size_t entryCount() const { return entries.size(); }
 };
 
 /**
@@ -155,15 +143,8 @@ struct SimEntry
 /** One PE's pre-decoded share of a tile. */
 struct CompiledSlice
 {
-    /** The padding-stripped SoA host stream of this slice (empty
-     *  under compressed residency — the compressed stream is the
-     *  only resident form). */
+    /** The padding-stripped host stream of this slice. */
     SliceStream stream;
-
-    /** The compressed-resident form (Residency::Compressed only):
-     *  4-bit codebook nibbles + Huffman row deltas, decoded per
-     *  runBatch into scratch. */
-    CompressedSliceStream compressed;
 
     /** @name Simulator stream (only with CompileOptions::sim_stream).
      *  Entry-for-entry image of the interleaved CSC walk — padding
@@ -221,32 +202,28 @@ struct CompiledLayer
     /** Padding entries stripped by the compile. */
     std::uint64_t stripped_padding = 0;
 
-    /** Slices carry the host SoA streams (CompileOptions::host_stream). */
+    /** Slices carry the host streams (CompileOptions::host_stream). */
     bool has_host_stream = false;
     /** Tiles carry the slice-fused stream (CompileOptions::fused_stream). */
     bool has_fused_stream = false;
     /** Slices carry the simulator stream (CompileOptions::sim_stream). */
     bool has_sim_stream = false;
 
-    /** The resolved residency of this layer (never Auto); slices
-     *  carry the compressed stream exactly when it is Compressed. */
-    Residency residency = Residency::Decoded;
+    /** The weight lookup table every stream entry indexes:
+     *  Codebook::rawValues() of the codebook all tiles share
+     *  (weight_format raw). */
+    std::vector<std::int64_t> lut;
 
-    /** Resident bytes of the decoded SoA forms (per-slice streams,
-     *  packed mirrors, fused streams, column pointers); 0 under
-     *  compressed residency. */
-    std::uint64_t decoded_stream_bytes = 0;
-    /** Resident bytes of the compressed streams; 0 under decoded
-     *  residency. */
-    std::uint64_t compressed_stream_bytes = 0;
+    /** Resident bytes of the host form: 4 per stream entry and per
+     *  column pointer over the per-slice and fused streams, plus the
+     *  table. */
+    std::uint64_t resident_bytes = 0;
 
-    /** Stream bytes actually resident for this layer (the sum of
-     *  whichever forms were kept). */
-    std::uint64_t
-    residentStreamBytes() const
-    {
-        return decoded_stream_bytes + compressed_stream_bytes;
-    }
+    /** Always Residency::Indexed. perfbench-only. */
+    Residency residency = Residency::Indexed;
+
+    /** resident_bytes under its old name. perfbench-only. */
+    std::uint64_t residentStreamBytes() const { return resident_bytes; }
 
     /**
      * Lower @p plan for execution on a machine with @p config's

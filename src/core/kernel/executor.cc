@@ -1,7 +1,5 @@
 #include "core/kernel/executor.hh"
 
-#include <atomic>
-#include <chrono>
 #include <new>
 
 #include <unistd.h>
@@ -272,16 +270,15 @@ const MacRowFn g_mac_row = g_mac_row_kernel.fn;
 
 // ------------------------------------------------- slice inner loops
 
-/** Sweep one SoA stream over the gathered sparse panel (the scalar
+/** Sweep one stream over the gathered sparse panel (the scalar
  *  reference loop). */
 void
-runStreamReference(const SliceStream &stream,
+runStreamReference(const SliceStream &stream, const std::int64_t *lut,
                    const ActivationPanel &panel, std::size_t batch,
                    std::int64_t *acc, const FixedFormat &weight_fmt,
                    const FixedFormat &act_fmt)
 {
-    const std::uint32_t *rows = stream.rows.data();
-    const std::int32_t *weights = stream.weights.data();
+    const std::uint32_t *entries = stream.entries.data();
     const std::size_t cols = stream.col_ptr.size() - 1;
     for (std::size_t j = 0; j < cols; ++j) {
         const std::uint32_t n_active = panel.count[j];
@@ -294,9 +291,10 @@ runStreamReference(const SliceStream &stream,
         const std::uint32_t *frames = &panel.frame[j * batch];
         const std::int64_t *values = &panel.value[j * batch];
         for (std::uint32_t e = e_begin; e < e_end; ++e) {
-            const std::int64_t w = weights[e];
+            const std::uint32_t entry = entries[e];
+            const std::int64_t w = lut[entryIndex(entry)];
             std::int64_t *acc_row =
-                acc + static_cast<std::size_t>(rows[e]) * batch;
+                acc + static_cast<std::size_t>(entryRow(entry)) * batch;
             for (std::uint32_t t = 0; t < n_active; ++t) {
                 acc_row[frames[t]] = macFixed(
                     acc_row[frames[t]], w, values[t], weight_fmt,
@@ -307,22 +305,21 @@ runStreamReference(const SliceStream &stream,
 }
 
 /**
- * Sweep one SoA stream over the per-frame nonzero queues (the
- * actsparse variant's loop). Frames are independent accumulator
- * columns, and within a frame the queue visits columns ascending with
- * at most one stream entry per (row, column) — the exact
- * per-accumulator update order of the reference sweep, so the
- * saturating MAC sequence is preserved bit-for-bit. Only the
- * col_ptr extents of nonzero columns are ever touched.
+ * Sweep one stream over the per-frame nonzero queues (the actsparse
+ * variant's loop). Frames are independent accumulator columns, and
+ * within a frame the queue visits columns ascending with at most one
+ * stream entry per (row, column) — the exact per-accumulator update
+ * order of the reference sweep, so the saturating MAC sequence is
+ * preserved bit-for-bit. Only the col_ptr extents of nonzero columns
+ * are ever touched.
  */
 void
-runStreamActSparse(const SliceStream &stream, const QueuePanel &panel,
-                   std::size_t batch, std::int64_t *acc,
-                   const FixedFormat &weight_fmt,
+runStreamActSparse(const SliceStream &stream, const std::int64_t *lut,
+                   const QueuePanel &panel, std::size_t batch,
+                   std::int64_t *acc, const FixedFormat &weight_fmt,
                    const FixedFormat &act_fmt)
 {
-    const std::uint32_t *rows = stream.rows.data();
-    const std::int32_t *weights = stream.weights.data();
+    const std::uint32_t *entries = stream.entries.data();
     const std::uint32_t *col_ptr = stream.col_ptr.data();
     if (batch == 1) {
         // The latency path the variant exists for: one accumulator
@@ -336,45 +333,20 @@ runStreamActSparse(const SliceStream &stream, const QueuePanel &panel,
         const std::int64_t lo = act_fmt.minRaw();
         const std::int64_t hi = act_fmt.maxRaw();
         const std::uint32_t q_end = panel.begin[1];
-        if (stream.hasPacked()) {
-            // Streams whose row indices and weight raws fit 16 bits
-            // carry a packed (row << 16 | weight) mirror: one 4-byte
-            // load per entry instead of two, halving the stream
-            // bandwidth the walk is bound by.
-            const std::uint32_t *packed = stream.packed.data();
-            for (std::uint32_t q = 0; q < q_end; ++q) {
-                const std::uint32_t j = panel.col[q];
-                const std::int64_t a = panel.value[q];
-                const std::uint32_t e_end = col_ptr[j + 1];
-                for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
-                    const std::uint32_t entry = packed[e];
-                    const std::int64_t w = static_cast<std::int16_t>(
-                        entry & 0xffffu);
-                    const std::int64_t product = w * a;
-                    const std::int64_t aligned =
-                        shift >= 0 ? product >> shift
-                                   : product << -shift;
-                    std::int64_t sum = acc[entry >> 16] + aligned;
-                    sum = sum > hi ? hi : sum;
-                    sum = sum < lo ? lo : sum;
-                    acc[entry >> 16] = sum;
-                }
-            }
-            return;
-        }
         for (std::uint32_t q = 0; q < q_end; ++q) {
             const std::uint32_t j = panel.col[q];
             const std::int64_t a = panel.value[q];
             const std::uint32_t e_end = col_ptr[j + 1];
             for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
-                const std::int64_t product = weights[e] * a;
+                const std::uint32_t entry = entries[e];
+                const std::int64_t product = lut[entryIndex(entry)] * a;
                 const std::int64_t aligned = shift >= 0
                                                  ? product >> shift
                                                  : product << -shift;
-                std::int64_t sum = acc[rows[e]] + aligned;
+                std::int64_t sum = acc[entryRow(entry)] + aligned;
                 sum = sum > hi ? hi : sum;
                 sum = sum < lo ? lo : sum;
-                acc[rows[e]] = sum;
+                acc[entryRow(entry)] = sum;
             }
         }
         return;
@@ -386,24 +358,28 @@ runStreamActSparse(const SliceStream &stream, const QueuePanel &panel,
             const std::int64_t a = panel.value[q];
             const std::uint32_t e_end = col_ptr[j + 1];
             for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
+                const std::uint32_t entry = entries[e];
                 std::int64_t &slot =
-                    acc[static_cast<std::size_t>(rows[e]) * batch + b];
-                slot = macFixed(slot, weights[e], a, weight_fmt,
-                                act_fmt);
+                    acc[static_cast<std::size_t>(entryRow(entry)) *
+                            batch +
+                        b];
+                slot = macFixed(slot, lut[entryIndex(entry)], a,
+                                weight_fmt, act_fmt);
             }
         }
     }
 }
 
-/** Sweep one SoA stream over the dense panel with the SIMD MAC row
- *  kernel (the vector variant's loop). */
+/** Sweep one stream over the dense panel with the SIMD MAC row kernel
+ *  (the vector variant's loop). vectorEligible() guarantees every
+ *  table value fits an int32 lane. */
 void
-runStreamVector(const SliceStream &stream, const DensePanel &panel,
-                std::size_t batch, std::int32_t *acc, int shift,
-                std::int32_t lo, std::int32_t hi)
+runStreamVector(const SliceStream &stream, const std::int64_t *lut,
+                const DensePanel &panel, std::size_t batch,
+                std::int32_t *acc, int shift, std::int32_t lo,
+                std::int32_t hi)
 {
-    const std::uint32_t *rows = stream.rows.data();
-    const std::int32_t *weights = stream.weights.data();
+    const std::uint32_t *entries = stream.entries.data();
     const std::size_t cols = stream.col_ptr.size() - 1;
     for (std::size_t j = 0; j < cols; ++j) {
         if (!panel.active[j])
@@ -413,9 +389,13 @@ runStreamVector(const SliceStream &stream, const DensePanel &panel,
         if (e_begin == e_end)
             continue;
         const std::int32_t *act = &panel.value[j * batch];
-        for (std::uint32_t e = e_begin; e < e_end; ++e)
-            g_mac_row(acc + static_cast<std::size_t>(rows[e]) * batch,
-                      act, weights[e], shift, lo, hi, batch);
+        for (std::uint32_t e = e_begin; e < e_end; ++e) {
+            const std::uint32_t entry = entries[e];
+            g_mac_row(acc + static_cast<std::size_t>(entryRow(entry)) *
+                          batch,
+                      act, static_cast<std::int32_t>(lut[entryIndex(entry)]),
+                      shift, lo, hi, batch);
+        }
     }
 }
 
@@ -486,33 +466,6 @@ struct CacheLineAllocator
     }
 };
 
-/**
- * The shared tile driver of every variant: accumulators zero per row
- * batch and persist across passes — frame-major per row so a PE's
- * writes stay in its own rows — and each tile gathers its panel once
- * before @p tile_fn sweeps it into @p acc.
- */
-template <typename AccT, typename Panel, typename TileFn>
-void
-executeTiles(const CompiledLayer &layer, const Batch &inputs,
-             Batch &outputs, Panel &panel, const TileFn &tile_fn)
-{
-    const std::size_t batch = inputs.size();
-    std::vector<AccT, CacheLineAllocator<AccT>> acc;
-    for (const auto &batch_tiles : layer.tiles) {
-        panic_if(batch_tiles.empty(), "row batch with no tiles");
-        const std::size_t row_begin = batch_tiles.front().row_begin;
-        const std::size_t row_end = batch_tiles.front().row_end;
-        acc.assign((row_end - row_begin) * batch, 0);
-        for (const CompiledTile &tile : batch_tiles) {
-            panel.gather(inputs, tile.col_begin, tile.col_end);
-            tile_fn(tile, acc.data());
-        }
-        drainRowBatch(layer, acc.data(), row_begin, row_end, batch,
-                      outputs);
-    }
-}
-
 /** Run @p run_pe over every PE slice, pooled when available. */
 template <typename RunPe>
 void
@@ -537,8 +490,12 @@ l2CacheBytes()
 }
 
 /**
- * The tile driver of every variant and its one stream choice. A
- * serial run (no pool, or a one-thread pool) walks each tile's
+ * The tile driver of every variant and its one stream choice.
+ * Accumulators zero per row batch and persist across passes —
+ * frame-major per row so a PE's writes stay in its own rows — and
+ * each tile gathers its panel once before @p sweep walks it.
+ *
+ * A serial run (no pool, or a one-thread pool) walks each tile's
  * PE-merged stream when the layer carries it — one column extent
  * instead of one per PE, since one thread has no second PE to hand a
  * slice to — as long as the row batch's accumulators fit the L2: the
@@ -546,81 +503,58 @@ l2CacheBytes()
  * slice stays within its own rows. Otherwise @p sweep walks the per-PE
  * slices, in parallel under a multi-thread pool (PE rows are
  * disjoint, so the workers never share an accumulator).
- *
- * Where a slice's stream comes from is the executor's one residency
- * branch. A decoded layer hands out its resident slices[k].stream. A
- * compressed-resident layer (which carries no merged stream) decodes
- * slices[k].compressed into per-slice scratch — definitionally the
- * arrays compile() would have kept resident, so every loop stays
- * bit-exact — and the decode time, summed across workers, is
- * returned in microseconds. Slice k is decoded and swept by exactly
- * one worker per tile (forEachSlice indexes are disjoint), so the
- * scratch is race-free, stays tile-sized and keeps its capacity
- * across tiles.
  */
 template <typename AccT, typename Panel, typename Sweep>
-double
-executeDecoded(const CompiledLayer &layer, const Batch &inputs,
-               WorkerPool *pool, Batch &outputs, Panel &panel,
-               const Sweep &sweep)
+void
+executeTiles(const CompiledLayer &layer, const Batch &inputs,
+             WorkerPool *pool, Batch &outputs, Panel &panel,
+             const Sweep &sweep)
 {
+    const std::size_t batch = inputs.size();
     const bool serial = !pool || pool->threads() <= 1;
-    const bool compressed = layer.residency == Residency::Compressed;
-    std::vector<SliceStream> scratch(compressed ? layer.n_pe : 0);
-    std::atomic<std::int64_t> decode_ns{0};
-    const auto slice_stream =
-        [&](const CompiledTile &tile,
-            std::size_t k) -> const SliceStream & {
-        if (!compressed)
-            return tile.slices[k].stream;
-        const auto start = std::chrono::steady_clock::now();
-        tile.slices[k].compressed.decode(scratch[k]);
-        decode_ns.fetch_add(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count(),
-            std::memory_order_relaxed);
-        return scratch[k];
-    };
-    executeTiles<AccT>(
-        layer, inputs, outputs, panel,
-        [&](const CompiledTile &tile, AccT *acc) {
-            const std::size_t acc_bytes = (tile.row_end - tile.row_begin) *
-                inputs.size() * sizeof(AccT);
-            if (serial && layer.has_fused_stream &&
-                acc_bytes < l2CacheBytes())
-                sweep(tile.fused, acc);
+    std::vector<AccT, CacheLineAllocator<AccT>> acc;
+    for (const auto &batch_tiles : layer.tiles) {
+        panic_if(batch_tiles.empty(), "row batch with no tiles");
+        const std::size_t row_begin = batch_tiles.front().row_begin;
+        const std::size_t row_end = batch_tiles.front().row_end;
+        acc.assign((row_end - row_begin) * batch, 0);
+        const bool merged = serial && layer.has_fused_stream &&
+            acc.size() * sizeof(AccT) < l2CacheBytes();
+        for (const CompiledTile &tile : batch_tiles) {
+            panel.gather(inputs, tile.col_begin, tile.col_end);
+            if (merged)
+                sweep(tile.fused, acc.data());
             else
                 forEachSlice(tile, pool, [&](std::size_t k) {
-                    sweep(slice_stream(tile, k), acc);
+                    sweep(tile.slices[k].stream, acc.data());
                 });
-        });
-    return static_cast<double>(decode_ns.load(std::memory_order_relaxed)) /
-        1000.0;
+        }
+        drainRowBatch(layer, acc.data(), row_begin, row_end, batch,
+                      outputs);
+    }
 }
 
 /** The reference and actsparse variants: int64 accumulators, the
- *  variant's activation @p Panel and its @p run_stream loop. Returns
- *  the decode time (executeDecoded). */
+ *  variant's activation @p Panel and its @p run_stream loop. */
 template <typename Panel, typename RunStream>
-double
+void
 executeSparse(const CompiledLayer &layer, const Batch &inputs,
               WorkerPool *pool, const RunStream &run_stream,
               Batch &outputs)
 {
     const std::size_t batch = inputs.size();
     Panel panel;
-    return executeDecoded<std::int64_t>(
+    executeTiles<std::int64_t>(
         layer, inputs, pool, outputs, panel,
         [&](const SliceStream &stream, std::int64_t *acc) {
-            run_stream(stream, panel, batch, acc, layer.weight_format,
-                       layer.act_format);
+            run_stream(stream, layer.lut.data(), panel, batch, acc,
+                       layer.weight_format, layer.act_format);
         });
 }
 
 /** The vector variant: int32 accumulators, dense panel, SIMD MAC
- *  rows. Returns the decode time (executeDecoded). */
-double
+ *  rows. */
+void
 executeVector(const CompiledLayer &layer, const Batch &inputs,
               WorkerPool *pool, Batch &outputs)
 {
@@ -632,10 +566,11 @@ executeVector(const CompiledLayer &layer, const Batch &inputs,
     const auto hi = static_cast<std::int32_t>(layer.act_format.maxRaw());
 
     DensePanel panel;
-    return executeDecoded<std::int32_t>(
+    executeTiles<std::int32_t>(
         layer, inputs, pool, outputs, panel,
         [&](const SliceStream &stream, std::int32_t *acc) {
-            runStreamVector(stream, panel, batch, acc, shift, lo, hi);
+            runStreamVector(stream, layer.lut.data(), panel, batch, acc,
+                            shift, lo, hi);
         });
 }
 
@@ -702,10 +637,9 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
          WorkerPool *pool, KernelVariant variant, DispatchInfo *dispatch)
 {
     const std::size_t batch = inputs.size();
-    panic_if(!layer.has_host_stream &&
-                 layer.residency != Residency::Compressed,
-             "layer '%s' compiled without the host kernel arrays "
-             "(CompileOptions::host_stream) or a compressed stream",
+    panic_if(!layer.has_host_stream,
+             "layer '%s' compiled without the host kernel streams "
+             "(CompileOptions::host_stream)",
              layer.name.c_str());
     for (const auto &input : inputs)
         panic_if(input.size() != layer.input_size,
@@ -727,18 +661,17 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
     if (resolved == KernelVariant::Vector &&
         !withinActFormat(inputs, layer.act_format))
         resolved = KernelVariant::Reference;
-    double decode_us = 0.0;
     switch (resolved) {
       case KernelVariant::Vector:
-        decode_us = executeVector(layer, inputs, pool, outputs);
+        executeVector(layer, inputs, pool, outputs);
         break;
       case KernelVariant::ActSparse:
-        decode_us = executeSparse<QueuePanel>(
-            layer, inputs, pool, runStreamActSparse, outputs);
+        executeSparse<QueuePanel>(layer, inputs, pool,
+                                  runStreamActSparse, outputs);
         break;
       case KernelVariant::Reference:
-        decode_us = executeSparse<ActivationPanel>(
-            layer, inputs, pool, runStreamReference, outputs);
+        executeSparse<ActivationPanel>(layer, inputs, pool,
+                                       runStreamReference, outputs);
         break;
       case KernelVariant::Auto:
         panic("resolveKernelVariant returned Auto");
@@ -746,7 +679,6 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
     if (dispatch) {
         dispatch->variant = resolved;
         dispatch->act_density = act_density;
-        dispatch->decode_us = decode_us;
     }
     return outputs;
 }

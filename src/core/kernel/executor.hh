@@ -21,9 +21,9 @@
  * buffer without synchronization or write conflicts. A serial run
  * walks each tile's PE-merged stream instead when the layer carries
  * it and the row batch's accumulators fit the L2, whichever loop the
- * variant selects. On a compressed-resident layer each PE slice is
- * decoded into scratch right before the variant's loop sweeps it;
- * that is the only place the executor looks at the residency.
+ * variant selects. Every loop walks the resident (row, codebook index)
+ * entries in place and expands each weight through the layer's table,
+ * as the PE does; nothing is decoded per call.
  *
  * Inputs are raw act_format values (quantizeInput or a previous
  * layer's outputs); the vector variant relies on that contract to
@@ -60,10 +60,7 @@ struct DispatchInfo
     KernelVariant variant = KernelVariant::Auto; ///< executed variant
     double act_density = -1.0; ///< sampled nonzero fraction, <0 unknown
 
-    /** Time this sweep spent decoding compressed-resident streams
-     *  into scratch, microseconds (0 on a decoded layer). Summed
-     *  across worker threads, so it is decode CPU time, not added
-     *  wall-clock. */
+    /** Always 0: no stream is decoded per call. perfbench-only. */
     double decode_us = 0.0;
 };
 
@@ -79,8 +76,7 @@ double probeActivationDensity(const Batch &inputs);
 /**
  * Execute @p layer on every frame of @p inputs.
  *
- * @param layer   a compiled layer (host stream or compressed
- *                residency required)
+ * @param layer   a compiled layer (host stream required)
  * @param inputs  B activation vectors of layer.input_size each
  * @param pool    optional worker pool; when non-null and holding more
  *                than one thread, PE slices execute in parallel
@@ -88,8 +84,8 @@ double probeActivationDensity(const Batch &inputs);
  *                bit-exact variant for the layer's formats, this
  *                call's batch size and the probed activation density
  *                (resolveKernelVariant)
- * @param dispatch optional out-param recording the executed variant,
- *                the probed activation density and the decode time
+ * @param dispatch optional out-param recording the executed variant
+ *                and the probed activation density
  * @return B output vectors of layer.output_size each
  */
 Batch runBatch(const CompiledLayer &layer, const Batch &inputs,

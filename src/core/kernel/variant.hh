@@ -2,15 +2,14 @@
  * @file
  * The kernel-variant registry of the compiled execution path.
  *
- * One pre-decoded KernelStream (see compiled_layer.hh) can be walked
- * by more than one inner loop, and which loop wins depends on the
- * batch size, the activation density and the datapath formats. The
- * variant picks the loop, never the stream: the executor walks the
- * PE-merged stream on a serial run and the per-PE slices on a pooled
- * one, and the layer's residency decides whether a slice is resident
- * decoded or is decoded from its compressed form on every call.
- * Every variant runs on both residencies. Instead of forking the
- * executor per loop, every consumer —
+ * One resident (row, codebook index) stream (see compiled_layer.hh)
+ * can be walked by more than one inner loop, and which loop wins
+ * depends on the batch size, the activation density and the datapath
+ * formats. The variant picks the loop, never the stream: the executor
+ * walks the PE-merged stream on a serial run and the per-PE slices on
+ * a pooled one, and every loop expands each entry's weight through
+ * the layer's table. Instead of forking the executor per loop, every
+ * consumer —
  * CompiledBackend, the WorkerPool batched executor, the serving
  * cluster and the CLI tools — selects a KernelVariant by name and
  * kernel::runBatch dispatches:
@@ -112,8 +111,7 @@ bool vectorEligible(const CompiledLayer &layer);
  *  - ActSparse and Reference always resolve to themselves: both are
  *    int64 scalar paths, bit-exact for every format and thread count.
  *
- * The layer's residency plays no part: every variant runs on both
- * residencies. @p act_density is the measured fraction of nonzero
+ * @p act_density is the measured fraction of nonzero
  * input activations, or negative when unknown (the density-blind
  * overload). The returned variant is always directly executable on
  * @p layer.

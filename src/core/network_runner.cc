@@ -59,24 +59,20 @@ NetworkRunner::outputSize() const
 
 engine::ExecutionBackend &
 NetworkRunner::backend(const std::string &name, unsigned threads,
-                       kernel::KernelVariant kernel,
-                       kernel::Residency residency) const
+                       kernel::KernelVariant kernel) const
 {
     fatal_if(plans_.empty(), "network has no layers");
 
-    // Only the compiled backend consumes the thread count, the kernel
-    // variant and the residency; normalize the key so scalar/sim
+    // Only the compiled backend consumes the thread count and the
+    // kernel variant; normalize the key so scalar/sim
     // requests at different counts share one backend (a SimBackend
     // holds the full compiled image).
     const bool compiled = name == "compiled";
     const unsigned effective = compiled ? threads : 1;
     const kernel::KernelVariant effective_kernel =
         compiled ? kernel : kernel::KernelVariant::Auto;
-    const kernel::Residency effective_residency =
-        compiled ? residency : kernel::Residency::Decoded;
     const std::string key = name + "/" + std::to_string(effective) +
-        "/" + kernel::kernelVariantName(effective_kernel) + "/" +
-        kernel::residencyName(effective_residency);
+        "/" + kernel::kernelVariantName(effective_kernel);
     std::lock_guard<std::mutex> lock(backend_mutex_);
     auto it = backends_.find(key);
     if (it == backends_.end()) {
@@ -87,8 +83,7 @@ NetworkRunner::backend(const std::string &name, unsigned threads,
         it = backends_
                  .emplace(key,
                           engine::makeBackend(name, config_, plan_ptrs,
-                                              threads, effective_kernel,
-                                              effective_residency))
+                                              threads, effective_kernel))
                  .first;
     }
     return *it->second;

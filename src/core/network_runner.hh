@@ -95,7 +95,7 @@ class NetworkRunner
     /**
      * The execution backend @p name ("scalar", "compiled", "sim")
      * over this network, built on first use and cached per
-     * (name, threads, kernel, residency). The reference stays valid
+     * (name, threads, kernel). The reference stays valid
      * until the next addLayer() or the runner's destruction.
      * Thread-safe.
      *
@@ -104,15 +104,11 @@ class NetworkRunner
      * @param kernel    compiled backend's kernel variant (see
      *                  core/kernel/variant.hh; the other backends
      *                  ignore it)
-     * @param residency compiled backend's resident stream form (see
-     *                  core/kernel/compiled_layer.hh; the other
-     *                  backends ignore it)
      */
     engine::ExecutionBackend &
     backend(const std::string &name, unsigned threads = 1,
-            kernel::KernelVariant kernel = kernel::KernelVariant::Auto,
-            kernel::Residency residency =
-                kernel::Residency::Decoded) const;
+            kernel::KernelVariant kernel =
+                kernel::KernelVariant::Auto) const;
 
     /** Run one input through the whole stack (raw fixed point) on the
      *  cycle-accurate backend, returning per-layer timing. */
@@ -154,7 +150,7 @@ class NetworkRunner
     FunctionalModel functional_;
     std::vector<LayerPlan> plans_;
 
-    /** Backend cache keyed by "name/threads/kernel/residency", built
+    /** Backend cache keyed by "name/threads/kernel", built
      *  lazily and invalidated by addLayer(); guarded by
      *  backend_mutex_. */
     mutable std::mutex backend_mutex_;

@@ -90,15 +90,14 @@ validateBackendName(const std::string &name)
 std::unique_ptr<ExecutionBackend>
 makeBackend(const std::string &name, const core::EieConfig &config,
             const std::vector<const core::LayerPlan *> &plans,
-            unsigned threads, core::kernel::KernelVariant kernel,
-            core::kernel::Residency residency)
+            unsigned threads, core::kernel::KernelVariant kernel)
 {
     validateBackendName(name);
     if (name == "scalar")
         return std::make_unique<ScalarBackend>(config, plans);
     if (name == "compiled")
         return std::make_unique<CompiledBackend>(config, plans, threads,
-                                                 kernel, residency);
+                                                 kernel);
     panic_if(name != "sim", "backend registry out of sync with '%s'",
              name.c_str());
     return std::make_unique<SimBackend>(config, plans);
@@ -131,7 +130,7 @@ ScalarBackend::runBatch(const core::kernel::Batch &inputs) const
 
 namespace {
 
-/** Resident stream bytes (decoded + compressed) over a whole stack. */
+/** Resident stream bytes over a whole stack. */
 std::uint64_t
 stackResidentBytes(const CompiledStack &layers)
 {
@@ -183,25 +182,21 @@ compileLayerStack(const core::EieConfig &config,
 }
 
 core::kernel::CompileOptions
-compiledStackOptions(unsigned threads, core::kernel::KernelVariant,
-                     core::kernel::Residency residency)
+compiledStackOptions(unsigned threads, core::kernel::KernelVariant)
 {
     core::kernel::CompileOptions options;
     options.fused_stream = threads <= 1;
-    options.residency = residency;
     return options;
 }
 
 CompiledBackend::CompiledBackend(
     const core::EieConfig &config,
     const std::vector<const core::LayerPlan *> &plans, unsigned threads,
-    core::kernel::KernelVariant kernel,
-    core::kernel::Residency residency)
+    core::kernel::KernelVariant kernel)
     : CompiledBackend(
           plans,
-          compileLayerStack(
-              config, plans,
-              compiledStackOptions(threads, kernel, residency)),
+          compileLayerStack(config, plans,
+                            compiledStackOptions(threads, kernel)),
           threads, kernel)
 {}
 
@@ -249,10 +244,7 @@ CompiledBackend::runBatch(const core::kernel::Batch &inputs) const
                                                 kernel_, &info);
         report.dispatch.push_back(
             {layer.name, core::kernel::kernelVariantName(info.variant),
-             info.act_density,
-             core::kernel::residencyName(layer.residency),
-             layer.decoded_stream_bytes, layer.compressed_stream_bytes,
-             info.decode_us});
+             info.act_density, layer.resident_bytes});
         act = &report.outputs;
     }
     return report;

@@ -39,14 +39,7 @@ struct LayerDispatch
     std::string layer;         ///< compiled layer name
     std::string kernel;        ///< executed variant registry name
     double act_density = -1.0; ///< sampled nonzero input fraction
-
-    /** The layer's resident stream form ("decoded" or "compressed"). */
-    std::string residency;
-    std::uint64_t decoded_bytes = 0;    ///< resident decoded stream bytes
-    std::uint64_t compressed_bytes = 0; ///< resident compressed bytes
-    /** Decode CPU time this call spent expanding compressed-resident
-     *  streams into scratch, microseconds (0 on decoded residency). */
-    double decode_us = 0.0;
+    std::uint64_t resident_bytes = 0; ///< the layer's resident stream bytes
 };
 
 /** What one backend execution produced. */
@@ -143,10 +136,7 @@ void validateBackendName(const std::string &name);
  *                 construction; does not retain the plans.
  *
  * @p kernel selects the compiled backend's inner loop (see
- * core/kernel/variant.hh) and @p residency its resident stream form
- * (decoded arrays, compressed nibble+Huffman streams, or per-layer
- * auto selection; see core/kernel/compiled_layer.hh); the other
- * backends ignore both.
+ * core/kernel/variant.hh); the other backends ignore it.
  *
  * Fatal on an unknown name, an empty stack, or a non-chaining stack.
  */
@@ -155,9 +145,7 @@ makeBackend(const std::string &name, const core::EieConfig &config,
             const std::vector<const core::LayerPlan *> &plans,
             unsigned threads = 1,
             core::kernel::KernelVariant kernel =
-                core::kernel::KernelVariant::Auto,
-            core::kernel::Residency residency =
-                core::kernel::Residency::Decoded);
+                core::kernel::KernelVariant::Auto);
 
 } // namespace eie::engine
 

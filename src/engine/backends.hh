@@ -62,22 +62,18 @@ compileLayerStack(const core::EieConfig &config,
  * whose decoded sweeps walk it whatever the variant; a multi-thread
  * pool walks the per-PE slices instead. The one rule both
  * CompiledBackend and the serving cluster's shared stacks follow.
- * @p residency selects the resident stream form.
  *
- * The kernel variant does not shape the compile (every variant runs
- * on either residency); the unnamed parameter stays only because the
- * perfbench/ harness calls the two-argument form.
+ * The kernel variant does not shape the compile; the unnamed
+ * parameter is perfbench-only (its harness calls the two-argument
+ * form).
  */
 core::kernel::CompileOptions
-compiledStackOptions(unsigned threads, core::kernel::KernelVariant,
-                     core::kernel::Residency residency =
-                         core::kernel::Residency::Decoded);
+compiledStackOptions(unsigned threads, core::kernel::KernelVariant);
 
 /**
- * The compiled host-kernel path: pre-decoded SoA streams (or
- * compressed-resident ones, decoded per call), column sweeps
- * amortized over the batch, PE-parallel worker pool, inner loop
- * selected by kernel variant on either residency
+ * The compiled host-kernel path: resident (row, codebook index)
+ * streams, column sweeps amortized over the batch, PE-parallel worker
+ * pool, inner loop selected by kernel variant
  * (core/kernel/variant.hh; Auto picks the fastest bit-exact loop per
  * call). Compiles every layer at construction (or adopts a
  * pre-compiled shared stack) and does not retain the plans.
@@ -90,9 +86,7 @@ class CompiledBackend : public ExecutionBackend
                     const std::vector<const core::LayerPlan *> &plans,
                     unsigned threads,
                     core::kernel::KernelVariant kernel =
-                        core::kernel::KernelVariant::Auto,
-                    core::kernel::Residency residency =
-                        core::kernel::Residency::Decoded);
+                        core::kernel::KernelVariant::Auto);
 
     /** Adopt @p layers compiled by compileLayerStack() from the same
      *  plan stack — the layers are shared, not copied, so N backends

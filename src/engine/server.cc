@@ -381,26 +381,12 @@ InferenceServer::batcherLoop()
                 s.layer = d.layer;
                 s.kernel = d.kernel;
                 s.last_act_density = d.act_density;
-                s.residency = d.residency;
-                s.decoded_bytes = d.decoded_bytes;
-                s.compressed_bytes = d.compressed_bytes;
+                s.resident_bytes = d.resident_bytes;
                 if (d.act_density >= 0.0) {
                     ++s.sweeps;
                     s.mean_act_density +=
                         (d.act_density - s.mean_act_density) /
                         static_cast<double>(s.sweeps);
-                }
-                // Decode cost of compressed-resident sweeps: mean per
-                // sweep here, full distribution in the process
-                // histogram.
-                if (d.decode_us > 0.0) {
-                    ++s.decode_sweeps;
-                    s.mean_decode_us +=
-                        (d.decode_us - s.mean_decode_us) /
-                        static_cast<double>(s.decode_sweeps);
-                    obs::processRegistry()
-                        .histogram("eie_stream_decode_us")
-                        .record(d.decode_us);
                 }
                 // Process-wide dispatch mix. Per-sweep (not
                 // per-request) registry lookups: noise next to the

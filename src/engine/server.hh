@@ -183,16 +183,7 @@ struct LayerDispatchStats
     double last_act_density = -1.0; ///< last sweep's sampled density
     double mean_act_density = 0.0;  ///< mean over measured sweeps
     std::uint64_t sweeps = 0;       ///< sweeps with a measured density
-
-    /** Resident stream form ("decoded"/"compressed"; empty when the
-     *  backend does not report it). */
-    std::string residency;
-    std::uint64_t decoded_bytes = 0;    ///< resident decoded bytes
-    std::uint64_t compressed_bytes = 0; ///< resident compressed bytes
-    /** Mean per-sweep decode CPU time, microseconds (0 on decoded
-     *  residency). */
-    double mean_decode_us = 0.0;
-    std::uint64_t decode_sweeps = 0; ///< sweeps with decode time
+    std::uint64_t resident_bytes = 0; ///< the layer's resident stream bytes
 };
 
 /** Aggregate serving statistics since construction. */

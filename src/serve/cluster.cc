@@ -109,8 +109,7 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
             stack = engine::compileLayerStack(
                 config, plans,
                 engine::compiledStackOptions(
-                    options_.threads_per_shard, options_.kernel,
-                    options_.residency));
+                    options_.threads_per_shard, options_.kernel));
         for (unsigned s = 0; s < options_.shards; ++s) {
             std::unique_ptr<engine::ExecutionBackend> backend;
             if (stack)
@@ -120,8 +119,7 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
             else
                 backend = engine::makeBackend(
                     options_.backend, config, plans,
-                    options_.threads_per_shard, options_.kernel,
-                    options_.residency);
+                    options_.threads_per_shard, options_.kernel);
             shards_.push_back(std::make_unique<engine::InferenceServer>(
                 std::move(backend), shardServerOptions(s)));
         }
@@ -152,7 +150,7 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
             engine::makeBackend(options_.backend, config,
                                 {&shard_plans_[s]},
                                 options_.threads_per_shard,
-                                options_.kernel, options_.residency),
+                                options_.kernel),
             shardServerOptions(s)));
     gatherer_ = std::thread([this] { gatherLoop(); });
 }
@@ -621,14 +619,11 @@ mergeLayerDispatch(const std::vector<ShardStats> &shards)
                 out.kernel = in.kernel;
                 out.last_act_density = in.last_act_density;
             }
-            // Shards share one compiled stack, so the resident form
-            // and footprint are per-layer facts, not per-shard sums:
-            // last reporting shard wins.
-            if (!in.residency.empty()) {
-                out.residency = in.residency;
-                out.decoded_bytes = in.decoded_bytes;
-                out.compressed_bytes = in.compressed_bytes;
-            }
+            // Shards share one compiled stack, so the footprint is a
+            // per-layer fact, not a per-shard sum: last reporting
+            // shard wins.
+            if (in.resident_bytes > 0)
+                out.resident_bytes = in.resident_bytes;
             if (in.sweeps > 0) {
                 const double total = out.mean_act_density *
                         static_cast<double>(out.sweeps) +
@@ -637,15 +632,6 @@ mergeLayerDispatch(const std::vector<ShardStats> &shards)
                 out.sweeps += in.sweeps;
                 out.mean_act_density =
                     total / static_cast<double>(out.sweeps);
-            }
-            if (in.decode_sweeps > 0) {
-                const double total = out.mean_decode_us *
-                        static_cast<double>(out.decode_sweeps) +
-                    in.mean_decode_us *
-                        static_cast<double>(in.decode_sweeps);
-                out.decode_sweeps += in.decode_sweeps;
-                out.mean_decode_us =
-                    total / static_cast<double>(out.decode_sweeps);
             }
         }
     }
@@ -792,9 +778,6 @@ ServingDirectory::statsJson() const
             .field("kernel",
                    core::kernel::kernelVariantName(
                        cluster->options().kernel))
-            .field("residency",
-                   core::kernel::residencyName(
-                       cluster->options().residency))
             .field("shards", std::uint64_t{cluster->shardCount()})
             .field("requests", stats.requests)
             .field("dropped_deadline", stats.dropped_deadline)
@@ -816,10 +799,7 @@ ServingDirectory::statsJson() const
                 .field("act_density", layer.last_act_density)
                 .field("mean_act_density", layer.mean_act_density)
                 .field("sweeps", layer.sweeps)
-                .field("residency", layer.residency)
-                .field("decoded_bytes", layer.decoded_bytes)
-                .field("compressed_bytes", layer.compressed_bytes)
-                .field("decode_us", layer.mean_decode_us)
+                .field("resident_bytes", layer.resident_bytes)
                 .endObject();
         }
         w.endArray();

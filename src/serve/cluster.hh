@@ -76,13 +76,6 @@ struct ClusterOptions
     core::kernel::KernelVariant kernel =
         core::kernel::KernelVariant::Auto;
 
-    /** Resident stream form of every "compiled" shard's shared stack
-     *  (see core/kernel/compiled_layer.hh): decoded SoA arrays,
-     *  compressed nibble+Huffman streams decoded on the fly, or
-     *  per-layer auto selection by footprint. */
-    core::kernel::Residency residency =
-        core::kernel::Residency::Decoded;
-
     /** PE-parallel worker threads inside each shard's backend. */
     unsigned threads_per_shard = 1;
 

@@ -4,6 +4,7 @@
  */
 
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "compress/model_file.hh"
@@ -132,6 +133,91 @@ TEST(ModelFileError, TruncatedFileOnDisk)
 
     EXPECT_THROW(loadModelFile(path), ModelFileError);
     std::remove(path.c_str());
+}
+
+/**
+ * A 4-row x 2-column, one-PE model with a 4-entry codebook whose only
+ * slice holds @p entries over @p col_ptr, assembled from parts so the
+ * file writer stores whatever it is given under a valid checksum.
+ */
+InterleavedCsc
+handBuiltModel(std::vector<CscEntry> entries,
+               std::vector<std::uint32_t> col_ptr)
+{
+    InterleaveOptions opts;
+    opts.n_pe = 1;
+    std::vector<PeSlice> slices;
+    slices.push_back(
+        PeSlice::fromParts(std::move(entries), std::move(col_ptr), 4));
+    return InterleavedCsc::fromParts(
+        4, 2, opts, Codebook({0.0f, 0.5f, -0.5f, 1.0f}),
+        std::move(slices));
+}
+
+/** Recompute the trailing FNV-1a checksum of a patched buffer, so the
+ *  loader gets past the checksum and must catch the damage itself. */
+void
+reseal(std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3ull;
+    }
+    std::memcpy(bytes.data() + bytes.size() - 8, &hash, 8);
+}
+
+// A valid checksum does not make the contents consistent. Each of
+// these used to abort the loading process further down (in
+// Codebook::decode, SparseMatrix::insert or PeSlice::fromParts); the
+// loader must reject them as corrupt instead.
+
+TEST(ModelFileError, HandBuiltModelIsOtherwiseValid)
+{
+    const auto model = handBuiltModel({{1, 0}, {3, 2}}, {0, 1, 2});
+    const auto restored = deserializeModel(serializeModel(model));
+    expectModelsEqual(model, restored);
+    EXPECT_EQ(restored.decode().nnz(), 2u);
+}
+
+TEST(ModelFileError, CodebookIndexBeyondTheTable)
+{
+    // Index 9 of a 4-entry codebook.
+    const auto bytes =
+        serializeModel(handBuiltModel({{9, 0}}, {0, 1, 1}));
+    EXPECT_THROW(deserializeModel(bytes), ModelFileError);
+}
+
+TEST(ModelFileError, ZeroRunPastTheLastRow)
+{
+    // A run of 9 zeros lands on row 9 of a 4-row matrix.
+    const auto bytes =
+        serializeModel(handBuiltModel({{1, 9}}, {0, 1, 1}));
+    EXPECT_THROW(deserializeModel(bytes), ModelFileError);
+}
+
+TEST(ModelFileError, ColumnPointersNotEndingAtTheEntryCount)
+{
+    auto bytes =
+        serializeModel(handBuiltModel({{1, 0}, {3, 2}}, {0, 1, 2}));
+    // Header (32 B) + codebook (4 + 4 x 4 B) + PE 0's local_rows (4 B)
+    // and entry_count (8 B) + col_ptr[0..1]: col_ptr[2] follows.
+    const std::size_t last_ptr = 32 + 20 + 12 + 2 * 4;
+    std::uint32_t ptr = 0;
+    std::memcpy(&ptr, bytes.data() + last_ptr, 4);
+    ASSERT_EQ(ptr, 2u);
+    ptr = 1; // still non-decreasing, but one entry short
+    std::memcpy(bytes.data() + last_ptr, &ptr, 4);
+    reseal(bytes);
+    EXPECT_THROW(deserializeModel(bytes), ModelFileError);
+
+    // Pointers {0, 3, 2} end right but decrease: rejected as well.
+    std::uint32_t middle = 3;
+    std::memcpy(bytes.data() + last_ptr - 4, &middle, 4);
+    ptr = 2;
+    std::memcpy(bytes.data() + last_ptr, &ptr, 4);
+    reseal(bytes);
+    EXPECT_THROW(deserializeModel(bytes), ModelFileError);
 }
 
 TEST(ModelFile, EmptyLayerRoundTrips)

@@ -1,11 +1,14 @@
 /**
  * @file
  * Kernel-variant tests: the variant registry (auto / reference /
- * vector / actsparse) must resolve as documented on both residencies,
- * every variant must be bit-exact with the scalar oracle exactly at the
- * saturation boundary of the accumulator format, and ragged /
- * all-zero activation batches (the panel skip paths and the SIMD tail
- * lanes) must flow through every variant — including the threads>1
+ * vector / actsparse) must resolve as documented, the one resident
+ * form — (row, codebook index) entries per slice and merged per tile,
+ * plus the layer's table — must hold together structurally on a
+ * multi-tile plan, every variant must be bit-exact with the scalar
+ * oracle exactly at the saturation boundary of the accumulator format
+ * and across an activation-density sweep, and ragged / all-zero
+ * activation batches (the panel skip paths and the SIMD tail lanes)
+ * must flow through every variant — including the threads>1
  * WorkerPool route — without divergence.
  *
  * The column-partitioned serving caveat that motivates the
@@ -14,6 +17,8 @@
  * partitioned placement with exactly that caveat) is asserted in
  * tests/serve/test_cluster.cc.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -184,34 +189,119 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
         KernelVariant::Reference);
 }
 
-TEST(KernelVariants, FusedStreamMergesEverySliceRowSorted)
+/** A plan forced into a 3 row-batch x 3 column-pass grid (ragged
+ *  last tile in both dimensions) on 8 PEs. */
+core::LayerPlan
+gridPlan(const compress::CompressedLayer &layer, core::EieConfig &config)
+{
+    config.n_pe = 8;
+    config.regfile_entries = 16; // 128 rows per batch
+    config.ptr_capacity = 129;   // 128 cols per pass
+    return core::planLayer(layer, nn::Nonlinearity::ReLU, config);
+}
+
+TEST(KernelVariants, StreamEntriesStayInsideTheirTileAndTable)
 {
     core::EieConfig config;
-    config.n_pe = 4;
-    const auto layer = test::randomCompressedLayer(96, 40, 0.25, 4, 21);
-    const auto plan =
-        core::planLayer(layer, nn::Nonlinearity::ReLU, config);
+    const auto layer = test::randomCompressedLayer(300, 300, 0.15, 8, 4);
+    const auto plan = gridPlan(layer, config);
+    ASSERT_EQ(plan.batches(), 3u);
+    ASSERT_EQ(plan.passes(), 3u);
+    const auto compiled =
+        core::kernel::CompiledLayer::compile(plan, config);
+    ASSERT_EQ(compiled.lut,
+              plan.tiles[0][0].storage.codebook().rawValues());
+
+    std::uint64_t entries = 0;
+    for (const auto &batch_tiles : compiled.tiles) {
+        for (const auto &tile : batch_tiles) {
+            const std::size_t span = tile.row_end - tile.row_begin;
+            for (const std::uint32_t e : tile.fused.entries) {
+                EXPECT_LT(core::kernel::entryRow(e), span);
+                EXPECT_LT(core::kernel::entryIndex(e),
+                          compiled.lut.size());
+            }
+            for (std::size_t k = 0; k < tile.slices.size(); ++k) {
+                const auto &stream = tile.slices[k].stream;
+                for (const std::uint32_t e : stream.entries) {
+                    EXPECT_LT(core::kernel::entryRow(e), span);
+                    // PE k owns rows i mod N == k (§III-B).
+                    EXPECT_EQ(core::kernel::entryRow(e) % config.n_pe, k);
+                    EXPECT_LT(core::kernel::entryIndex(e),
+                              compiled.lut.size());
+                    // Padding (index 0) never reaches a host stream.
+                    EXPECT_NE(core::kernel::entryIndex(e), 0u);
+                }
+                entries += stream.entryCount();
+            }
+        }
+    }
+    EXPECT_EQ(entries, compiled.real_entries);
+    EXPECT_EQ(entries, layer.quantizedWeights().nnz());
+}
+
+TEST(KernelVariants, FusedStreamIsTheRowSortedUnionOfItsSlices)
+{
+    core::EieConfig config;
+    const auto layer = test::randomCompressedLayer(300, 300, 0.15, 8, 21);
+    const auto plan = gridPlan(layer, config);
     const auto compiled =
         core::kernel::CompiledLayer::compile(plan, config);
 
     for (const auto &batch_tiles : compiled.tiles) {
         for (const auto &tile : batch_tiles) {
-            std::size_t slice_entries = 0;
-            for (const auto &slice : tile.slices)
-                slice_entries += slice.stream.entryCount();
-            ASSERT_EQ(tile.fused.entryCount(), slice_entries);
-            ASSERT_EQ(tile.fused.col_ptr.size(),
-                      tile.slices.front().stream.col_ptr.size());
-            // Rows ascend within each column of the merged stream and
-            // are unique (distinct accumulators: the fusion cannot
-            // reorder any accumulator's MAC sequence).
-            const auto &col_ptr = tile.fused.col_ptr;
-            for (std::size_t j = 0; j + 1 < col_ptr.size(); ++j)
-                for (std::uint32_t e = col_ptr[j];
-                     e + 1 < col_ptr[j + 1]; ++e)
-                    ASSERT_LT(tile.fused.rows[e],
-                              tile.fused.rows[e + 1]);
+            const auto &fused = tile.fused;
+            ASSERT_EQ(fused.col_ptr.size(),
+                      tile.col_end - tile.col_begin + 1);
+            for (std::size_t j = 0; j + 1 < fused.col_ptr.size(); ++j) {
+                std::vector<std::uint32_t> expected;
+                for (const auto &slice : tile.slices)
+                    expected.insert(
+                        expected.end(),
+                        slice.stream.entries.begin() +
+                            slice.stream.col_ptr[j],
+                        slice.stream.entries.begin() +
+                            slice.stream.col_ptr[j + 1]);
+                std::sort(expected.begin(), expected.end());
+                const std::vector<std::uint32_t> column(
+                    fused.entries.begin() + fused.col_ptr[j],
+                    fused.entries.begin() + fused.col_ptr[j + 1]);
+                ASSERT_EQ(column, expected) << "column " << j;
+                // Rows ascend and are unique (distinct accumulators:
+                // the fusion cannot reorder any accumulator's MAC
+                // sequence).
+                for (std::size_t e = 0; e + 1 < column.size(); ++e)
+                    ASSERT_LT(core::kernel::entryRow(column[e]),
+                              core::kernel::entryRow(column[e + 1]));
+            }
         }
+    }
+}
+
+TEST(KernelVariants, ResidentBytesCountEntriesPointersAndTable)
+{
+    core::EieConfig config;
+    const auto layer = test::randomCompressedLayer(300, 300, 0.15, 8, 31);
+    const auto plan = gridPlan(layer, config);
+
+    for (const bool fused : {true, false}) {
+        core::kernel::CompileOptions options;
+        options.fused_stream = fused;
+        const auto compiled =
+            core::kernel::CompiledLayer::compile(plan, config, options);
+        std::uint64_t words = 0;
+        for (const auto &batch_tiles : compiled.tiles) {
+            for (const auto &tile : batch_tiles) {
+                for (const auto &slice : tile.slices)
+                    words += slice.stream.entries.size() +
+                        slice.stream.col_ptr.size();
+                words += tile.fused.entries.size() +
+                    tile.fused.col_ptr.size();
+            }
+        }
+        EXPECT_EQ(compiled.residentStreamBytes(),
+                  4 * words + 8 * compiled.lut.size())
+            << (fused ? "fused" : "lean");
     }
 }
 
@@ -476,62 +566,14 @@ TEST(KernelVariants, ActSparseBitExactAcrossDensitySweep)
     }
 }
 
-TEST(KernelVariants, CompressedResolutionFollowsResidency)
+TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
 {
-    core::EieConfig config;
-    config.n_pe = 4;
-    const auto layer = test::randomCompressedLayer(64, 48, 0.3, 4, 11);
-    const auto plan =
-        core::planLayer(layer, nn::Nonlinearity::ReLU, config);
-
-    using core::kernel::resolveKernelVariant;
-
-    const auto decoded = core::kernel::CompiledLayer::compile(plan, config);
-    ASSERT_TRUE(decoded.has_host_stream);
-    EXPECT_EQ(decoded.residency, core::kernel::Residency::Decoded);
-    EXPECT_EQ(decoded.compressed_stream_bytes, 0u);
-
-    // Compressed residency: the compressed stream is the only
-    // resident form, and the residency picks only the stream — every
-    // request resolves exactly as it does on the decoded layer.
-    core::kernel::CompileOptions resident;
-    resident.residency = core::kernel::Residency::Compressed;
-    const auto compact =
-        core::kernel::CompiledLayer::compile(plan, config, resident);
-    ASSERT_FALSE(compact.has_host_stream);
-    ASSERT_FALSE(compact.has_fused_stream);
-    EXPECT_EQ(compact.residency, core::kernel::Residency::Compressed);
-    EXPECT_EQ(compact.decoded_stream_bytes, 0u);
-    EXPECT_LT(compact.compressed_stream_bytes,
-              decoded.decoded_stream_bytes);
-    for (const KernelVariant kernel : kAllVariants)
-        for (const std::size_t batch : {1u, 2u, 64u})
-            for (const double density : {-1.0, 0.35, 1.0})
-                EXPECT_EQ(resolveKernelVariant(kernel, compact, batch,
-                                               density),
-                          resolveKernelVariant(kernel, decoded, batch,
-                                               density))
-                    << core::kernel::kernelVariantName(kernel)
-                    << ", batch " << batch << ", density " << density;
-
-    // Auto residency resolves by decoded footprint: a layer this
-    // small stays decoded.
-    core::kernel::CompileOptions adaptive;
-    adaptive.residency = core::kernel::Residency::Auto;
-    const auto resolved =
-        core::kernel::CompiledLayer::compile(plan, config, adaptive);
-    EXPECT_EQ(resolved.residency, core::kernel::Residency::Decoded);
-    EXPECT_TRUE(resolved.has_host_stream);
-}
-
-TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
-{
-    // Every variant over the compressed-resident form must reproduce
-    // the reference saturating-MAC sequence exactly from slices
-    // decoded per call: every activation density (empty queues at 0%,
-    // the paper's 9% weight / 35% activation regime, fully dense),
-    // ragged batch sizes off the SIMD lane grid (9 reaches the vector
-    // loop under auto), serial and pooled routes.
+    // Every variant must reproduce the reference saturating-MAC
+    // sequence exactly from the table lookups: every activation
+    // density (empty queues at 0%, the paper's 9% weight / 35%
+    // activation regime, fully dense), ragged batch sizes off the SIMD
+    // lane grid (9 reaches the vector loop under auto), serial (merged
+    // stream) and pooled (per-PE slices) routes.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 91);
@@ -539,11 +581,8 @@ TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
     const core::FunctionalModel model(config);
     core::kernel::WorkerPool pool(3);
-
-    core::kernel::CompileOptions resident;
-    resident.residency = core::kernel::Residency::Compressed;
     const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config, resident);
+        core::kernel::CompiledLayer::compile(plan, config);
 
     std::vector<core::kernel::Batch> batches;
     for (const double density : {0.0, 0.09, 0.35, 1.0}) {
@@ -578,7 +617,6 @@ TEST(KernelVariants, CompressedBitExactAcrossDensitySweep)
                               core::kernel::resolveKernelVariant(
                                   kernel, compiled, frames.size(),
                                   info.act_density));
-                    EXPECT_GT(info.decode_us, 0.0);
                 }
                 for (std::size_t b = 0; b < frames.size(); ++b)
                     EXPECT_EQ(outputs[b], reference[b])

@@ -204,27 +204,16 @@ TEST(ExecutionBackend, CompiledKernelVariantsMatchScalarOnAStack)
           core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
           core::kernel::KernelVariant::ActSparse}) {
-        // Every variant runs on both residencies: compressed residency
-        // keeps only the compressed stream and decodes each slice per
-        // call ahead of the variant's own loop.
-        for (const core::kernel::Residency residency :
-             {core::kernel::Residency::Decoded,
-              core::kernel::Residency::Compressed}) {
-            for (const unsigned threads : {1u, 4u}) {
-                const auto backend =
-                    engine::makeBackend("compiled", config, plans,
-                                        threads, kernel, residency);
-                const auto *compiled =
-                    dynamic_cast<engine::CompiledBackend *>(
-                        backend.get());
-                ASSERT_NE(compiled, nullptr);
-                EXPECT_EQ(compiled->kernel(), kernel);
-                EXPECT_EQ(backend->runBatch(frames).outputs,
-                          reference)
-                    << core::kernel::kernelVariantName(kernel) << ", "
-                    << core::kernel::residencyName(residency) << ", "
-                    << threads << " threads";
-            }
+        for (const unsigned threads : {1u, 4u}) {
+            const auto backend = engine::makeBackend(
+                "compiled", config, plans, threads, kernel);
+            const auto *compiled =
+                dynamic_cast<engine::CompiledBackend *>(backend.get());
+            ASSERT_NE(compiled, nullptr);
+            EXPECT_EQ(compiled->kernel(), kernel);
+            EXPECT_EQ(backend->runBatch(frames).outputs, reference)
+                << core::kernel::kernelVariantName(kernel) << ", "
+                << threads << " threads";
         }
     }
 }
@@ -251,16 +240,10 @@ TEST(ExecutionBackendDeath, UnknownNameAndBrokenStacks)
     narrow.act_format = FixedFormat{16, 13};
     const auto narrow_plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, narrow);
-    // Residency picks only the stream, so the same request fails the
-    // same way on a compressed-resident stack.
-    for (const core::kernel::Residency residency :
-         {core::kernel::Residency::Decoded,
-          core::kernel::Residency::Compressed})
-        EXPECT_EXIT(
-            engine::makeBackend("compiled", narrow, {&narrow_plan}, 1,
-                                core::kernel::KernelVariant::Vector,
-                                residency),
-            ::testing::ExitedWithCode(1), "not bit-exact");
+    EXPECT_EXIT(
+        engine::makeBackend("compiled", narrow, {&narrow_plan}, 1,
+                            core::kernel::KernelVariant::Vector),
+        ::testing::ExitedWithCode(1), "not bit-exact");
 }
 
 } // namespace

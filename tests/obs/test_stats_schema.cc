@@ -64,7 +64,7 @@ expectClusterStatsSchema(const std::string &json,
     const obs::JsonValue &entry = clusters.array[0];
     expectKeys(entry,
                {"model", "version", "placement", "backend", "kernel",
-                "residency", "shards", "requests",
+                "shards", "requests",
                 "dropped_deadline", "failed", "requests_shed",
                 "failovers", "shards_ejected", "mean_batch",
                 "p50_latency_us", "p95_latency_us", "p99_latency_us",
@@ -76,9 +76,10 @@ expectClusterStatsSchema(const std::string &json,
     ASSERT_FALSE(layers.array.empty());
     expectKeys(layers.array[0],
                {"layer", "kernel", "act_density",
-                "mean_act_density", "sweeps", "residency",
-                "decoded_bytes", "compressed_bytes", "decode_us"},
+                "mean_act_density", "sweeps", "resident_bytes"},
                "layer entry");
+    // A compiled layer always keeps its streams resident.
+    EXPECT_GT(layers.array[0].numberOr("resident_bytes", 0.0), 0.0);
 
     const obs::JsonValue &shards = *entry.find("shard_stats");
     ASSERT_TRUE(shards.isArray());

@@ -327,26 +327,18 @@ TEST(ClusterEngine, KernelVariantsServeBitExactOnEveryPlacement)
           core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
           core::kernel::KernelVariant::ActSparse}) {
-        // Every variant serves bit-exact on both residencies.
-        for (const core::kernel::Residency residency :
-             {core::kernel::Residency::Decoded,
-              core::kernel::Residency::Compressed}) {
-            for (const serve::Placement placement :
-                 {serve::Placement::Replicated,
-                  serve::Placement::ColumnPartitioned}) {
-                serve::ClusterOptions opts = fx.options(2, placement);
-                opts.kernel = kernel;
-                opts.residency = residency;
-                serve::ClusterEngine cluster(fx.model, opts);
-                for (int i = 0; i < 6; ++i) {
-                    const auto input = fx.randomInput(7000 + i);
-                    EXPECT_EQ(cluster.infer(input), fx.oracle(input))
-                        << core::kernel::kernelVariantName(kernel)
-                        << ", "
-                        << core::kernel::residencyName(residency)
-                        << ", " << serve::placementName(placement)
-                        << ", input " << i;
-                }
+        for (const serve::Placement placement :
+             {serve::Placement::Replicated,
+              serve::Placement::ColumnPartitioned}) {
+            serve::ClusterOptions opts = fx.options(2, placement);
+            opts.kernel = kernel;
+            serve::ClusterEngine cluster(fx.model, opts);
+            for (int i = 0; i < 6; ++i) {
+                const auto input = fx.randomInput(7000 + i);
+                EXPECT_EQ(cluster.infer(input), fx.oracle(input))
+                    << core::kernel::kernelVariantName(kernel) << ", "
+                    << serve::placementName(placement) << ", input "
+                    << i;
             }
         }
     }

@@ -179,6 +179,39 @@ TEST(ModelRegistry, MissingModelsReturnNull)
     EXPECT_TRUE(registry.list().empty());
 }
 
+TEST(ModelRegistry, InconsistentFileIsCorruptNotAProcessExit)
+{
+    ScratchDir dir;
+    serve::ModelRegistry registry(dir.path.string(), makeConfig());
+
+    // A valid checksum over inconsistent contents: a 4-entry codebook
+    // and a stored codebook index of 9.
+    compress::InterleaveOptions opts;
+    opts.n_pe = 1;
+    std::vector<compress::PeSlice> slices;
+    slices.push_back(compress::PeSlice::fromParts({{9, 0}}, {0, 1, 1}, 4));
+    registry.publish("bad", 1,
+                     compress::InterleavedCsc::fromParts(
+                         4, 2, opts,
+                         compress::Codebook({0.0f, 0.5f, -0.5f, 1.0f}),
+                         std::move(slices)));
+
+    serve::LoadError error = serve::LoadError::None;
+    std::string detail;
+    EXPECT_EQ(registry.load("bad", 1, nn::Nonlinearity::ReLU, &error,
+                            &detail),
+              nullptr);
+    EXPECT_EQ(error, serve::LoadError::Corrupt);
+    EXPECT_NE(detail.find("codebook index"), std::string::npos)
+        << detail;
+
+    // The process lives on and serves the models that are intact.
+    registry.publish("good", 1,
+                     test::randomCompressedLayer(32, 24, 0.3, 4, 102)
+                         .storage());
+    EXPECT_NE(registry.load("good"), nullptr);
+}
+
 TEST(ModelRegistryDeath, RejectsInvalidNamesAndVersionZero)
 {
     ScratchDir dir;

@@ -5,7 +5,9 @@
 # paper's Figure 2 layer over `local:` on the scalar, compiled and sim
 # backends and exits 1 unless the outputs are bit-exact, and
 # example_image_captioning serves in-memory models and a streaming
-# LSTM session and exits 1 on any failed request. The kernel
+# LSTM session and exits 1 on any failed request. It also runs
+# bench_throughput_batched (JSON to a temp dir), so a failing
+# same-box performance gate fails the check. The kernel
 # equivalence suites (`-L kernel`: test_kernel + test_kernel_variants)
 # are additionally run with verbose output so a bit-exactness break —
 # in any kernel variant — is loud in CI logs.
@@ -14,8 +16,7 @@
 # cluster, wire protocol, TCP loopback) gets its own labeled ctest
 # pass so a serving regression is called out by name even when the
 # full run already covered it. A Release variant-matrix smoke then
-# drives eie_sim through every kernel variant on both residencies
-# (--residency decoded|compressed x --kernel
+# drives eie_sim through every kernel variant (--kernel
 # reference|vector|actsparse|auto at batch 1, 12 and 16 on 1 and 4
 # threads) in both the batched-throughput and the serving path, each
 # checked bit-exact against the scalar oracle by the tool itself.
@@ -36,12 +37,11 @@
 #
 # A fourth pass rebuilds the robustness suites — wire-frame fuzz,
 # HTTP-parser fuzz, the JSON number parser that reads untrusted
-# gateway bodies, compressed-stream fuzz, fault injection, retry,
-# model-file corruption, tenant-config parsing — under
-# Address+UndefinedBehavior sanitizers (-DEIE_ASAN=ON) so a decoder
-# overread or UB on a garbage frame, corrupt weight stream or
-# malformed HTTP request fails loudly instead of decoding garbage
-# quietly.
+# gateway bodies, fault injection, retry, model-file corruption,
+# tenant-config parsing — under Address+UndefinedBehavior sanitizers
+# (-DEIE_ASAN=ON) so a decoder overread or UB on a garbage frame,
+# corrupt model file or malformed HTTP request fails loudly instead of
+# decoding garbage quietly.
 #
 # Finally two daemon-signal smokes: `eie_serve` against a scratch
 # registry must exit 0 on SIGINT, and `eie_gateway` fronting that
@@ -66,6 +66,11 @@ for build_type in Release Debug; do
         echo "=== Release examples (quickstart, image_captioning) ==="
         "${build_dir}/example_quickstart"
         "${build_dir}/example_image_captioning"
+        echo "=== Release throughput gates (bench_throughput_batched) ==="
+        bench_dir=$(mktemp -d)
+        "${build_dir}/bench_throughput_batched" \
+            "${bench_dir}/throughput.json" "${bench_dir}/serving.json"
+        rm -rf "${bench_dir}"
     fi
     echo "=== ${build_type} kernel equivalence (-L kernel) ==="
     ctest --test-dir "${build_dir}" --output-on-failure -L kernel
@@ -82,29 +87,25 @@ for build_type in Release Debug; do
 done
 
 echo "=== kernel variant matrix (Release eie_sim smoke) ==="
-# One thread walks the PE-merged stream (decoded residency), four the
-# per-PE slices; compressed residency decodes each slice per call.
+# One thread walks the PE-merged stream, four the per-PE slices.
 # Batch 1 is the single-frame path, batch 12 ends every SIMD row in a
 # partial block, batch 16 in none.
-for residency in decoded compressed; do
-    for kernel in reference vector actsparse auto; do
-        for batch in 1 12 16; do
-            for threads in 1 4; do
-                ./build-check-release/eie_sim --throughput "${batch}" \
-                    --threads "${threads}" --benchmark NT-We \
-                    --kernel "${kernel}" --residency "${residency}"
-            done
+for kernel in reference vector actsparse auto; do
+    for batch in 1 12 16; do
+        for threads in 1 4; do
+            ./build-check-release/eie_sim --throughput "${batch}" \
+                --threads "${threads}" --benchmark NT-We \
+                --kernel "${kernel}"
         done
-        ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
-            --kernel "${kernel}" --residency "${residency}"
     done
+    ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
+        --kernel "${kernel}"
 done
 
 echo "=== ThreadSanitizer (kernel + engine + server + cluster + \
 client) ==="
 tsan_dir="build-check-tsan"
-tsan_tests="test_kernel test_kernel_variants \
-test_kernel_compressed_stream test_backend test_server \
+tsan_tests="test_kernel test_kernel_variants test_backend test_server \
 test_network_runner test_cluster test_tcp test_client test_session \
 test_faults test_retry test_metrics test_tracing test_http \
 test_gateway"
@@ -124,8 +125,7 @@ ctest --test-dir "${tsan_dir}" --output-on-failure \
 echo "=== Address+UB sanitizers (wire fuzz + faults + model file) ==="
 asan_dir="build-check-asan"
 asan_tests="test_wire test_model_file test_registry test_faults \
-test_retry test_client test_kernel_compressed_stream test_http \
-test_tenants test_json"
+test_retry test_client test_http test_tenants test_json"
 cmake -B "${asan_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEIE_ASAN=ON "$@"
 cmake --build "${asan_dir}" -j "${jobs}" \

@@ -11,7 +11,7 @@
  * Daemon (loopback TCP front end over a sharded cluster per model):
  *   eie_serve --registry DIR --listen PORT [--shards N]
  *             [--policy replicated|partitioned] [--backend NAME]
- *             [--kernel V] [--residency R] [--threads-per-shard T]
+ *             [--kernel V] [--threads-per-shard T]
  *             [--max-batch B] [--max-delay-us U] [--pes N]
  *             [--duration-s S]
  *
@@ -103,8 +103,6 @@ usage()
         "  --backend NAME        shard backend (default compiled)\n"
         "  --kernel V            shard kernel variant: auto | "
         "reference | vector | actsparse\n"
-        "  --residency R         resident stream form: decoded | "
-        "compressed | auto\n"
         "  --threads-per-shard T worker threads per shard "
         "(default 1)\n"
         "  --max-batch B         shard micro-batcher cap "
@@ -282,9 +280,7 @@ runDaemon(const Args &args)
               << serve::placementName(args.cluster.placement) << ", "
               << args.cluster.backend << " backend, "
               << core::kernel::kernelVariantName(args.cluster.kernel)
-              << " kernel, "
-              << core::kernel::residencyName(args.cluster.residency)
-              << " residency, forming window ";
+              << " kernel, forming window ";
     if (args.cluster.server.adaptive_delay)
         std::cout << "adaptive "
                   << std::min(args.cluster.server.min_delay,
@@ -551,11 +547,6 @@ main(int argc, char **argv)
             // names) on an unknown value.
             args.cluster.kernel =
                 core::kernel::kernelVariantFromName(next());
-        } else if (arg == "--residency") {
-            // residencyFromName is fatal (listing the valid names)
-            // on an unknown value.
-            args.cluster.residency =
-                core::kernel::residencyFromName(next());
         } else if (arg == "--threads-per-shard") {
             args.cluster.threads_per_shard =
                 static_cast<unsigned>(std::stoul(next()));

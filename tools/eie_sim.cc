@@ -81,8 +81,6 @@ usage()
         "  --threads T          PE-parallel worker threads (default 1)\n"
         "  --kernel V           kernel variant: auto | reference | "
         "vector | actsparse\n"
-        "  --residency R        resident stream form: decoded | "
-        "compressed | auto\n"
         "  --act-density D      activation density of generated "
         "inputs, 0..1\n"
         "                       (default: the benchmark's "
@@ -135,7 +133,7 @@ runThroughput(workloads::SuiteRunner &runner,
               const std::vector<std::string> &names,
               const core::EieConfig &config, std::size_t batch,
               unsigned threads, core::kernel::KernelVariant kernel,
-              core::kernel::Residency residency, unsigned repeats,
+              unsigned repeats,
               std::uint64_t seed, double act_density)
 {
     TextTable table({"Benchmark", "Batch", "Threads", "Scalar f/s",
@@ -176,7 +174,7 @@ runThroughput(workloads::SuiteRunner &runner,
 
         // Compiled backend: pre-decoded kernels + worker pool.
         const engine::ExecutionBackend &compiled =
-            net.backend("compiled", threads, kernel, residency);
+            net.backend("compiled", threads, kernel);
         core::kernel::Batch outputs;
         double batched_s = 0.0;
         for (unsigned rep = 0; rep < repeats; ++rep) {
@@ -208,9 +206,7 @@ runThroughput(workloads::SuiteRunner &runner,
 
     std::cout << "Host engine: batch " << batch << ", " << threads
               << " thread(s), kernel '"
-              << core::kernel::kernelVariantName(kernel)
-              << "', residency '"
-              << core::kernel::residencyName(residency) << "'\n";
+              << core::kernel::kernelVariantName(kernel) << "'\n";
     table.print(std::cout);
     return 0;
 }
@@ -223,8 +219,6 @@ struct ServeArgs
     std::string backend = "compiled";
     core::kernel::KernelVariant kernel =
         core::kernel::KernelVariant::Auto;
-    core::kernel::Residency residency =
-        core::kernel::Residency::Decoded;
     engine::ServerOptions options;
     double act_density = -1.0; ///< <0 = the benchmark's paper density
 };
@@ -247,8 +241,6 @@ runServe(workloads::SuiteRunner &runner,
     const std::string endpoint = "local:" + args.backend +
         ",kernel=" +
         core::kernel::kernelVariantName(args.kernel) +
-        ",residency=" +
-        core::kernel::residencyName(args.residency) +
         ",threads=" + std::to_string(threads);
 
     for (const std::string &name : names) {
@@ -427,11 +419,6 @@ main(int argc, char **argv)
             // names) on an unknown value.
             serve.kernel =
                 core::kernel::kernelVariantFromName(next());
-        } else if (arg == "--residency") {
-            // residencyFromName is fatal (listing the valid names)
-            // on an unknown value.
-            serve.residency =
-                core::kernel::residencyFromName(next());
         } else if (arg == "--max-batch") {
             serve.options.max_batch = std::stoul(next());
             fatal_if(serve.options.max_batch == 0,
@@ -464,7 +451,7 @@ main(int argc, char **argv)
 
     if (throughput_batch > 0)
         return runThroughput(runner, names, config, throughput_batch,
-                             threads, serve.kernel, serve.residency,
+                             threads, serve.kernel,
                              repeats, seed, serve.act_density);
 
     if (!export_path.empty()) {

@@ -16,9 +16,7 @@
  *     mean batch and the p50/p95/p99/p99.9 latency curve;
  *   - per layer: the kernel variant the last sweep executed, the
  *     measured activation density driving density-aware dispatch,
- *     the resident stream form (decoded vs. compressed) with its
- *     footprint, and the per-sweep decode cost of compressed
- *     residency;
+ *     and the bytes the layer's weight streams keep resident;
  *   - process totals from the metrics registry (server requests /
  *     batches / sheds and the process-wide latency histogram).
  *
@@ -160,14 +158,11 @@ render(const obs::JsonValue &stats, const obs::JsonValue &metrics,
     }
     table.print(out);
 
-    // Per-layer kernel variant, density mix and stream residency —
-    // the dispatch decisions density-aware auto routing is making
-    // right now, and what each layer's weights cost to keep resident
-    // (decoded vs. compressed bytes, plus the decode time a
-    // compressed-resident layer pays per sweep).
-    TextTable layers({"Model", "Layer", "Kernel", "Residency",
-                      "ResKB", "ActDensity", "MeanDensity", "DecodeUs",
-                      "Sweeps"});
+    // Per-layer kernel variant and density mix — the dispatch
+    // decisions density-aware auto routing is making right now — and
+    // what each layer's weights cost to keep resident.
+    TextTable layers({"Model", "Layer", "Kernel", "ResKB", "ActDensity",
+                      "MeanDensity", "Sweeps"});
     bool any_layers = false;
     if (clusters != nullptr && clusters->isArray()) {
         for (const obs::JsonValue &cluster : clusters->array) {
@@ -176,20 +171,14 @@ render(const obs::JsonValue &stats, const obs::JsonValue &metrics,
                 continue;
             for (const obs::JsonValue &layer : layer_array->array) {
                 any_layers = true;
-                const std::string residency =
-                    layer.stringOr("residency", "-");
-                const double resident_bytes = residency == "compressed"
-                    ? layer.numberOr("compressed_bytes", 0.0)
-                    : layer.numberOr("decoded_bytes", 0.0);
                 layers.row()
                     .add(cluster.stringOr("model", "?"))
                     .add(layer.stringOr("layer", "?"))
                     .add(layer.stringOr("kernel", "-"))
-                    .add(residency)
-                    .add(resident_bytes / 1024.0, 1)
+                    .add(layer.numberOr("resident_bytes", 0.0) / 1024.0,
+                         1)
                     .add(layer.numberOr("act_density", -1.0), 3)
                     .add(layer.numberOr("mean_act_density", 0.0), 3)
-                    .add(layer.numberOr("decode_us", 0.0), 1)
                     .add(static_cast<std::uint64_t>(
                         layer.numberOr("sweeps", 0.0)));
             }
