@@ -13,18 +13,29 @@
  * behaviour. Every response is verified bit-exact against the
  * "scalar" oracle backend.
  *
+ * A light-load series then serves Alex-6 and VGG-6 (Table III shapes
+ * from workloads::SuiteRunner, 64 PEs) one request in flight at a
+ * time, on three configurations of four cores' worth of work or less:
+ * 4 column-partitioned shards x 1 thread, 1 replicated shard x 4
+ * threads, and 1 replicated shard x 1 thread. The configurations take
+ * turns in alternating rounds, so a slow phase of a shared box hits
+ * all three; each reports its p50 latency and how many rounds its
+ * round p50 won. Every response is checked against the scalar oracle.
+ *
  * Writes BENCH_cluster.json (requests/s, speedup over one shard,
- * latency percentiles per point; schema-stamped with the machine's
- * hardware thread count — shard scaling is only observable with at
- * least as many cores as shards).
+ * latency percentiles per point, and the "light_load" series;
+ * schema-stamped with the machine's hardware thread count — shard
+ * scaling is only observable with at least as many cores as shards).
  *
  * Run from the build directory:
  *
  *   ./bench_cluster_scaling [cluster.json]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hh"
@@ -38,6 +49,7 @@
 #include "nn/generate.hh"
 #include "serve/cluster.hh"
 #include "serve/registry.hh"
+#include "workloads/suite.hh"
 
 namespace {
 
@@ -50,6 +62,12 @@ constexpr double kActDensity = 0.35;
 constexpr unsigned kPes = 16;
 constexpr std::size_t kDistinctInputs = 32;
 constexpr std::size_t kRequestsPerShard = 768;
+
+/** Light-load series: rounds, sequential requests per configuration
+ *  per round, and distinct (oracle-checked) frames per layer. */
+constexpr unsigned kLightRounds = 12;
+constexpr std::size_t kLightRequests = 40;
+constexpr std::size_t kLightInputs = 8;
 
 struct Point
 {
@@ -111,6 +129,132 @@ runPoint(const std::shared_ptr<const serve::LoadedModel> &model,
     return p;
 }
 
+/** One light-load configuration. */
+struct LightConfig
+{
+    const char *label;
+    unsigned shards;
+    serve::Placement placement;
+    unsigned threads;
+};
+
+const LightConfig kLightConfigs[] = {
+    {"partitioned x4, 1 thread", 4, serve::Placement::ColumnPartitioned,
+     1},
+    {"replicated x1, 4 threads", 1, serve::Placement::Replicated, 4},
+    {"replicated x1, 1 thread", 1, serve::Placement::Replicated, 1},
+};
+
+/** Median of @p samples (upper middle for an even count). */
+double
+median(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+}
+
+/**
+ * The light-load series on suite layer @p name: every configuration
+ * serves kLightRequests requests one at a time per round, in rotating
+ * order, for kLightRounds rounds.
+ */
+bench::Json
+lightLoadSeries(const char *name, workloads::SuiteRunner &runner)
+{
+    const workloads::Benchmark &bench = workloads::findBenchmark(name);
+    core::EieConfig config;
+    config.n_pe = 64;
+    const auto model = serve::LoadedModel::fromStorage(
+        name, 1, runner.layer(bench).storage(), nn::Nonlinearity::ReLU,
+        config);
+
+    const core::FunctionalModel functional(config);
+    const auto oracle =
+        engine::makeBackend("scalar", config, {&model->plan()});
+    std::vector<std::vector<std::int64_t>> inputs;
+    std::vector<std::vector<std::int64_t>> reference;
+    for (std::size_t i = 0; i < kLightInputs; ++i) {
+        Rng frame_rng(5000 + 31 * i);
+        inputs.push_back(functional.quantizeInput(nn::makeActivations(
+            bench.input, bench.act_density, frame_rng)));
+        reference.push_back(oracle->run(inputs.back()).outputs.front());
+    }
+
+    // One request in flight: max_batch 1 dispatches each request as
+    // it arrives, so no forming window enters the latency.
+    std::vector<std::unique_ptr<serve::ClusterEngine>> clusters;
+    for (const LightConfig &c : kLightConfigs) {
+        serve::ClusterOptions options;
+        options.shards = c.shards;
+        options.placement = c.placement;
+        options.threads_per_shard = c.threads;
+        options.server.max_batch = 1;
+        clusters.push_back(
+            std::make_unique<serve::ClusterEngine>(model, options));
+    }
+
+    const std::size_t n = clusters.size();
+    std::vector<std::vector<double>> all_us(n);
+    std::vector<unsigned> wins(n, 0);
+    for (unsigned round = 0; round < kLightRounds; ++round) {
+        std::vector<double> round_p50(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t c = (i + round) % n;
+            std::vector<double> round_us;
+            for (std::size_t r = 0; r < kLightRequests; ++r) {
+                const std::size_t at = (round + r) % inputs.size();
+                const auto start = std::chrono::steady_clock::now();
+                const auto output = clusters[c]->infer(inputs[at]);
+                round_us.push_back(
+                    std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+                fatal_if(output != reference[at],
+                         "%s, %s: request diverged from the scalar "
+                         "oracle",
+                         name, kLightConfigs[c].label);
+            }
+            round_p50[c] = median(round_us);
+            all_us[c].insert(all_us[c].end(), round_us.begin(),
+                             round_us.end());
+        }
+        ++wins[std::min_element(round_p50.begin(), round_p50.end()) -
+               round_p50.begin()];
+    }
+    for (auto &cluster : clusters)
+        cluster->stop();
+
+    TextTable table({"Layer", "Configuration", "p50 us", "Rounds won"});
+    bench::Json configs = bench::Json::array();
+    for (std::size_t c = 0; c < n; ++c) {
+        const LightConfig &config_point = kLightConfigs[c];
+        const double p50 = median(all_us[c]);
+        table.row()
+            .add(name)
+            .add(config_point.label)
+            .add(p50, 1)
+            .add(static_cast<std::uint64_t>(wins[c]));
+        bench::Json point;
+        point.set("configuration", config_point.label)
+            .set("shards", config_point.shards)
+            .set("placement", serve::placementName(config_point.placement))
+            .set("threads_per_shard", config_point.threads)
+            .set("p50_latency_us", p50)
+            .set("rounds_won", wins[c]);
+        configs.push(std::move(point));
+    }
+    table.print(std::cout);
+
+    bench::Json series;
+    series.set("layer", name)
+        .set("n_pe", config.n_pe)
+        .set("rounds", kLightRounds)
+        .set("requests_per_round",
+             static_cast<std::uint64_t>(kLightRequests))
+        .set("configurations", std::move(configs));
+    return series;
+}
+
 } // namespace
 
 int
@@ -168,7 +312,7 @@ main(int argc, char **argv)
     // Analytic context for the partitioned point: the §VII-A cost
     // model of distributing columns (compute makespan + reduction).
     const auto analytic = core::ext::columnPartitionCost(
-        model->quantized(), float_inputs.front(), 4);
+        layer.quantizedWeights(), float_inputs.front(), 4);
 
     TextTable table({"Shards", "Policy", "Requests", "Requests/s",
                      "Speedup", "p50 us", "p99 us", "Mean batch"});
@@ -214,6 +358,14 @@ main(int argc, char **argv)
             .set("mean_batch", p.mean_batch);
         points_json.push(std::move(point));
     }
+    std::cout << "\nLight load: one request in flight, " << kLightRounds
+              << " alternating rounds x " << kLightRequests
+              << " requests per configuration\n";
+    workloads::SuiteRunner runner(2016);
+    bench::Json light_json = bench::Json::array();
+    for (const char *name : {"Alex-6", "VGG-6"})
+        light_json.push(lightLoadSeries(name, runner));
+
     bench::Json analytic_json;
     analytic_json
         .set("compute_cycles", analytic.compute_cycles)
@@ -226,6 +378,7 @@ main(int argc, char **argv)
         .set("requests_per_shard",
              static_cast<std::uint64_t>(kRequestsPerShard))
         .set("points", std::move(points_json))
+        .set("light_load", std::move(light_json))
         .set("column_partition_analytic", std::move(analytic_json));
     bench::writeBenchJson(json_path, root);
     return 0;

@@ -9,17 +9,21 @@
  * checks every configuration bit-exact against the "scalar" oracle
  * backend, and writes BENCH_throughput.json (frames/sec and GOP/s per
  * point) so later PRs have a perf trajectory to regress against.
- * Three same-box gates: vector beats reference at batch 64 (SIMD
- * boxes), auto on one thread runs at least 2x the scalar interpreter
- * at every batch, and the "footprint" object holds the layer's
- * resident stream bytes to at most 10 per nonzero (byte accounting,
- * so deterministic).
+ * Every thread count runs over its own stack, compiled as CompiledBackend
+ * compiles it (engine::compiledStackOptions: one row block per
+ * worker). Four same-box gates: vector beats reference at batch 64
+ * (SIMD boxes), auto on one thread runs at least 2x the scalar
+ * interpreter at every batch, auto on the hardware thread count runs
+ * at least as fast as auto on one thread at every batch, and the
+ * "footprint" object holds the layer's resident stream bytes to at
+ * most 5 per nonzero on every stack (byte accounting, so
+ * deterministic).
  *
  * Part 1b — batch-1 latency vs activation density on the NT-We
  * workload: the EIE activation-sparsity story. One frame at a time
  * (the latency-bound serving shape), densities 5%..100%, comparing
  * the reference dense-walk against the actsparse nonzero-queue walk
- * (both over the PE-merged stream, as every serial sweep is). The two
+ * (both over one row block, the whole merged stream). The two
  * kernels are timed in interleaved reps and compared by median, so a
  * slow phase of a shared box hits both; the "batch1_density_series"
  * object in BENCH_throughput.json gates actsparse > reference at every
@@ -94,7 +98,7 @@ constexpr unsigned kDensityRepeats = 9;
  *  of the scalar interpreter at every batch, and the layer's resident
  *  streams may cost at most this many bytes per nonzero. */
 constexpr double kMinAutoSpeedup = 2.0;
-constexpr double kMaxBytesPerNonzero = 10.0;
+constexpr double kMaxBytesPerNonzero = 5.0;
 
 struct Point
 {
@@ -158,11 +162,18 @@ stackEntries(const engine::CompiledStack &stack)
 {
     std::uint64_t entries = 0;
     for (const auto &layer : stack)
-        for (const auto &batch_tiles : layer.tiles)
-            for (const auto &tile : batch_tiles)
-                for (const auto &slice : tile.slices)
-                    entries += slice.stream.entryCount();
+        entries += layer.real_entries;
     return entries;
+}
+
+/** Resident stream bytes per real nonzero of a compiled stack. */
+double
+bytesPerNonzero(const engine::CompiledStack &stack)
+{
+    const std::uint64_t entries = stackEntries(stack);
+    return entries > 0 ? static_cast<double>(stackResidentBytes(stack)) /
+            static_cast<double>(entries)
+                       : 0.0;
 }
 
 /** Median of @p samples (odd count: the middle one). */
@@ -273,14 +284,16 @@ main(int argc, char **argv)
         core::kernel::KernelVariant::Auto,
     };
 
-    // One pre-decoded stack (PE-merged stream included) shared by every
-    // (variant x threads) backend: the compiled image is
-    // variant-independent, the variant only picks the inner loop.
+    // One pre-decoded stack per thread count, cut as CompiledBackend
+    // cuts it (one row block per worker) and shared by every variant
+    // on that count: the variant only picks the inner loop.
     const std::vector<const core::LayerPlan *> plan_stack{&plan};
-    const auto shared_stack =
-        engine::compileLayerStack(config, plan_stack);
-    const std::uint64_t stack_entries = stackEntries(*shared_stack);
-    const std::uint64_t stack_bytes = stackResidentBytes(*shared_stack);
+    std::vector<std::shared_ptr<const engine::CompiledStack>> stacks;
+    for (const unsigned threads : thread_counts)
+        stacks.push_back(engine::compileLayerStack(
+            config, plan_stack,
+            engine::compiledStackOptions(
+                threads, core::kernel::KernelVariant::Auto)));
 
     std::vector<Point> points;
     auto measureSeries = [&](const engine::CompiledBackend &compiled,
@@ -318,10 +331,7 @@ main(int argc, char **argv)
             p.speedup = scalar_s / batched_s;
             p.bit_exact = outputs == reference;
             p.resident_stream_bytes = stackResidentBytes(stack);
-            p.bytes_per_nonzero = stack_entries > 0
-                ? static_cast<double>(p.resident_stream_bytes) /
-                    static_cast<double>(stack_entries)
-                : 0.0;
+            p.bytes_per_nonzero = bytesPerNonzero(stack);
             fatal_if(!p.bit_exact,
                      "kernel '%s', batch %zu x %u threads diverged "
                      "from the scalar oracle",
@@ -331,12 +341,12 @@ main(int argc, char **argv)
     };
 
     for (const core::kernel::KernelVariant kernel : variants) {
-        for (const unsigned threads : thread_counts) {
+        for (std::size_t i = 0; i < thread_counts.size(); ++i) {
             const engine::CompiledBackend compiled(
-                plan_stack, shared_stack, threads, kernel);
+                plan_stack, stacks[i], thread_counts[i], kernel);
             measureSeries(compiled,
                           core::kernel::kernelVariantName(kernel),
-                          *shared_stack, threads);
+                          *stacks[i], thread_counts[i]);
         }
     }
 
@@ -433,25 +443,55 @@ main(int argc, char **argv)
                  p.speedup, p.batch, kMinAutoSpeedup);
     }
 
+    // The pooled gate: a stack cut for the box's thread count must pay
+    // for its workers. Auto on every hardware thread runs at least as
+    // fast as auto on one at every batch of the sweep; both sides run
+    // on this box, so the ratio is portable.
+    bench::Json pooled_json = bench::Json::array();
+    for (const Point &pooled : points) {
+        if (pooled.kernel != "auto" || pooled.threads == 1)
+            continue;
+        for (const Point &serial : points) {
+            if (serial.kernel != "auto" || serial.threads != 1 ||
+                serial.batch != pooled.batch)
+                continue;
+            const double ratio =
+                pooled.frames_per_sec / serial.frames_per_sec;
+            std::cout << "auto, batch " << pooled.batch << ": "
+                      << pooled.threads << " threads over 1 thread "
+                      << ratio << "x\n";
+            fatal_if(ratio < 1.0,
+                     "auto on %u threads ran %.2fx auto on 1 thread "
+                     "at batch %zu (< 1x)",
+                     pooled.threads, ratio, pooled.batch);
+            bench::Json point;
+            point.set("batch", pooled.batch)
+                .set("threads", pooled.threads)
+                .set("pooled_over_serial", ratio);
+            pooled_json.push(std::move(point));
+        }
+    }
+
     // The footprint story: one (row, codebook index) entry per
-    // nonzero, per slice and merged, plus column pointers and the
-    // table. Pure byte accounting — deterministic, so a hard gate on
-    // every box.
-    const double bytes_per_nonzero = stack_entries > 0
-        ? static_cast<double>(stack_bytes) /
-            static_cast<double>(stack_entries)
-        : 0.0;
-    std::cout << "resident streams: " << stack_bytes << " B ("
-              << bytes_per_nonzero << " B/nonzero)\n";
-    fatal_if(bytes_per_nonzero > kMaxBytesPerNonzero,
-             "the resident streams cost %.2f B per nonzero (> %.0f) "
-             "on the paper FC shape",
-             bytes_per_nonzero, kMaxBytesPerNonzero);
+    // nonzero, column pointers per row block, and the table. Pure byte
+    // accounting — deterministic, so a hard gate on every box and
+    // every stack. The JSON records the serial stack.
+    for (std::size_t i = 0; i < stacks.size(); ++i) {
+        const double per_nonzero = bytesPerNonzero(*stacks[i]);
+        std::cout << "resident streams, " << thread_counts[i]
+                  << " thread(s): " << stackResidentBytes(*stacks[i])
+                  << " B (" << per_nonzero << " B/nonzero)\n";
+        fatal_if(per_nonzero > kMaxBytesPerNonzero,
+                 "the %u-thread stack's resident streams cost %.2f B "
+                 "per nonzero (> %.0f) on the paper FC shape",
+                 thread_counts[i], per_nonzero, kMaxBytesPerNonzero);
+    }
 
     bench::Json footprint_json;
-    footprint_json.set("resident_stream_bytes", stack_bytes)
-        .set("nonzero_entries", stack_entries)
-        .set("bytes_per_nonzero", bytes_per_nonzero);
+    footprint_json
+        .set("resident_stream_bytes", stackResidentBytes(*stacks.front()))
+        .set("nonzero_entries", stackEntries(*stacks.front()))
+        .set("bytes_per_nonzero", bytesPerNonzero(*stacks.front()));
 
     bench::Json throughput_json;
     throughput_json.set("layer", layerJson(config, act_density))
@@ -460,6 +500,7 @@ main(int argc, char **argv)
         .set("points", std::move(throughput_points))
         .set("best_speedup", best)
         .set("batch64_by_kernel", std::move(batch64_json))
+        .set("auto_pooled_over_serial", std::move(pooled_json))
         .set("footprint", std::move(footprint_json));
 
     // ---- Part 1b: batch-1 latency vs activation density (NT-We) -----

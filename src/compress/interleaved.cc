@@ -25,31 +25,6 @@ PeSlice::decodeColumn(std::size_t j) const
     return decoded;
 }
 
-DecodedSliceImage
-PeSlice::exportDecoded() const
-{
-    DecodedSliceImage image;
-    image.local_rows.reserve(entries_.size() - padding_entries_);
-    image.weight_indices.reserve(entries_.size() - padding_entries_);
-    image.col_ptr.reserve(col_ptr_.size());
-    image.col_ptr.push_back(0);
-
-    for (std::size_t j = 0; j + 1 < col_ptr_.size(); ++j) {
-        std::int64_t pos = -1;
-        for (std::uint32_t e = col_ptr_[j]; e < col_ptr_[j + 1]; ++e) {
-            const CscEntry &entry = entries_[e];
-            pos += entry.zero_count + 1;
-            if (entry.weight_index == 0)
-                continue; // padding carries no value; keep only the run
-            image.local_rows.push_back(static_cast<std::uint32_t>(pos));
-            image.weight_indices.push_back(entry.weight_index);
-        }
-        image.col_ptr.push_back(
-            static_cast<std::uint32_t>(image.local_rows.size()));
-    }
-    return image;
-}
-
 PeSlice
 PeSlice::fromParts(std::vector<CscEntry> entries,
                    std::vector<std::uint32_t> col_ptr,

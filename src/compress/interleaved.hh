@@ -55,21 +55,6 @@ struct DecodedEntry
     bool is_padding = false;
 };
 
-/**
- * A whole slice pre-decoded into flat, cache-friendly arrays with the
- * padding entries stripped: entry e of column j, for e in
- * [col_ptr[j], col_ptr[j+1]), touches local row local_rows[e] with
- * codebook index weight_indices[e]. This is the export the compiled
- * execution kernel consumes — all zero-run walking and padding
- * filtering happens once here instead of per input vector.
- */
-struct DecodedSliceImage
-{
-    std::vector<std::uint32_t> local_rows;
-    std::vector<std::uint8_t> weight_indices;
-    std::vector<std::uint32_t> col_ptr; ///< cols+1 offsets
-};
-
 /** One PE's share of the interleaved matrix. */
 class PeSlice
 {
@@ -108,9 +93,6 @@ class PeSlice
 
     /** Decode column @p j back to (local row, weight index) entries. */
     std::vector<DecodedEntry> decodeColumn(std::size_t j) const;
-
-    /** Decode every column at once, stripping padding entries. */
-    DecodedSliceImage exportDecoded() const;
 
     /**
      * Pack the entry stream into 64-bit SRAM words, 8 entries per

@@ -83,7 +83,7 @@ class FunctionalModel
      * stacks should use NetworkRunner, which owns per-network
      * backends.
      *
-     * @param threads worker threads for PE-parallel execution (1 =
+     * @param threads worker threads for row-parallel execution (1 =
      *                single-threaded, the default)
      * @param kernel  kernel variant for the compiled backend's inner
      *                loop (see core/kernel/variant.hh; Auto = fastest

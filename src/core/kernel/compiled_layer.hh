@@ -11,29 +11,37 @@
  * retrospective makes exactly this point) and keeps the lookup, as
  * the PE does (§IV: the 4-bit index is "expanded to a 16-bit
  * fixed-point number via a table look up"). compile() lowers a
- * LayerPlan once into flat streams per PE slice:
+ * LayerPlan once into one host stream per tile:
  *
- *  - zero-run deltas are resolved to absolute rows,
+ *  - zero-run deltas are resolved to tile rows, local * N + k for PE
+ *    k's local row (§III-B),
  *  - padding entries (codebook index 0) are stripped — they exist only
  *    to keep the 4-bit run field in range and always contribute zero,
  *  - each remaining entry is one uint32_t, row << 8 | codebook index,
  *    and the layer keeps its codebook's Codebook::rawValues() as the
- *    lookup table the loops expand the index through.
+ *    lookup table the loops expand the index through,
+ *  - every PE slice's entries of a column are merged and sorted by row
+ *    (the row is the high field, so sorting entries sorts rows).
  *
  * Every inner loop (see core/kernel/variant.hh) reads
- * (e >> 8, lut[e & 0xff]) from the same stream, so the products, and
+ * (e >> 8, lut[e & 0xff]) from that stream, so the products, and
  * hence the outputs, are bit-exact with the interpreter by
- * construction. Because the row is the high field, sorting raw
- * entries sorts them by row: each tile optionally carries a
- * slice-fused stream — all PE slices merged per column, rows sorted —
- * so a 1-thread run walks one column extent instead of one per PE.
+ * construction.
+ *
+ * The stream is cut into CompileOptions::row_blocks contiguous row
+ * blocks, one per worker thread the stack is compiled for (see
+ * rowBlockBounds()). A serial run walks the blocks in order — one
+ * block is the whole merged stream — and a worker pool hands one block
+ * to each worker, which then writes only its own contiguous
+ * accumulator rows. EIE's i mod N row split exists because each PE
+ * owns a register file (§III-C); a host thread owns no such thing, and
+ * interleaved rows would put every worker on every accumulator cache
+ * line.
  *
  * The tile grid of the plan (row batches x column passes) is preserved
  * so the execution semantics — per-batch accumulator initialisation,
  * accumulation across passes, non-linearity on drain — stay bit-exact
- * with FunctionalModel::run. PE slices stay separate because PE k owns
- * output rows i mod N == k: executing slices on different threads is
- * race-free by construction.
+ * with FunctionalModel::run.
  */
 
 #ifndef EIE_CORE_KERNEL_COMPILED_LAYER_HH
@@ -70,10 +78,11 @@ struct CompileOptions
      *  work and resident entry storage. */
     bool host_stream = true;
 
-    /** Also build the per-tile slice-fused stream every variant walks
-     *  on 1-thread runs. Costs a second resident copy of the host
-     *  entries; ignored without host_stream. */
-    bool fused_stream = true;
+    /** Contiguous row blocks each tile's host stream is cut into: the
+     *  worker threads the stack is compiled for
+     *  (engine::compiledStackOptions). 1 keeps the whole merged stream
+     *  in one block. */
+    unsigned row_blocks = 1;
 
     /** Also build the padding-preserving per-PE SimEntry streams the
      *  cycle-accurate path consumes. Off by default: the host kernel
@@ -110,10 +119,9 @@ entryIndex(std::uint32_t entry)
 }
 
 /**
- * One flat kernel stream: per nonzero one packEntry(row, index), with
- * per-column extents in col_ptr. Used both per PE slice
- * (CompiledSlice::stream) and slice-fused per tile
- * (CompiledTile::fused).
+ * One row block of a tile's host stream: per nonzero one
+ * packEntry(row, index), rows ascending within each column, with
+ * per-column extents in col_ptr.
  */
 struct SliceStream
 {
@@ -125,6 +133,20 @@ struct SliceStream
 
     std::size_t entryCount() const { return entries.size(); }
 };
+
+/** Rows a block boundary is a multiple of: 16 rows of a frame-major
+ *  accumulator buffer are whole 64-byte lines at any batch, so
+ *  neighbouring blocks share at most the line a boundary falls in. */
+constexpr std::size_t kRowBlockAlign = 16;
+
+/**
+ * The @p blocks + 1 tile-relative row bounds a tile of @p span rows is
+ * cut at: bound t = span * t / blocks rounded down to a multiple of
+ * kRowBlockAlign, and the last bound is @p span. Bounds ascend; a tile
+ * of fewer than kRowBlockAlign * blocks rows has empty blocks.
+ */
+std::vector<std::size_t> rowBlockBounds(std::size_t span,
+                                        unsigned blocks);
 
 /**
  * One pre-decoded entry of the cycle simulator's stream. Unlike the
@@ -140,12 +162,9 @@ struct SimEntry
     bool is_padding = false;      ///< codebook index 0 entry
 };
 
-/** One PE's pre-decoded share of a tile. */
+/** One PE's share of a tile, as the cycle simulator walks it. */
 struct CompiledSlice
 {
-    /** The padding-stripped host stream of this slice. */
-    SliceStream stream;
-
     /** @name Simulator stream (only with CompileOptions::sim_stream).
      *  Entry-for-entry image of the interleaved CSC walk — padding
      *  preserved, zero runs resolved, weights decoded — so the
@@ -169,12 +188,13 @@ struct CompiledTile
     std::size_t col_end = 0;
     std::vector<CompiledSlice> slices; ///< one per PE
 
-    /** All PE slices merged into one stream, entries row-sorted per
-     *  column (only with CompileOptions::fused_stream). Entries of a
-     *  column always hit distinct accumulator rows — PE k owns rows
-     *  i mod N == k and CSC stores one entry per (row, col) — so the
-     *  merge order cannot change any saturating-MAC sequence. */
-    SliceStream fused;
+    /** The host stream (only with CompileOptions::host_stream): every
+     *  PE slice merged, rows sorted per column, cut at
+     *  rowBlockBounds(row span, row_blocks). Entries of a column always
+     *  hit distinct accumulator rows — CSC stores one entry per
+     *  (row, col) — so neither the merge nor the cut can change any
+     *  accumulator's saturating-MAC sequence. */
+    std::vector<SliceStream> blocks;
 
     /** Stored entries (incl. padding) over all slices — sizes the
      *  simulator's per-pass cycle budget. */
@@ -202,12 +222,13 @@ struct CompiledLayer
     /** Padding entries stripped by the compile. */
     std::uint64_t stripped_padding = 0;
 
-    /** Slices carry the host streams (CompileOptions::host_stream). */
+    /** Tiles carry the host stream (CompileOptions::host_stream). */
     bool has_host_stream = false;
-    /** Tiles carry the slice-fused stream (CompileOptions::fused_stream). */
-    bool has_fused_stream = false;
     /** Slices carry the simulator stream (CompileOptions::sim_stream). */
     bool has_sim_stream = false;
+    /** Row blocks per tile (CompileOptions::row_blocks); 0 without the
+     *  host stream. */
+    unsigned row_blocks = 0;
 
     /** The weight lookup table every stream entry indexes:
      *  Codebook::rawValues() of the codebook all tiles share
@@ -215,8 +236,7 @@ struct CompiledLayer
     std::vector<std::int64_t> lut;
 
     /** Resident bytes of the host form: 4 per stream entry and per
-     *  column pointer over the per-slice and fused streams, plus the
-     *  table. */
+     *  column pointer over every row block, plus the table. */
     std::uint64_t resident_bytes = 0;
 
     /** Always Residency::Indexed. perfbench-only. */

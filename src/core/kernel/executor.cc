@@ -1,9 +1,5 @@
 #include "core/kernel/executor.hh"
 
-#include <new>
-
-#include <unistd.h>
-
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
 
@@ -19,7 +15,7 @@ namespace {
 /**
  * Per-pass activation panel of the sparse variants: the active
  * (non-zero) frames of each column, gathered once per tile instead of
- * once per PE per frame. Column j's active frames occupy slots
+ * once per row block per frame. Column j's active frames occupy slots
  * [j*B, j*B + count[j]).
  */
 struct ActivationPanel
@@ -268,7 +264,7 @@ pickMacRow()
 const MacRowKernel g_mac_row_kernel = pickMacRow();
 const MacRowFn g_mac_row = g_mac_row_kernel.fn;
 
-// ------------------------------------------------- slice inner loops
+// ------------------------------------------------ stream inner loops
 
 /** Sweep one stream over the gathered sparse panel (the scalar
  *  reference loop). */
@@ -428,81 +424,12 @@ drainRowBatch(const CompiledLayer &layer, const AccT *acc,
 }
 
 /**
- * Cache-line-aligned storage for the accumulator buffer. Pooled
- * workers write disjoint rows of one buffer; when a row is a whole
- * number of cache lines (an int32 row at batch 16 is exactly 64 B),
- * alignment keeps each row on lines no other PE's rows touch. A
- * malloc'd buffer is only 16-byte aligned, so every row would
- * straddle a line shared with a neighbouring PE's row.
- */
-template <typename T>
-struct CacheLineAllocator
-{
-    using value_type = T;
-    static constexpr std::align_val_t kAlign{64};
-
-    CacheLineAllocator() = default;
-    template <typename U>
-    CacheLineAllocator(const CacheLineAllocator<U> &)
-    {}
-
-    T *
-    allocate(std::size_t n)
-    {
-        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
-    }
-
-    void
-    deallocate(T *p, std::size_t)
-    {
-        ::operator delete(p, kAlign);
-    }
-
-    template <typename U>
-    bool
-    operator==(const CacheLineAllocator<U> &) const
-    {
-        return true;
-    }
-};
-
-/** Run @p run_pe over every PE slice, pooled when available. */
-template <typename RunPe>
-void
-forEachSlice(const CompiledTile &tile, WorkerPool *pool,
-             const RunPe &run_pe)
-{
-    if (pool && pool->threads() > 1)
-        pool->parallelFor(tile.slices.size(), run_pe);
-    else
-        for (std::size_t k = 0; k < tile.slices.size(); ++k)
-            run_pe(k);
-}
-
-/** Per-core L2 capacity, 1 MiB where the platform does not report
- *  it. */
-std::size_t
-l2CacheBytes()
-{
-    static const long reported = sysconf(_SC_LEVEL2_CACHE_SIZE);
-    return reported > 0 ? static_cast<std::size_t>(reported)
-                        : std::size_t{1} << 20;
-}
-
-/**
- * The tile driver of every variant and its one stream choice.
- * Accumulators zero per row batch and persist across passes —
- * frame-major per row so a PE's writes stay in its own rows — and
- * each tile gathers its panel once before @p sweep walks it.
- *
- * A serial run (no pool, or a one-thread pool) walks each tile's
- * PE-merged stream when the layer carries it — one column extent
- * instead of one per PE, since one thread has no second PE to hand a
- * slice to — as long as the row batch's accumulators fit the L2: the
- * merged walk scatters over all of them in every column, while a PE
- * slice stays within its own rows. Otherwise @p sweep walks the per-PE
- * slices, in parallel under a multi-thread pool (PE rows are
- * disjoint, so the workers never share an accumulator).
+ * The tile driver of every variant. Accumulators zero per row batch
+ * and persist across passes — frame-major per row — and each tile
+ * gathers its panel once before @p sweep walks its row blocks: in
+ * order on a serial run, one block per index under a multi-thread
+ * pool. Blocks own disjoint contiguous rows, so the workers never
+ * share an accumulator.
  */
 template <typename AccT, typename Panel, typename Sweep>
 void
@@ -511,23 +438,22 @@ executeTiles(const CompiledLayer &layer, const Batch &inputs,
              const Sweep &sweep)
 {
     const std::size_t batch = inputs.size();
-    const bool serial = !pool || pool->threads() <= 1;
-    std::vector<AccT, CacheLineAllocator<AccT>> acc;
+    const bool pooled = pool && pool->threads() > 1;
+    std::vector<AccT> acc;
     for (const auto &batch_tiles : layer.tiles) {
         panic_if(batch_tiles.empty(), "row batch with no tiles");
         const std::size_t row_begin = batch_tiles.front().row_begin;
         const std::size_t row_end = batch_tiles.front().row_end;
         acc.assign((row_end - row_begin) * batch, 0);
-        const bool merged = serial && layer.has_fused_stream &&
-            acc.size() * sizeof(AccT) < l2CacheBytes();
         for (const CompiledTile &tile : batch_tiles) {
             panel.gather(inputs, tile.col_begin, tile.col_end);
-            if (merged)
-                sweep(tile.fused, acc.data());
-            else
-                forEachSlice(tile, pool, [&](std::size_t k) {
-                    sweep(tile.slices[k].stream, acc.data());
+            if (pooled && tile.blocks.size() > 1)
+                pool->parallelFor(tile.blocks.size(), [&](std::size_t t) {
+                    sweep(tile.blocks[t], acc.data());
                 });
+            else
+                for (const SliceStream &block : tile.blocks)
+                    sweep(block, acc.data());
         }
         drainRowBatch(layer, acc.data(), row_begin, row_end, batch,
                       outputs);

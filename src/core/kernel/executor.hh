@@ -16,14 +16,14 @@
  * FunctionalModel::run — saturation order included — regardless of
  * the variant.
  *
- * Parallel execution splits the work across PE slices: PE k only ever
- * writes output rows i mod N == k, so threads share the accumulator
- * buffer without synchronization or write conflicts. A serial run
- * walks each tile's PE-merged stream instead when the layer carries
- * it and the row batch's accumulators fit the L2, whichever loop the
- * variant selects. Every loop walks the resident (row, codebook index)
- * entries in place and expands each weight through the layer's table,
- * as the PE does; nothing is decoded per call.
+ * Parallel execution splits the work across a tile's contiguous row
+ * blocks (see compiled_layer.hh): a worker pool hands one block to
+ * each worker, and a block only ever writes its own rows, so threads
+ * share the accumulator buffer without synchronization or write
+ * conflicts. A serial run walks the blocks in order, whichever loop
+ * the variant selects. Every loop walks the resident (row, codebook
+ * index) entries in place and expands each weight through the layer's
+ * table, as the PE does; nothing is decoded per call.
  *
  * Inputs are raw act_format values (quantizeInput or a previous
  * layer's outputs); the vector variant relies on that contract to
@@ -79,7 +79,8 @@ double probeActivationDensity(const Batch &inputs);
  * @param layer   a compiled layer (host stream required)
  * @param inputs  B activation vectors of layer.input_size each
  * @param pool    optional worker pool; when non-null and holding more
- *                than one thread, PE slices execute in parallel
+ *                than one thread, a tile's row blocks execute in
+ *                parallel
  * @param variant inner-loop selection; Auto resolves to the fastest
  *                bit-exact variant for the layer's formats, this
  *                call's batch size and the probed activation density

@@ -5,14 +5,13 @@
  * One resident (row, codebook index) stream (see compiled_layer.hh)
  * can be walked by more than one inner loop, and which loop wins
  * depends on the batch size, the activation density and the datapath
- * formats. The variant picks the loop, never the stream: the executor
- * walks the PE-merged stream on a serial run and the per-PE slices on
- * a pooled one, and every loop expands each entry's weight through
- * the layer's table. Instead of forking the executor per loop, every
- * consumer —
- * CompiledBackend, the WorkerPool batched executor, the serving
- * cluster and the CLI tools — selects a KernelVariant by name and
- * kernel::runBatch dispatches:
+ * formats. The variant picks the loop, never the stream: every loop
+ * walks the same row blocks, in order on a serial run and one per
+ * worker on a pooled one, and expands each entry's weight through the
+ * layer's table. Instead of forking the executor per loop, every
+ * consumer — CompiledBackend, the WorkerPool batched executor, the
+ * serving cluster and the CLI tools — selects a KernelVariant by name
+ * and kernel::runBatch dispatches:
  *
  *  - "reference": the scalar sparse-gather loop. Bit-exact for every
  *    format; the in-process oracle the other variants are validated

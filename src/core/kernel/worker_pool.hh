@@ -1,13 +1,13 @@
 /**
  * @file
- * A small persistent worker pool for PE-parallel kernel execution.
+ * A small persistent worker pool for row-parallel kernel execution.
  *
- * The compiled execution path parallelizes across PE slices: PE k owns
- * exactly the output rows i with i mod N == k, so concurrent slice
- * execution never writes the same accumulator — races are impossible
- * by construction, mirroring the hardware's per-PE register files.
- * The pool exists so a multi-layer batched inference spawns its
- * threads once, not once per layer call.
+ * The compiled execution path parallelizes across a tile's row blocks
+ * (see compiled_layer.hh): each block owns a contiguous range of
+ * output rows, so concurrent blocks never write the same accumulator —
+ * races are impossible by construction, as with the hardware's per-PE
+ * register files. The pool exists so a multi-layer batched inference
+ * spawns its threads once, not once per layer call.
  */
 
 #ifndef EIE_CORE_KERNEL_WORKER_POOL_HH
@@ -45,7 +45,7 @@ class WorkerPool
 
     /**
      * Run fn(i) for every i in [0, count). The caller participates;
-     * indices are claimed dynamically so unbalanced PE slices spread
+     * indices are claimed dynamically so unbalanced row blocks spread
      * across workers. Returns when every index has finished.
      */
     void parallelFor(std::size_t count,

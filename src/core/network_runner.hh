@@ -99,7 +99,7 @@ class NetworkRunner
      * until the next addLayer() or the runner's destruction.
      * Thread-safe.
      *
-     * @param threads   PE-parallel worker threads (compiled backend
+     * @param threads   row-parallel worker threads (compiled backend
      *                  only; the other backends ignore it)
      * @param kernel    compiled backend's kernel variant (see
      *                  core/kernel/variant.hh; the other backends
@@ -129,7 +129,7 @@ class NetworkRunner
      * serialize (they share one worker pool). For concurrent serving
      * use engine::InferenceServer, which owns the batching.
      *
-     * @param threads PE-parallel worker threads (1 = single-threaded).
+     * @param threads row-parallel worker threads (1 = single-threaded).
      *                The backend (pool included) persists per thread
      *                count.
      * @param kernel  kernel variant (Auto = fastest bit-exact for the

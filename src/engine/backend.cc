@@ -1,5 +1,6 @@
 #include "engine/backend.hh"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/logging.hh"
@@ -185,7 +186,7 @@ core::kernel::CompileOptions
 compiledStackOptions(unsigned threads, core::kernel::KernelVariant)
 {
     core::kernel::CompileOptions options;
-    options.fused_stream = threads <= 1;
+    options.row_blocks = std::max(1u, threads);
     return options;
 }
 
@@ -209,6 +210,14 @@ CompiledBackend::CompiledBackend(
 {
     fatal_if(!layers_ || layers_->size() != plans.size(),
              "compiled stack does not match the plan stack");
+    // A pool walks one row block per worker: a stack cut for another
+    // thread count would run unbalanced, or serially on one block.
+    const unsigned blocks = std::max(1u, threads);
+    for (const core::kernel::CompiledLayer &layer : *layers_)
+        fatal_if(layer.row_blocks != blocks,
+                 "layer '%s' was compiled into %u row blocks, not the "
+                 "%u of a %u-thread backend (compiledStackOptions)",
+                 layer.name.c_str(), layer.row_blocks, blocks, threads);
     // Surface an ineligible explicit "vector" request at construction
     // (listing the offending layer) instead of on the first runBatch.
     if (kernel_ == core::kernel::KernelVariant::Vector)

@@ -128,7 +128,7 @@ void validateBackendName(const std::string &name);
  *                 oracle. Keeps the plan pointers: the plans must
  *                 outlive the backend.
  *  - "compiled" — pre-decoded kernel path with a persistent
- *                 PE-parallel worker pool of @p threads workers and
+ *                 row-parallel worker pool of @p threads workers and
  *                 the requested kernel variant. Compiles at
  *                 construction; does not retain the plans.
  *  - "sim"      — cycle-accurate simulator, timing stats in the

@@ -41,9 +41,8 @@ using CompiledStack = std::vector<core::kernel::CompiledLayer>;
  * Lower @p plans into the pre-decoded kernel format once, for sharing
  * across several CompiledBackend instances: replicated serving shards
  * execute the same immutable arrays instead of compiling (and
- * holding) one copy each. @p options tunes the compile — e.g. skip
- * the PE-merged stream (a second resident copy of the entries) when
- * every consumer runs a multi-thread pool, which never walks it.
+ * holding) one copy each. @p options tunes the compile; a stack for
+ * CompiledBackend comes from compiledStackOptions().
  *
  * The returned stack also keeps the process-wide
  * `eie_model_resident_bytes` gauge current: the stack's resident
@@ -57,11 +56,11 @@ compileLayerStack(const core::EieConfig &config,
 
 /**
  * Compile options for a stack whose consumers all run @p threads
- * worker threads: the PE-merged stream (a second resident copy of the
- * entries) is compiled exactly for serial consumers (@p threads <= 1),
- * whose decoded sweeps walk it whatever the variant; a multi-thread
- * pool walks the per-PE slices instead. The one rule both
- * CompiledBackend and the serving cluster's shared stacks follow.
+ * worker threads: each tile's host stream is cut into
+ * max(1, @p threads) contiguous row blocks, one per worker, so a
+ * serial stack keeps one block — the whole merged stream. The one
+ * rule both CompiledBackend and the serving cluster's shared stacks
+ * follow; CompiledBackend refuses a stack cut for another count.
  *
  * The kernel variant does not shape the compile; the unnamed
  * parameter is perfbench-only (its harness calls the two-argument
@@ -72,7 +71,7 @@ compiledStackOptions(unsigned threads, core::kernel::KernelVariant);
 
 /**
  * The compiled host-kernel path: resident (row, codebook index)
- * streams, column sweeps amortized over the batch, PE-parallel worker
+ * streams, column sweeps amortized over the batch, row-parallel worker
  * pool, inner loop selected by kernel variant
  * (core/kernel/variant.hh; Auto picks the fastest bit-exact loop per
  * call). Compiles every layer at construction (or adopts a
@@ -89,8 +88,10 @@ class CompiledBackend : public ExecutionBackend
                         core::kernel::KernelVariant::Auto);
 
     /** Adopt @p layers compiled by compileLayerStack() from the same
-     *  plan stack — the layers are shared, not copied, so N backends
-     *  over one stack hold one set of pre-decoded arrays. */
+     *  plan stack with compiledStackOptions(@p threads) — the layers
+     *  are shared, not copied, so N backends over one stack hold one
+     *  set of pre-decoded arrays. Fatal when a layer was cut into a
+     *  row block count other than max(1, @p threads). */
     CompiledBackend(const std::vector<const core::LayerPlan *> &plans,
                     std::shared_ptr<const CompiledStack> layers,
                     unsigned threads,

@@ -47,6 +47,27 @@ partitionColumns(const nn::SparseMatrix &weights, unsigned shards)
     return bounds;
 }
 
+/**
+ * The quantised weights @p plan encodes, rebuilt from its tiles: each
+ * tile's decode() placed at its row_begin / col_begin. Row batches
+ * ascend, so every column receives its rows in order.
+ */
+nn::SparseMatrix
+planWeights(const core::LayerPlan &plan)
+{
+    nn::SparseMatrix weights(plan.output_size, plan.input_size);
+    for (const auto &batch_tiles : plan.tiles) {
+        for (const core::Tile &tile : batch_tiles) {
+            const nn::SparseMatrix part = tile.storage.decode();
+            for (std::size_t j = 0; j < part.cols(); ++j)
+                for (const nn::SparseEntry &e : part.column(j))
+                    weights.insert(tile.row_begin + e.row,
+                                   tile.col_begin + j, e.value);
+        }
+    }
+    return weights;
+}
+
 } // namespace
 
 Placement
@@ -133,8 +154,14 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
     // Column-partitioned: one contiguous, nnz-balanced column range
     // per shard, each planned as its own sub-layer with no drain
     // non-linearity — the gather applies it after summing partials.
-    col_bounds_ = partitionColumns(model_->quantized(),
-                                   options_.shards);
+    fatal_if(model_->plans().size() != 1,
+             "partitioned placement needs a single-layer model ('%s' "
+             "has %zu layers)",
+             model_->name().c_str(), model_->plans().size());
+    const nn::SparseMatrix weights = planWeights(model_->plan());
+    const compress::Codebook &codebook =
+        model_->plan().tiles[0][0].storage.codebook();
+    col_bounds_ = partitionColumns(weights, options_.shards);
     shard_plans_.reserve(options_.shards);
     for (unsigned s = 0; s < options_.shards; ++s) {
         const std::size_t begin = col_bounds_[s];
@@ -142,8 +169,8 @@ ClusterEngine::ClusterEngine(std::shared_ptr<const LoadedModel> model,
         shard_plans_.push_back(core::planLayer(
             model_->name() + "#cols" + std::to_string(begin) + "-" +
                 std::to_string(end),
-            model_->quantized().colSlice(begin, end),
-            model_->codebook(), nn::Nonlinearity::None, config));
+            weights.colSlice(begin, end), codebook,
+            nn::Nonlinearity::None, config));
     }
     for (unsigned s = 0; s < options_.shards; ++s)
         shards_.push_back(std::make_unique<engine::InferenceServer>(

@@ -76,7 +76,7 @@ struct ClusterOptions
     core::kernel::KernelVariant kernel =
         core::kernel::KernelVariant::Auto;
 
-    /** PE-parallel worker threads inside each shard's backend. */
+    /** Row-parallel worker threads inside each shard's backend. */
     unsigned threads_per_shard = 1;
 
     /** Micro-batcher policy of every shard's InferenceServer. */

@@ -70,11 +70,10 @@ parseVersionFile(const std::string &filename)
 LoadedModel::LoadedModel(std::string name, std::uint32_t version,
                          nn::Nonlinearity nonlin,
                          const core::EieConfig &config,
-                         nn::SparseMatrix quantized,
-                         compress::Codebook codebook)
+                         const nn::SparseMatrix &quantized,
+                         const compress::Codebook &codebook)
     : name_(std::move(name)), version_(version), config_(config),
-      quantized_(std::move(quantized)), codebook_(std::move(codebook)),
-      plan_(core::planLayer(name_, quantized_, codebook_, nonlin,
+      plan_(core::planLayer(name_, quantized, codebook, nonlin,
                             config_)),
       plans_{&plan_}
 {}
@@ -83,7 +82,7 @@ LoadedModel::LoadedModel(std::string name,
                          std::vector<const core::LayerPlan *> plans,
                          const core::EieConfig &config)
     : name_(std::move(name)), version_(1), config_(config),
-      codebook_({0.0f}), plans_(std::move(plans))
+      plans_(std::move(plans))
 {}
 
 std::shared_ptr<const LoadedModel>

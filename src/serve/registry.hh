@@ -12,10 +12,11 @@
  * quantised weight matrix and codebook from it, and compiles a
  * LayerPlan for the registry's machine configuration — possibly a
  * different PE count than the file was encoded for, since planLayer
- * re-interleaves tiles for the target machine. Loaded models are
- * cached by (name, version): every shard of a ClusterEngine (and any
- * number of clusters) shares one LoadedModel, so the planning work
- * and the quantised weights exist once per process.
+ * re-interleaves tiles for the target machine. The decoded matrix is
+ * dropped once planned. Loaded models are cached by (name, version):
+ * every shard of a ClusterEngine (and any number of clusters) shares
+ * one LoadedModel, so the planning work and the plan exist once per
+ * process.
  */
 
 #ifndef EIE_SERVE_REGISTRY_HH
@@ -51,10 +52,9 @@ struct ModelId
 /**
  * A model loaded and planned for one machine configuration. Immutable
  * after construction; shards of a cluster share it by shared_ptr.
- * A stored model retains its quantised weights and codebook so the
- * cluster can build column-partitioned sub-plans without re-reading
- * the file; an in-memory plan stack keeps neither and is served
- * replicated only.
+ * It keeps only its plans: column-partitioned placement rebuilds a
+ * single-layer model's weights from the plan's tiles when the cluster
+ * is built.
  */
 class LoadedModel
 {
@@ -94,19 +94,14 @@ class LoadedModel
         return plans_;
     }
 
-    /** Codebook-quantised weights (decoded from the stored image). */
-    const nn::SparseMatrix &quantized() const { return quantized_; }
-
-    /** The shared-weight table of the stored image. */
-    const compress::Codebook &codebook() const { return codebook_; }
-
     std::size_t inputSize() const { return plan().input_size; }
     std::size_t outputSize() const { return plans_.back()->output_size; }
 
   private:
     LoadedModel(std::string name, std::uint32_t version,
                 nn::Nonlinearity nonlin, const core::EieConfig &config,
-                nn::SparseMatrix quantized, compress::Codebook codebook);
+                const nn::SparseMatrix &quantized,
+                const compress::Codebook &codebook);
     LoadedModel(std::string name,
                 std::vector<const core::LayerPlan *> plans,
                 const core::EieConfig &config);
@@ -114,8 +109,6 @@ class LoadedModel
     std::string name_;
     std::uint32_t version_;
     core::EieConfig config_;
-    nn::SparseMatrix quantized_;
-    compress::Codebook codebook_;
     core::LayerPlan plan_; ///< a stored model's plan (unused by stacks)
     std::vector<const core::LayerPlan *> plans_;
 };

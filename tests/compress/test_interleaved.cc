@@ -201,45 +201,4 @@ TEST(InterleavedCsc, StorageAccounting)
     EXPECT_EQ(csc.codebookBits(), 16u * 16);
 }
 
-TEST(InterleavedCsc, ExportDecodedMatchesPerColumnDecode)
-{
-    Rng rng(64);
-    nn::WeightGenOptions gopts;
-    gopts.density = 0.02; // sparse enough to create padding runs
-    const auto w = nn::makeSparseWeights(400, 24, gopts, rng);
-    const auto cb = trainCodebook(w);
-    InterleaveOptions opts;
-    opts.n_pe = 2;
-    InterleavedCsc csc(w, cb, opts);
-    ASSERT_GT(csc.paddingEntries(), 0u);
-
-    for (unsigned k = 0; k < opts.n_pe; ++k) {
-        const PeSlice &slice = csc.pe(k);
-        const DecodedSliceImage image = slice.exportDecoded();
-        ASSERT_EQ(image.col_ptr.size(), slice.colPtr().size());
-        EXPECT_EQ(image.local_rows.size(),
-                  slice.totalEntries() - slice.paddingEntries());
-        EXPECT_EQ(image.local_rows.size(), image.weight_indices.size());
-
-        // Column by column, the flat image must equal decodeColumn()
-        // with its padding entries dropped.
-        for (std::size_t j = 0; j + 1 < image.col_ptr.size(); ++j) {
-            std::vector<DecodedEntry> expected;
-            for (const DecodedEntry &d : slice.decodeColumn(j))
-                if (!d.is_padding)
-                    expected.push_back(d);
-            ASSERT_EQ(image.col_ptr[j + 1] - image.col_ptr[j],
-                      expected.size())
-                << "PE " << k << " column " << j;
-            for (std::size_t e = 0; e < expected.size(); ++e) {
-                const std::size_t f = image.col_ptr[j] + e;
-                EXPECT_EQ(image.local_rows[f], expected[e].local_row);
-                EXPECT_EQ(image.weight_indices[f],
-                          expected[e].weight_index);
-                EXPECT_NE(image.weight_indices[f], 0);
-            }
-        }
-    }
-}
-
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Compiled-kernel tests: the batched execution path (pre-decoded
- * format, PE-parallel worker pool) must be bit-exact with the scalar
+ * format, row-parallel worker pool) must be bit-exact with the scalar
  * FunctionalModel interpreter for every configuration, batch size and
  * thread count, and padding entries must vanish from the compiled
  * image without changing any output.

@@ -2,9 +2,10 @@
  * @file
  * Kernel-variant tests: the variant registry (auto / reference /
  * vector / actsparse) must resolve as documented, the one resident
- * form — (row, codebook index) entries per slice and merged per tile,
- * plus the layer's table — must hold together structurally on a
- * multi-tile plan, every variant must be bit-exact with the scalar
+ * form — (row, codebook index) entries merged per tile and cut into
+ * contiguous row blocks, plus the layer's table — must hold together
+ * structurally on a multi-tile plan, every variant must be bit-exact
+ * with the scalar
  * oracle exactly at the saturation boundary of the accumulator format
  * and across an activation-density sweep, and ragged / all-zero
  * activation batches (the panel skip paths and the SIMD tail lanes)
@@ -97,7 +98,6 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
     const auto compiled =
         core::kernel::CompiledLayer::compile(plan, config);
-    ASSERT_TRUE(compiled.has_fused_stream);
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::resolveKernelVariant;
@@ -117,25 +117,11 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
         resolveKernelVariant(KernelVariant::Reference, compiled, 64),
         KernelVariant::Reference);
 
-    // The merged stream only picks which stream a serial sweep walks,
-    // never the loop: a layer compiled without it resolves the same.
-    core::kernel::CompileOptions no_fused;
-    no_fused.fused_stream = false;
-    const auto lean =
-        core::kernel::CompiledLayer::compile(plan, config, no_fused);
-    ASSERT_FALSE(lean.has_fused_stream);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, lean, 1),
-              KernelVariant::ActSparse);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, lean, 2),
-              KernelVariant::Reference);
-
-    // An explicit actsparse request never demotes: it needs neither
-    // SIMD eligibility nor a merged stream.
+    // An explicit actsparse request never demotes: it needs no SIMD
+    // eligibility.
     EXPECT_EQ(
         resolveKernelVariant(KernelVariant::ActSparse, compiled, 64),
         KernelVariant::ActSparse);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::ActSparse, lean, 1),
-              KernelVariant::ActSparse);
 }
 
 TEST(KernelVariants, AutoResolutionIsDensityAware)
@@ -147,7 +133,6 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
     const auto compiled =
         core::kernel::CompiledLayer::compile(plan, config);
-    ASSERT_TRUE(compiled.has_fused_stream);
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::kActSparseAutoMaxDensity;
@@ -200,6 +185,16 @@ gridPlan(const compress::CompressedLayer &layer, core::EieConfig &config)
     return core::planLayer(layer, nn::Nonlinearity::ReLU, config);
 }
 
+/** Compile @p plan with its host stream cut into @p row_blocks. */
+core::kernel::CompiledLayer
+compileBlocks(const core::LayerPlan &plan, const core::EieConfig &config,
+              unsigned row_blocks)
+{
+    core::kernel::CompileOptions options;
+    options.row_blocks = row_blocks;
+    return core::kernel::CompiledLayer::compile(plan, config, options);
+}
+
 TEST(KernelVariants, StreamEntriesStayInsideTheirTileAndTable)
 {
     core::EieConfig config;
@@ -207,73 +202,125 @@ TEST(KernelVariants, StreamEntriesStayInsideTheirTileAndTable)
     const auto plan = gridPlan(layer, config);
     ASSERT_EQ(plan.batches(), 3u);
     ASSERT_EQ(plan.passes(), 3u);
-    const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
+    const auto compiled = compileBlocks(plan, config, 3);
     ASSERT_EQ(compiled.lut,
               plan.tiles[0][0].storage.codebook().rawValues());
 
-    std::uint64_t entries = 0;
     for (const auto &batch_tiles : compiled.tiles) {
         for (const auto &tile : batch_tiles) {
             const std::size_t span = tile.row_end - tile.row_begin;
-            for (const std::uint32_t e : tile.fused.entries) {
-                EXPECT_LT(core::kernel::entryRow(e), span);
-                EXPECT_LT(core::kernel::entryIndex(e),
-                          compiled.lut.size());
-            }
-            for (std::size_t k = 0; k < tile.slices.size(); ++k) {
-                const auto &stream = tile.slices[k].stream;
-                for (const std::uint32_t e : stream.entries) {
+            for (const auto &block : tile.blocks) {
+                for (const std::uint32_t e : block.entries) {
                     EXPECT_LT(core::kernel::entryRow(e), span);
-                    // PE k owns rows i mod N == k (§III-B).
-                    EXPECT_EQ(core::kernel::entryRow(e) % config.n_pe, k);
                     EXPECT_LT(core::kernel::entryIndex(e),
                               compiled.lut.size());
                     // Padding (index 0) never reaches a host stream.
                     EXPECT_NE(core::kernel::entryIndex(e), 0u);
                 }
-                entries += stream.entryCount();
             }
         }
     }
-    EXPECT_EQ(entries, compiled.real_entries);
-    EXPECT_EQ(entries, layer.quantizedWeights().nnz());
 }
 
-TEST(KernelVariants, FusedStreamIsTheRowSortedUnionOfItsSlices)
+TEST(KernelVariants, RowBlocksPartitionTheMergedStream)
 {
-    core::EieConfig config;
-    const auto layer = test::randomCompressedLayer(300, 300, 0.15, 8, 21);
-    const auto plan = gridPlan(layer, config);
-    const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
+    // The 3 x 3 grid plan, and a sparse tall layer whose 64-row PE
+    // slices need padding entries to bridge their zero runs.
+    core::EieConfig grid_config;
+    const auto grid_layer =
+        test::randomCompressedLayer(300, 300, 0.15, 8, 21);
+    const auto grid = gridPlan(grid_layer, grid_config);
+    core::EieConfig padded_config;
+    padded_config.n_pe = 2;
+    const auto padded_layer =
+        test::randomCompressedLayer(400, 24, 0.02, 2, 64);
+    const auto padded = core::planLayer(
+        padded_layer, nn::Nonlinearity::ReLU, padded_config);
+    ASSERT_GT(core::kernel::CompiledLayer::compile(padded, padded_config)
+                  .stripped_padding,
+              0u);
 
-    for (const auto &batch_tiles : compiled.tiles) {
-        for (const auto &tile : batch_tiles) {
-            const auto &fused = tile.fused;
-            ASSERT_EQ(fused.col_ptr.size(),
-                      tile.col_end - tile.col_begin + 1);
-            for (std::size_t j = 0; j + 1 < fused.col_ptr.size(); ++j) {
-                std::vector<std::uint32_t> expected;
-                for (const auto &slice : tile.slices)
-                    expected.insert(
-                        expected.end(),
-                        slice.stream.entries.begin() +
-                            slice.stream.col_ptr[j],
-                        slice.stream.entries.begin() +
-                            slice.stream.col_ptr[j + 1]);
-                std::sort(expected.begin(), expected.end());
-                const std::vector<std::uint32_t> column(
-                    fused.entries.begin() + fused.col_ptr[j],
-                    fused.entries.begin() + fused.col_ptr[j + 1]);
-                ASSERT_EQ(column, expected) << "column " << j;
-                // Rows ascend and are unique (distinct accumulators:
-                // the fusion cannot reorder any accumulator's MAC
-                // sequence).
-                for (std::size_t e = 0; e + 1 < column.size(); ++e)
-                    ASSERT_LT(core::kernel::entryRow(column[e]),
-                              core::kernel::entryRow(column[e + 1]));
+    const struct
+    {
+        const core::LayerPlan &plan;
+        const core::EieConfig &config;
+        std::size_t nnz;
+    } cases[] = {
+        {grid, grid_config, grid_layer.quantizedWeights().nnz()},
+        {padded, padded_config, padded_layer.quantizedWeights().nnz()},
+    };
+    for (const auto &c : cases) {
+        const unsigned n_pe = c.config.n_pe;
+        for (const unsigned blocks : {1u, 3u, 5u}) {
+            const auto compiled = compileBlocks(c.plan, c.config, blocks);
+            ASSERT_EQ(compiled.row_blocks, blocks);
+            std::uint64_t entries = 0;
+            for (std::size_t b = 0; b < compiled.tiles.size(); ++b) {
+                for (std::size_t p = 0; p < compiled.tiles[b].size();
+                     ++p) {
+                    const auto &tile = compiled.tiles[b][p];
+                    const auto &storage = c.plan.tiles[b][p].storage;
+                    const std::size_t span = tile.row_end - tile.row_begin;
+                    const std::size_t cols = tile.col_end - tile.col_begin;
+                    const auto bounds =
+                        core::kernel::rowBlockBounds(span, blocks);
+                    ASSERT_EQ(bounds.size(), blocks + 1u);
+                    EXPECT_EQ(bounds.front(), 0u);
+                    EXPECT_EQ(bounds.back(), span);
+                    for (unsigned t = 0; t < blocks; ++t) {
+                        EXPECT_LE(bounds[t], bounds[t + 1]);
+                        EXPECT_EQ(bounds[t] % core::kernel::kRowBlockAlign,
+                                  0u);
+                    }
+                    ASSERT_EQ(tile.blocks.size(), blocks);
+                    for (unsigned t = 0; t < blocks; ++t) {
+                        const auto &block = tile.blocks[t];
+                        ASSERT_EQ(block.col_ptr.size(), cols + 1);
+                        ASSERT_EQ(block.col_ptr.back(),
+                                  block.entryCount());
+                        for (const std::uint32_t e : block.entries) {
+                            EXPECT_GE(core::kernel::entryRow(e),
+                                      bounds[t]);
+                            EXPECT_LT(core::kernel::entryRow(e),
+                                      bounds[t + 1]);
+                        }
+                        entries += block.entryCount();
+                    }
+
+                    for (std::size_t j = 0; j < cols; ++j) {
+                        // The sorted union of every slice's zero-run
+                        // walk, padding dropped, rows local * N + k.
+                        std::vector<std::uint32_t> expected;
+                        for (unsigned k = 0; k < n_pe; ++k)
+                            for (const auto &d :
+                                 storage.pe(k).decodeColumn(j))
+                                if (!d.is_padding)
+                                    expected.push_back(
+                                        core::kernel::packEntry(
+                                            d.local_row * n_pe + k,
+                                            d.weight_index));
+                        std::sort(expected.begin(), expected.end());
+                        std::vector<std::uint32_t> column;
+                        for (const auto &block : tile.blocks)
+                            column.insert(
+                                column.end(),
+                                block.entries.begin() + block.col_ptr[j],
+                                block.entries.begin() +
+                                    block.col_ptr[j + 1]);
+                        ASSERT_EQ(column, expected)
+                            << blocks << " blocks, column " << j;
+                        // Rows ascend and are unique: distinct
+                        // accumulators, so neither the merge nor the
+                        // cut reorders any accumulator's MAC sequence.
+                        for (std::size_t e = 0; e + 1 < column.size(); ++e)
+                            ASSERT_LT(
+                                core::kernel::entryRow(column[e]),
+                                core::kernel::entryRow(column[e + 1]));
+                    }
+                }
             }
+            EXPECT_EQ(entries, compiled.real_entries);
+            EXPECT_EQ(entries, c.nnz);
         }
     }
 }
@@ -284,24 +331,17 @@ TEST(KernelVariants, ResidentBytesCountEntriesPointersAndTable)
     const auto layer = test::randomCompressedLayer(300, 300, 0.15, 8, 31);
     const auto plan = gridPlan(layer, config);
 
-    for (const bool fused : {true, false}) {
-        core::kernel::CompileOptions options;
-        options.fused_stream = fused;
-        const auto compiled =
-            core::kernel::CompiledLayer::compile(plan, config, options);
-        std::uint64_t words = 0;
-        for (const auto &batch_tiles : compiled.tiles) {
-            for (const auto &tile : batch_tiles) {
-                for (const auto &slice : tile.slices)
-                    words += slice.stream.entries.size() +
-                        slice.stream.col_ptr.size();
-                words += tile.fused.entries.size() +
-                    tile.fused.col_ptr.size();
-            }
-        }
+    for (const unsigned blocks : {1u, 4u}) {
+        const auto compiled = compileBlocks(plan, config, blocks);
+        // One word per entry, and per row block cols + 1 pointers.
+        std::uint64_t words = compiled.real_entries;
+        for (const auto &batch_tiles : compiled.tiles)
+            for (const auto &tile : batch_tiles)
+                words += std::uint64_t{blocks} *
+                    (tile.col_end - tile.col_begin + 1);
         EXPECT_EQ(compiled.residentStreamBytes(),
                   4 * words + 8 * compiled.lut.size())
-            << (fused ? "fused" : "lean");
+            << blocks << " blocks";
     }
 }
 
@@ -427,13 +467,11 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 51);
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
-    const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
-    // Without the merged stream a serial run walks the per-PE slices.
-    core::kernel::CompileOptions no_fused;
-    no_fused.fused_stream = false;
-    const auto lean =
-        core::kernel::CompiledLayer::compile(plan, config, no_fused);
+    // One block per pool worker, and 7 blocks over the 96 rows: bounds
+    // 0, 0, 16, ..., 96 leave block 0 empty.
+    const auto compiled = compileBlocks(plan, config, 3);
+    const auto seven = compileBlocks(plan, config, 7);
+    ASSERT_TRUE(seven.tiles[0][0].blocks[0].entries.empty());
     const core::FunctionalModel model(config);
     core::kernel::WorkerPool pool(3);
 
@@ -467,7 +505,7 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
         for (const auto &frame : frames)
             reference.push_back(model.run(plan, frame).output_raw);
 
-        for (const auto *layer_form : {&compiled, &lean}) {
+        for (const auto *layer_form : {&compiled, &seven}) {
             for (core::kernel::WorkerPool *p :
                  {static_cast<core::kernel::WorkerPool *>(nullptr),
                   &pool}) {
@@ -478,7 +516,7 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
                     for (std::size_t b = 0; b < frames.size(); ++b)
                         EXPECT_EQ(outputs[b], reference[b])
                             << core::kernel::kernelVariantName(kernel)
-                            << (layer_form == &lean ? ", lean" : "")
+                            << ", " << layer_form->row_blocks << " blocks"
                             << ", batch " << frames.size() << ", "
                             << (p ? "pooled" : "serial")
                             << ", frame " << b;
@@ -506,14 +544,13 @@ TEST(KernelVariants, ActSparseBitExactAcrossDensitySweep)
     // empty queues (0%), a single nonzero, the paper's 35%, fully
     // dense (100%, where the queue degenerates to the dense walk),
     // all-zero frames mixed into live batches, ragged batch sizes,
-    // and the pooled per-slice route.
+    // and the pooled row-block route.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 91);
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
-    const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
+    const auto compiled = compileBlocks(plan, config, 3);
     const core::FunctionalModel model(config);
     core::kernel::WorkerPool pool(3);
 
@@ -572,8 +609,8 @@ TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
     // sequence exactly from the table lookups: every activation
     // density (empty queues at 0%, the paper's 9% weight / 35%
     // activation regime, fully dense), ragged batch sizes off the SIMD
-    // lane grid (9 reaches the vector loop under auto), serial (merged
-    // stream) and pooled (per-PE slices) routes.
+    // lane grid (9 reaches the vector loop under auto), serial (blocks
+    // in order) and pooled (one block per worker) routes.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 91);
@@ -581,8 +618,7 @@ TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
     const core::FunctionalModel model(config);
     core::kernel::WorkerPool pool(3);
-    const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
+    const auto compiled = compileBlocks(plan, config, 3);
 
     std::vector<core::kernel::Batch> batches;
     for (const double density : {0.0, 0.09, 0.35, 1.0}) {

@@ -76,7 +76,7 @@ TEST(NetworkRunner, FloatWrapper)
 
 TEST(NetworkRunner, MultiLayerBatchMatchesScalarOracleRaggedSizes)
 {
-    // Three chained layers, PE-parallel execution, and ragged batch
+    // Three chained layers, row-parallel execution, and ragged batch
     // sizes: a single frame, an odd count, and one larger than the
     // serving queue's default micro-batch (16). Every frame must be
     // bit-exact with the scalar interpreter walked layer by layer.

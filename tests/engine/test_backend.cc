@@ -244,6 +244,16 @@ TEST(ExecutionBackendDeath, UnknownNameAndBrokenStacks)
         engine::makeBackend("compiled", narrow, {&narrow_plan}, 1,
                             core::kernel::KernelVariant::Vector),
         ::testing::ExitedWithCode(1), "not bit-exact");
+
+    // A stack cut into one row block would leave a 4-thread pool
+    // walking it serially: adopting it must fail, naming the layer.
+    const auto serial_stack = engine::compileLayerStack(
+        config, {&plan},
+        engine::compiledStackOptions(
+            1, core::kernel::KernelVariant::Auto));
+    EXPECT_EXIT(engine::CompiledBackend({&plan}, serial_stack, 4),
+                ::testing::ExitedWithCode(1),
+                "layer '.*' was compiled into 1 row blocks");
 }
 
 } // namespace

@@ -181,6 +181,37 @@ TEST(ClusterEngine, ColumnPartitionedMatchesOracleAndReplicated)
         EXPECT_EQ(shard.server.requests, 16u);
 }
 
+TEST(ClusterEngine, ColumnPartitionedRebuildsWeightsFromEveryTile)
+{
+    // Plan the stored model into a 3 x 3 row-batch x column-pass grid
+    // (32 rows per batch on 4 PEs, 22 columns per pass), so the
+    // partitioned shards' weights come back from nine tiles, each at
+    // its own row and column offset.
+    core::EieConfig config = ClusterFixture::makeConfig();
+    config.regfile_entries = 8;
+    config.ptr_capacity = 23;
+    const auto layer = test::randomCompressedLayer(96, 64, 0.25, 4, 907);
+    const auto model = serve::LoadedModel::fromStorage(
+        "grid", 1, layer.storage(), nn::Nonlinearity::ReLU, config);
+    ASSERT_EQ(model->plan().batches(), 3u);
+    ASSERT_EQ(model->plan().passes(), 3u);
+
+    const core::FunctionalModel functional(config);
+    const auto oracle_plan =
+        core::planLayer(layer, nn::Nonlinearity::ReLU, config);
+    serve::ClusterOptions opts;
+    opts.shards = 4;
+    opts.placement = serve::Placement::ColumnPartitioned;
+    serve::ClusterEngine partitioned(model, opts);
+    for (int i = 0; i < 8; ++i) {
+        const auto input = functional.quantizeInput(
+            test::randomActivations(64, 0.6, 3100 + i));
+        EXPECT_EQ(partitioned.infer(input),
+                  functional.run(oracle_plan, input).output_raw)
+            << "input " << i;
+    }
+}
+
 TEST(ClusterEngine, ColumnPartitionedScattersConcurrentClients)
 {
     ClusterFixture fx;

@@ -18,8 +18,9 @@
 # full run already covered it. A Release variant-matrix smoke then
 # drives eie_sim through every kernel variant (--kernel
 # reference|vector|actsparse|auto at batch 1, 12 and 16 on 1 and 4
-# threads) in both the batched-throughput and the serving path, each
-# checked bit-exact against the scalar oracle by the tool itself.
+# threads over NT-We, and at batch 1 and 64 on 3 threads over NT-Wd)
+# in both the batched-throughput and the serving path, each checked
+# bit-exact against the scalar oracle by the tool itself.
 #
 # The telemetry subsystem (src/obs/: metrics registry, histogram
 # quantiles, tracing, the stats/metrics JSON schema pin) likewise
@@ -87,9 +88,11 @@ for build_type in Release Debug; do
 done
 
 echo "=== kernel variant matrix (Release eie_sim smoke) ==="
-# One thread walks the PE-merged stream, four the per-PE slices.
-# Batch 1 is the single-frame path, batch 12 ends every SIMD row in a
-# partial block, batch 16 in none.
+# One thread walks each tile's stream as one row block, four threads
+# as four. Batch 1 is the single-frame path, batch 12 ends every SIMD
+# row in a partial block, batch 16 in none. NT-Wd on 3 threads cuts
+# three uneven blocks over 4096 rows plus the ragged 599-row last row
+# batch, at batch 1 and 64.
 for kernel in reference vector actsparse auto; do
     for batch in 1 12 16; do
         for threads in 1 4; do
@@ -97,6 +100,10 @@ for kernel in reference vector actsparse auto; do
                 --threads "${threads}" --benchmark NT-We \
                 --kernel "${kernel}"
         done
+    done
+    for batch in 1 64; do
+        ./build-check-release/eie_sim --throughput "${batch}" \
+            --threads 3 --benchmark NT-Wd --kernel "${kernel}"
     done
     ./build-check-release/eie_sim --serve 24 --benchmark NT-We \
         --kernel "${kernel}"

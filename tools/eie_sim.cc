@@ -20,7 +20,7 @@
  *
  * --throughput switches to the host execution engine: each benchmark
  * layer runs through the unified "compiled" ExecutionBackend on B
- * frames, optionally PE-parallel across T worker threads, with the
+ * frames, optionally row-parallel across T worker threads, with the
  * "scalar" backend as both the baseline timing and the bit-exactness
  * oracle.
  *
@@ -78,7 +78,7 @@ usage()
         "  --export-model PATH  write the benchmark's EIEM model file\n"
         "  --dump-stats         print the raw statistics of each run\n"
         "  --throughput B       run the batched host engine, B frames\n"
-        "  --threads T          PE-parallel worker threads (default 1)\n"
+        "  --threads T          row-parallel worker threads (default 1)\n"
         "  --kernel V           kernel variant: auto | reference | "
         "vector | actsparse\n"
         "  --act-density D      activation density of generated "
@@ -400,7 +400,7 @@ main(int argc, char **argv)
                      "--threads needs at least 1 worker (got 0)");
             fatal_if(threads > hw,
                      "--threads %u exceeds this machine's %u hardware "
-                     "thread(s); oversubscribing the PE-parallel pool "
+                     "thread(s); oversubscribing the row-parallel pool "
                      "only adds contention", threads, hw);
         } else if (arg == "--serve") {
             serve.requests = std::stoul(next());
