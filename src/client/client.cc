@@ -672,9 +672,7 @@ class TcpTransport final : public Transport
             const serve::wire::InfoResponse response =
                 client->info(model, version);
             if (!response.ok)
-                // The daemon's only info failure is a missing model.
-                return Status::error(StatusCode::NotFound,
-                                     response.error);
+                return statusFromWire(response.code, response.error);
             out.model = response.model;
             out.version = response.version;
             out.input_size = response.input_size;
@@ -713,16 +711,15 @@ class TcpTransport final : public Transport
             ensureClient(status);
         if (!client)
             return nullptr;
-        const std::uint64_t session_id = client->nextSessionId();
         const serve::wire::SessionAck ack =
-            client->openSession(session_id, model, version).get();
+            client->openSession(model, version).get();
         if (!ack.ok) {
             status = statusFromWire(ack.code, ack.error);
             return nullptr;
         }
         status = Status::success();
         return std::make_unique<TcpSession>(
-            client, session_id, model,
+            client, ack.session_id, model,
             static_cast<std::size_t>(ack.input_size),
             static_cast<std::size_t>(ack.hidden_size));
     }
@@ -757,8 +754,6 @@ class TcpTransport final : public Transport
             out = client->traceDump();
             return Status::success();
         } catch (const serve::wire::WireError &error) {
-            // Also the pre-v3-server refusal: the daemon cannot
-            // answer Trace frames.
             return Status::error(StatusCode::Unavailable,
                                  error.what());
         }

@@ -320,8 +320,8 @@ class Client
      * Dump the endpoint's span ring as a chrome://tracing JSON
      * document (load it in chrome://tracing or Perfetto). In-process
      * endpoints render this process's ring; tcp endpoints ask the
-     * daemon (requires a wire-v3 server). Look up a request's spans
-     * by the trace id submit() put in InferenceResult::trace_ids.
+     * daemon. Look up a request's spans by the trace id submit() put
+     * in InferenceResult::trace_ids.
      */
     Status traceDump(std::string &out);
 

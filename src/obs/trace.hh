@@ -4,8 +4,8 @@
  * chrome://tracing JSON renderer.
  *
  * A trace id is allocated at the edge (Client::submit /
- * Session::step), carried through the wire protocol (trailing field
- * negotiated at Hello, see wire.hh), and threaded through
+ * Session::step), carried through the wire protocol (a u64 field of
+ * InferRequest and SessionStep, see wire.hh), and threaded through
  * SubmitOptions down to the batcher. Each stage that touches a
  * traced request drops one complete span — "enqueue",
  * "batch_form", "shard_submit", "kernel_run", "gather", "reply" —

@@ -1,9 +1,7 @@
 #include "serve/tcp.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 
 #include <arpa/inet.h>
 #include <netdb.h>
@@ -83,52 +81,6 @@ setNoDelay(int fd)
 {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-/**
- * Remove and return the pending entry registered under @p key, if
- * still present — the one correlate/reclaim primitive shared by the
- * client's reader (response arrived) and its submitters (send
- * failed): whoever extracts the entry owns resolving its promise,
- * so the two sides can never double-resolve.
- */
-template <typename Map>
-std::optional<typename Map::mapped_type>
-takePending(std::mutex &mutex, Map &map, std::uint64_t key)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = map.find(key);
-    if (it == map.end())
-        return std::nullopt;
-    typename Map::mapped_type value = std::move(it->second);
-    map.erase(it);
-    return value;
-}
-
-/**
- * Resolve the oldest promise of a FIFO-correlated response queue
- * (stats/info/metrics/trace — the server answers each type in
- * order). An empty queue is tolerated: failAllPending() already
- * claimed the promise on a racing connection loss.
- */
-template <typename Response>
-void
-resolveFifo(std::mutex &mutex,
-            std::deque<std::promise<Response>> &queue,
-            Response response)
-{
-    std::promise<Response> promise;
-    bool found = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!queue.empty()) {
-            promise = std::move(queue.front());
-            queue.pop_front();
-            found = true;
-        }
-    }
-    if (found)
-        promise.set_value(std::move(response));
 }
 
 /** Map a ServingDirectory lookup failure onto the wire taxonomy: a
@@ -447,33 +399,19 @@ TcpServer::readerLoop(Connection &connection)
                 if (hello == nullptr)
                     break; // not a handshake: drop
                 wire::HelloAck ack;
-                // Answer in the layout the client can decode — a v1
-                // peer gets the protocol-only ack its own handshake
-                // check rejects cleanly.
-                ack.wire_layout = std::min(hello->protocol,
-                                           wire::kProtocolVersion);
-                if (hello->protocol < wire::kMinProtocolVersion) {
+                greeted = hello->protocol == wire::kProtocolVersion;
+                if (!greeted) {
                     ack.ok = false;
                     ack.error = "unsupported protocol version " +
                         std::to_string(hello->protocol) +
                         " (server speaks " +
-                        std::to_string(wire::kMinProtocolVersion) +
-                        ".." +
                         std::to_string(wire::kProtocolVersion) + ")";
-                    Outbound nack;
-                    nack.ready = std::move(ack);
-                    enqueue(connection, std::move(nack));
-                    break; // writer flushes the rejection, then closes
                 }
-                // Both sides proceed at min(client, server); the ack
-                // carries the negotiated version so the client pins
-                // the same number.
-                ack.protocol = std::min(hello->protocol,
-                                        wire::kProtocolVersion);
-                greeted = true;
                 Outbound out;
                 out.ready = std::move(ack);
                 enqueue(connection, std::move(out));
+                if (!greeted)
+                    break; // writer flushes the rejection, then closes
                 continue;
             }
 
@@ -516,33 +454,40 @@ TcpServer::readerLoop(Connection &connection)
                 out.pending = cluster->submit(
                     std::move(request->input), submit);
                 enqueue(connection, std::move(out));
-            } else if (std::holds_alternative<wire::StatsRequest>(
-                           message)) {
+            } else if (const auto *stats =
+                           std::get_if<wire::StatsRequest>(&message)) {
                 Outbound out;
-                out.ready =
-                    wire::StatsResponse{directory_.statsJson()};
+                out.ready = wire::StatsResponse{stats->id,
+                                                directory_.statsJson()};
                 enqueue(connection, std::move(out));
-            } else if (std::holds_alternative<wire::MetricsRequest>(
-                           message)) {
+            } else if (const auto *metrics =
+                           std::get_if<wire::MetricsRequest>(
+                               &message)) {
                 obs::MetricsRegistry &registry =
                     obs::processRegistry();
                 Outbound out;
                 out.ready = wire::MetricsResponse{
-                    registry.renderText(), registry.renderJson()};
+                    metrics->id, registry.renderText(),
+                    registry.renderJson()};
                 enqueue(connection, std::move(out));
-            } else if (std::holds_alternative<wire::TraceRequest>(
-                           message)) {
+            } else if (const auto *trace =
+                           std::get_if<wire::TraceRequest>(&message)) {
                 Outbound out;
-                out.ready = wire::TraceResponse{obs::renderChromeTrace(
-                    obs::processTraceRing().snapshot())};
+                out.ready = wire::TraceResponse{
+                    trace->id, obs::renderChromeTrace(
+                                   obs::processTraceRing().snapshot())};
                 enqueue(connection, std::move(out));
             } else if (const auto *info =
                            std::get_if<wire::InfoRequest>(&message)) {
                 wire::InfoResponse response;
+                response.id = info->id;
                 std::string error;
+                ServingDirectory::LookupStatus lookup;
                 const ClusterEngine *cluster = directory_.cluster(
-                    info->model, info->version, error);
+                    info->model, info->version, error,
+                    nn::Nonlinearity::ReLU, &lookup);
                 if (cluster == nullptr) {
+                    response.code = clusterErrorCode(lookup);
                     response.error = error;
                 } else {
                     response.ok = true;
@@ -699,6 +644,48 @@ TcpServer::trackedConnections() const
 
 // ------------------------------------------------------------ TcpClient
 
+namespace {
+
+/** The request a reply answers: a SessionAck names the session its
+ *  open asked for, every other reply the request id. */
+template <typename Reply>
+std::uint64_t &
+replyId(Reply &reply)
+{
+    if constexpr (std::is_same_v<Reply, wire::SessionAck>)
+        return reply.session_id;
+    else
+        return reply.id;
+}
+
+/** Resolve @p pending unanswered: infer, step and open requests get a
+ *  failed response carrying @p code, the blocking queries (stats,
+ *  info, metrics, trace) a WireError. */
+template <typename Pending>
+void
+fail(Pending &pending, std::uint64_t id, wire::ErrorCode code,
+     const std::string &reason)
+{
+    std::visit(
+        [&]<typename Response>(std::promise<Response> &promise) {
+            if constexpr (std::is_same_v<Response, wire::InferResponse> ||
+                          std::is_same_v<Response, wire::SessionState> ||
+                          std::is_same_v<Response, wire::SessionAck>) {
+                Response response;
+                replyId(response) = id;
+                response.code = code;
+                response.error = reason;
+                promise.set_value(std::move(response));
+            } else {
+                promise.set_exception(
+                    std::make_exception_ptr(wire::WireError(reason)));
+            }
+        },
+        pending);
+}
+
+} // namespace
+
 TcpClient::TcpClient(const std::string &host, std::uint16_t port)
 {
     addrinfo hints{};
@@ -732,7 +719,7 @@ TcpClient::TcpClient(const std::string &host, std::uint16_t port)
     fd_ = fd;
 
     // Handshake synchronously (the reader thread starts only after a
-    // successful negotiation, so a rejected connection never has
+    // successful handshake, so a rejected connection never has
     // in-flight state to fail).
     try {
         const std::vector<std::uint8_t> hello =
@@ -744,8 +731,7 @@ TcpClient::TcpClient(const std::string &host, std::uint16_t port)
         if (body.empty())
             throw wire::WireError(
                 "handshake failed: server closed the connection "
-                "without a HelloAck (protocol version mismatch with "
-                "a pre-v2 server?)");
+                "without a HelloAck (protocol version mismatch?)");
         const wire::Message message = wire::decodeBody(body);
         const auto *ack = std::get_if<wire::HelloAck>(&message);
         if (ack == nullptr)
@@ -754,18 +740,11 @@ TcpClient::TcpClient(const std::string &host, std::uint16_t port)
         if (!ack->ok)
             throw wire::WireError("handshake rejected by server: " +
                                   ack->error);
-        if (ack->protocol < wire::kMinProtocolVersion ||
-            ack->protocol > wire::kProtocolVersion)
+        if (ack->protocol != wire::kProtocolVersion)
             throw wire::WireError(
                 "protocol version mismatch: client speaks " +
-                std::to_string(wire::kMinProtocolVersion) + ".." +
                 std::to_string(wire::kProtocolVersion) +
-                ", server negotiated " +
-                std::to_string(ack->protocol));
-        // min(client, server): an older server pins us to its
-        // revision — trace ids stay off the wire and metrics/trace
-        // queries are refused locally.
-        negotiated_protocol_ = ack->protocol;
+                ", server acked " + std::to_string(ack->protocol));
     } catch (...) {
         ::close(fd_);
         fd_ = -1;
@@ -805,64 +784,61 @@ TcpClient::close()
     });
 }
 
+TcpClient::PendingTable::node_type
+TcpClient::takePending(std::uint64_t id)
+{
+    std::lock_guard<std::mutex> lock(pending_mutex_);
+    return pending_.extract(id);
+}
+
 void
 TcpClient::failAllPending(wire::ErrorCode code,
                           const std::string &reason)
 {
     connected_.store(false);
-
-    std::map<std::uint64_t, std::promise<wire::InferResponse>> infers;
-    std::map<std::uint64_t,
-             std::pair<std::uint64_t, std::promise<wire::SessionState>>>
-        steps;
-    std::map<std::uint64_t, std::promise<wire::SessionAck>> opens;
-    std::deque<std::promise<wire::StatsResponse>> stats;
-    std::deque<std::promise<wire::InfoResponse>> infos;
-    std::deque<std::promise<wire::MetricsResponse>> metrics;
-    std::deque<std::promise<wire::TraceResponse>> traces;
+    PendingTable pending;
     {
         std::lock_guard<std::mutex> lock(pending_mutex_);
-        infers.swap(pending_infer_);
-        steps.swap(pending_steps_);
-        opens.swap(pending_session_opens_);
-        stats.swap(pending_stats_);
-        infos.swap(pending_info_);
-        metrics.swap(pending_metrics_);
-        traces.swap(pending_trace_);
+        pending.swap(pending_);
     }
+    for (auto &[id, entry] : pending)
+        fail(entry, id, code, reason);
+}
 
-    for (auto &[id, promise] : infers) {
-        wire::InferResponse response;
-        response.id = id;
-        response.code = code;
-        response.error = reason;
-        promise.set_value(std::move(response));
-    }
-    for (auto &[id, step] : steps) {
-        wire::SessionState state;
-        state.session_id = step.first;
-        state.id = id;
-        state.code = code;
-        state.error = reason;
-        step.second.set_value(std::move(state));
-    }
-    for (auto &[session_id, promise] : opens) {
-        wire::SessionAck ack;
-        ack.session_id = session_id;
-        ack.code = code;
-        ack.error = reason;
-        promise.set_value(std::move(ack));
-    }
-    const auto lost =
-        std::make_exception_ptr(wire::WireError(reason));
-    for (auto &promise : stats)
-        promise.set_exception(lost);
-    for (auto &promise : infos)
-        promise.set_exception(lost);
-    for (auto &promise : metrics)
-        promise.set_exception(lost);
-    for (auto &promise : traces)
-        promise.set_exception(lost);
+std::string
+TcpClient::deliver(wire::Message reply)
+{
+    return std::visit(
+        [this]<typename Reply>(Reply &frame) -> std::string {
+            if constexpr (!std::is_constructible_v<
+                              Pending, std::promise<Reply>>) {
+                return "protocol violation: unexpected frame type "
+                       "from server";
+            } else {
+                const std::uint64_t id = replyId(frame);
+                PendingTable::node_type entry;
+                {
+                    std::lock_guard<std::mutex> lock(pending_mutex_);
+                    const auto it = pending_.find(id);
+                    // An unknown id is tolerated: the submitter may
+                    // have failed its promise on a send error
+                    // already.
+                    if (it == pending_.end())
+                        return {};
+                    // A mismatched entry stays in the table, so
+                    // failAllPending() fails it with the rest.
+                    if (!std::holds_alternative<std::promise<Reply>>(
+                            it->second))
+                        return "protocol violation: reply to request " +
+                            std::to_string(id) + " has the wrong type";
+                    entry = pending_.extract(it);
+                }
+                std::get<std::promise<Reply>>(entry.mapped())
+                    .set_value(std::move(frame));
+                return {};
+            }
+        },
+        reply);
 }
 
 void
@@ -876,52 +852,9 @@ TcpClient::readerLoop()
                 recvFrameBody(fd_);
             if (body.empty())
                 break;
-            wire::Message message = wire::decodeBody(body);
-
-            if (auto *response =
-                    std::get_if<wire::InferResponse>(&message)) {
-                if (auto promise = takePending(
-                        pending_mutex_, pending_infer_,
-                        response->id))
-                    promise->set_value(std::move(*response));
-                // An unknown id is tolerated: the submitter may have
-                // failed its promise on a send error already.
-            } else if (auto *state =
-                           std::get_if<wire::SessionState>(
-                               &message)) {
-                if (auto step = takePending(pending_mutex_,
-                                            pending_steps_,
-                                            state->id))
-                    step->second.set_value(std::move(*state));
-            } else if (auto *ack = std::get_if<wire::SessionAck>(
-                           &message)) {
-                if (auto promise = takePending(
-                        pending_mutex_, pending_session_opens_,
-                        ack->session_id))
-                    promise->set_value(std::move(*ack));
-            } else if (auto *stats_response =
-                           std::get_if<wire::StatsResponse>(
-                               &message)) {
-                resolveFifo(pending_mutex_, pending_stats_,
-                            std::move(*stats_response));
-            } else if (auto *info_response =
-                           std::get_if<wire::InfoResponse>(
-                               &message)) {
-                resolveFifo(pending_mutex_, pending_info_,
-                            std::move(*info_response));
-            } else if (auto *metrics_response =
-                           std::get_if<wire::MetricsResponse>(
-                               &message)) {
-                resolveFifo(pending_mutex_, pending_metrics_,
-                            std::move(*metrics_response));
-            } else if (auto *trace_response =
-                           std::get_if<wire::TraceResponse>(
-                               &message)) {
-                resolveFifo(pending_mutex_, pending_trace_,
-                            std::move(*trace_response));
-            } else {
-                reason = "protocol violation: unexpected frame type "
-                         "from server";
+            std::string violation = deliver(wire::decodeBody(body));
+            if (!violation.empty()) {
+                reason = std::move(violation);
                 code = wire::ErrorCode::ProtocolError;
                 break;
             }
@@ -936,8 +869,9 @@ TcpClient::readerLoop()
 }
 
 void
-TcpClient::sendFrameLocked(const wire::Message &message)
+TcpClient::sendFrame(const wire::Message &message)
 {
+    std::lock_guard<std::mutex> lock(send_mutex_);
     if (!connected_.load())
         throw wire::WireError("client connection is closed");
     const std::vector<std::uint8_t> frame =
@@ -948,11 +882,28 @@ TcpClient::sendFrameLocked(const wire::Message &message)
     }
 }
 
-void
-TcpClient::sendFrame(const wire::Message &message)
+template <typename Response>
+std::future<Response>
+TcpClient::call(std::uint64_t id, wire::Message request)
 {
-    std::lock_guard<std::mutex> lock(send_mutex_);
-    sendFrameLocked(message);
+    std::future<Response> future;
+    {
+        std::lock_guard<std::mutex> lock(pending_mutex_);
+        const auto it =
+            pending_.emplace(id, std::promise<Response>()).first;
+        future = std::get<std::promise<Response>>(it->second)
+                     .get_future();
+    }
+    try {
+        sendFrame(request);
+    } catch (const wire::WireError &error) {
+        // Resolve the request ourselves unless the reader's
+        // failAllPending() already took it.
+        if (auto entry = takePending(id))
+            fail(entry.mapped(), id, wire::ErrorCode::Unavailable,
+                 error.what());
+    }
+    return future;
 }
 
 std::future<wire::InferResponse>
@@ -963,38 +914,15 @@ TcpClient::submitInfer(const std::string &model,
                        std::uint32_t deadline_us,
                        std::uint64_t trace_id)
 {
-    wire::InferRequest request;
-    request.id = next_id_.fetch_add(1);
-    request.model = model;
-    request.version = version;
-    request.priority = priority;
-    request.deadline_us = deadline_us;
-    request.input = std::move(input);
-    // A pre-v3 server would choke on the trailing extension — the
-    // request simply travels untraced.
-    if (negotiated_protocol_ >= 3)
-        request.trace_id = trace_id;
-
-    std::future<wire::InferResponse> future;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        future = pending_infer_[request.id].get_future();
-    }
-    try {
-        sendFrame(request);
-    } catch (const wire::WireError &error) {
-        // Resolve the promise ourselves unless the reader's
-        // failAllPending() already claimed it.
-        if (auto promise = takePending(pending_mutex_,
-                                       pending_infer_, request.id)) {
-            wire::InferResponse response;
-            response.id = request.id;
-            response.code = wire::ErrorCode::Unavailable;
-            response.error = error.what();
-            promise->set_value(std::move(response));
-        }
-    }
-    return future;
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::InferResponse>(
+        id, wire::InferRequest{.id = id,
+                               .model = model,
+                               .version = version,
+                               .priority = priority,
+                               .deadline_us = deadline_us,
+                               .input = std::move(input),
+                               .trace_id = trace_id});
 }
 
 std::vector<std::int64_t>
@@ -1010,34 +938,14 @@ TcpClient::infer(const std::string &model,
 }
 
 std::future<wire::SessionAck>
-TcpClient::openSession(std::uint64_t session_id,
-                       const std::string &model,
-                       std::uint32_t version)
+TcpClient::openSession(const std::string &model, std::uint32_t version)
 {
-    wire::SessionOpen open;
-    open.session_id = session_id;
-    open.model = model;
-    open.version = version;
-
-    std::future<wire::SessionAck> future;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        future = pending_session_opens_[session_id].get_future();
-    }
-    try {
-        sendFrame(open);
-    } catch (const wire::WireError &error) {
-        if (auto promise = takePending(pending_mutex_,
-                                       pending_session_opens_,
-                                       session_id)) {
-            wire::SessionAck ack;
-            ack.session_id = session_id;
-            ack.code = wire::ErrorCode::Unavailable;
-            ack.error = error.what();
-            promise->set_value(std::move(ack));
-        }
-    }
-    return future;
+    // A session id is a request id, so it never collides with another
+    // request in flight.
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::SessionAck>(
+        id, wire::SessionOpen{
+                .session_id = id, .model = model, .version = version});
 }
 
 std::future<wire::SessionState>
@@ -1046,200 +954,61 @@ TcpClient::submitStep(std::uint64_t session_id, std::vector<float> x,
                       std::uint32_t deadline_us,
                       std::uint64_t trace_id)
 {
-    wire::SessionStep step;
-    step.session_id = session_id;
-    step.id = next_id_.fetch_add(1);
-    step.priority = priority;
-    step.deadline_us = deadline_us;
-    step.x = std::move(x);
-    if (negotiated_protocol_ >= 3)
-        step.trace_id = trace_id;
-
-    std::future<wire::SessionState> future;
-    {
-        std::lock_guard<std::mutex> lock(pending_mutex_);
-        auto &pending = pending_steps_[step.id];
-        pending.first = session_id;
-        future = pending.second.get_future();
-    }
-    try {
-        sendFrame(step);
-    } catch (const wire::WireError &error) {
-        if (auto pending = takePending(pending_mutex_,
-                                       pending_steps_, step.id)) {
-            wire::SessionState state;
-            state.session_id = session_id;
-            state.id = step.id;
-            state.code = wire::ErrorCode::Unavailable;
-            state.error = error.what();
-            pending->second.set_value(std::move(state));
-        }
-    }
-    return future;
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::SessionState>(
+        id, wire::SessionStep{.session_id = session_id,
+                              .id = id,
+                              .priority = priority,
+                              .deadline_us = deadline_us,
+                              .x = std::move(x),
+                              .trace_id = trace_id});
 }
 
 void
 TcpClient::closeSession(std::uint64_t session_id)
 {
     try {
-        wire::SessionClose close_msg;
-        close_msg.session_id = session_id;
-        sendFrame(close_msg);
+        sendFrame(wire::SessionClose{session_id});
     } catch (const wire::WireError &) {
         // Fire-and-forget: a lost connection discards the state
         // server-side anyway.
     }
 }
 
-std::uint64_t
-TcpClient::nextSessionId()
-{
-    return next_session_id_.fetch_add(1);
-}
-
 std::string
 TcpClient::stats()
 {
-    // Register + send under send_mutex_: StatsResponses are matched
-    // FIFO, so the promise queue must mirror the wire order exactly.
-    std::future<wire::StatsResponse> future;
-    {
-        std::lock_guard<std::mutex> send_lock(send_mutex_);
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            pending_stats_.emplace_back();
-            future = pending_stats_.back().get_future();
-        }
-        try {
-            sendFrameLocked(wire::StatsRequest{});
-        } catch (const wire::WireError &) {
-            // Unless the reader's failAllPending() beat us to it,
-            // the back is still our promise (send_mutex_ excludes
-            // other registrars).
-            std::promise<wire::StatsResponse> promise;
-            bool mine = false;
-            {
-                std::lock_guard<std::mutex> lock(pending_mutex_);
-                if (!pending_stats_.empty()) {
-                    promise = std::move(pending_stats_.back());
-                    pending_stats_.pop_back();
-                    mine = true;
-                }
-            }
-            if (mine)
-                promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get().json;
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::StatsResponse>(id, wire::StatsRequest{id})
+        .get()
+        .json;
 }
 
 wire::InfoResponse
 TcpClient::info(const std::string &model, std::uint32_t version)
 {
-    wire::InfoRequest request;
-    request.model = model;
-    request.version = version;
-
-    std::future<wire::InfoResponse> future;
-    {
-        std::lock_guard<std::mutex> send_lock(send_mutex_);
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            pending_info_.emplace_back();
-            future = pending_info_.back().get_future();
-        }
-        try {
-            sendFrameLocked(request);
-        } catch (const wire::WireError &) {
-            std::promise<wire::InfoResponse> promise;
-            bool mine = false;
-            {
-                std::lock_guard<std::mutex> lock(pending_mutex_);
-                if (!pending_info_.empty()) {
-                    promise = std::move(pending_info_.back());
-                    pending_info_.pop_back();
-                    mine = true;
-                }
-            }
-            if (mine)
-                promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::InfoResponse>(
+               id, wire::InfoRequest{
+                       .id = id, .model = model, .version = version})
+        .get();
 }
 
 wire::MetricsResponse
 TcpClient::metrics()
 {
-    if (negotiated_protocol_ < 3)
-        throw wire::WireError(
-            "server speaks protocol v" +
-            std::to_string(negotiated_protocol_) +
-            "; Metrics queries need v3");
-    // Same register-then-send critical section as stats(): the
-    // MetricsResponses are matched FIFO.
-    std::future<wire::MetricsResponse> future;
-    {
-        std::lock_guard<std::mutex> send_lock(send_mutex_);
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            pending_metrics_.emplace_back();
-            future = pending_metrics_.back().get_future();
-        }
-        try {
-            sendFrameLocked(wire::MetricsRequest{});
-        } catch (const wire::WireError &) {
-            std::promise<wire::MetricsResponse> promise;
-            bool mine = false;
-            {
-                std::lock_guard<std::mutex> lock(pending_mutex_);
-                if (!pending_metrics_.empty()) {
-                    promise = std::move(pending_metrics_.back());
-                    pending_metrics_.pop_back();
-                    mine = true;
-                }
-            }
-            if (mine)
-                promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get();
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::MetricsResponse>(id, wire::MetricsRequest{id})
+        .get();
 }
 
 std::string
 TcpClient::traceDump()
 {
-    if (negotiated_protocol_ < 3)
-        throw wire::WireError(
-            "server speaks protocol v" +
-            std::to_string(negotiated_protocol_) +
-            "; Trace queries need v3");
-    std::future<wire::TraceResponse> future;
-    {
-        std::lock_guard<std::mutex> send_lock(send_mutex_);
-        {
-            std::lock_guard<std::mutex> lock(pending_mutex_);
-            pending_trace_.emplace_back();
-            future = pending_trace_.back().get_future();
-        }
-        try {
-            sendFrameLocked(wire::TraceRequest{});
-        } catch (const wire::WireError &) {
-            std::promise<wire::TraceResponse> promise;
-            bool mine = false;
-            {
-                std::lock_guard<std::mutex> lock(pending_mutex_);
-                if (!pending_trace_.empty()) {
-                    promise = std::move(pending_trace_.back());
-                    pending_trace_.pop_back();
-                    mine = true;
-                }
-            }
-            if (mine)
-                promise.set_exception(std::current_exception());
-        }
-    }
-    return future.get().json;
+    const std::uint64_t id = next_id_.fetch_add(1);
+    return call<wire::TraceResponse>(id, wire::TraceRequest{id})
+        .get()
+        .json;
 }
 
 } // namespace eie::serve

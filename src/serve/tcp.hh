@@ -20,24 +20,22 @@
  * together (side by side on its shards, or in one micro-batch). A
  * step consumes the previous step's recurrent state, so a step that
  * arrives while its own session's previous step is still in flight
- * waits in the reader until the writer has committed that one. The
- * handshake negotiates the protocol version: both sides speak
- * min(client, server) as long as that is >= wire::kMinProtocolVersion;
- * an older client receives a HelloAck rejection encoded in the layout
- * it can decode (see wire.hh) and the connection closes. Malformed
- * frames, handshake violations and oversized bodies close the
- * connection — they never take the daemon down.
+ * waits in the reader until the writer has committed that one. Both
+ * ends speak exactly wire::kProtocolVersion: a Hello naming any other
+ * version gets a HelloAck with ok = 0 and the reason (see wire.hh),
+ * and the connection closes. Malformed frames, handshake violations
+ * and oversized bodies close the connection — they never take the
+ * daemon down.
  *
- * Connection model (client): one background reader thread correlates
- * responses to in-flight requests — InferResponse and SessionState
- * by request id, SessionAck by session id, Stats/Info by per-type
- * FIFO (the server preserves each type's relative order, and the
- * send mutex keeps the promise queues in wire order) — and resolves
- * the matching std::future. Requests may be submitted from any thread and
- * responses may arrive in any order, so a future client no longer
- * head-of-line blocks on a FIFO readResponse(). Transport loss
+ * Connection model (client): every request registers one promise in
+ * a table keyed by its id before it is sent, and one background
+ * reader hands each reply to the entry registered under the id the
+ * reply carries. Requests may be submitted from any thread and
+ * replies may arrive in any order. A reply whose type differs from
+ * what its entry awaits is a protocol violation. Transport loss
  * resolves every in-flight inference/session future with an
- * Unavailable error response instead of throwing.
+ * Unavailable error response instead of throwing, and fails the
+ * blocking queries with wire::WireError.
  *
  * Lifecycle: TcpServer::stop() closes the listener and all accepted
  * sockets and joins the per-connection threads; pending responses
@@ -59,7 +57,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
+#include <variant>
 #include <vector>
 
 #include "serve/cluster.hh"
@@ -194,10 +192,9 @@ class TcpServer
 class TcpClient
 {
   public:
-    /** Connect to @p host:@p port and handshake (negotiating the
-     *  protocol version). Throws wire::WireError on a protocol or
-     *  version mismatch and std::runtime_error on connection
-     *  failure. */
+    /** Connect to @p host:@p port and handshake. Throws
+     *  wire::WireError on a protocol or version mismatch and
+     *  std::runtime_error on connection failure. */
     TcpClient(const std::string &host, std::uint16_t port);
 
     /** Closes and joins the reader. */
@@ -230,11 +227,10 @@ class TcpClient
           std::uint32_t version = 0);
 
     /** Open a streaming LSTM session on @p model; the ack carries
-     *  the (X, H) shape. Same no-throw future semantics as
-     *  submitInfer(). */
+     *  the session id this client picked and the (X, H) shape. Same
+     *  no-throw future semantics as submitInfer(). */
     std::future<wire::SessionAck>
-    openSession(std::uint64_t session_id, const std::string &model,
-                std::uint32_t version = 0);
+    openSession(const std::string &model, std::uint32_t version = 0);
 
     /** Submit one session step (x only; the state lives server
      *  side). Steps of one session may be pipelined: the server runs
@@ -249,9 +245,6 @@ class TcpClient
     /** Discard a session's server-side state (fire-and-forget). */
     void closeSession(std::uint64_t session_id);
 
-    /** A fresh session id, unique within this client. */
-    std::uint64_t nextSessionId();
-
     /** Fetch the server's aggregated stats JSON (blocking). Throws
      *  wire::WireError on a lost connection. */
     std::string stats();
@@ -263,22 +256,13 @@ class TcpClient
                             std::uint32_t version = 0);
 
     /** Fetch the server's metrics registry exposition (blocking).
-     *  Requires a v3 peer — throws wire::WireError when the
-     *  negotiated protocol predates the Metrics frames, or on a lost
-     *  connection. */
+     *  Throws wire::WireError on a lost connection. */
     wire::MetricsResponse metrics();
 
     /** Fetch the server's span ring as a chrome://tracing JSON
-     *  document (blocking). Same v3 requirement as metrics(). */
+     *  document (blocking). Throws wire::WireError on a lost
+     *  connection. */
     std::string traceDump();
-
-    /** The protocol version negotiated at Hello:
-     *  min(kProtocolVersion, server's version). Trace ids are only
-     *  put on the wire when this is >= 3. */
-    std::uint32_t negotiatedProtocol() const
-    {
-        return negotiated_protocol_;
-    }
 
     /** Whether the connection is still up (in-flight futures after a
      *  loss resolve with Unavailable). */
@@ -289,42 +273,46 @@ class TcpClient
     void close();
 
   private:
+    /** The promise of one in-flight request, by the reply it awaits. */
+    using Pending = std::variant<std::promise<wire::InferResponse>,
+                                 std::promise<wire::SessionAck>,
+                                 std::promise<wire::SessionState>,
+                                 std::promise<wire::StatsResponse>,
+                                 std::promise<wire::InfoResponse>,
+                                 std::promise<wire::MetricsResponse>,
+                                 std::promise<wire::TraceResponse>>;
+    using PendingTable = std::map<std::uint64_t, Pending>;
+
+    /** Register @p request under @p id, then send it. A failed send
+     *  resolves the request unanswered with Unavailable. */
+    template <typename Response>
+    std::future<Response> call(std::uint64_t id, wire::Message request);
+    /** Remove and return the entry under @p id (an empty node if it
+     *  is gone): whoever takes an entry resolves it, so the reader
+     *  and a failed sender never both do. */
+    PendingTable::node_type takePending(std::uint64_t id);
     void sendFrame(const wire::Message &message); ///< locks send_mutex_
-    /** Caller holds send_mutex_ (stats/info register their FIFO
-     *  promise and send under one critical section so wire order
-     *  matches queue order). */
-    void sendFrameLocked(const wire::Message &message);
+    /** Hand one reply to the entry its id names; the violation's
+     *  description if it is no reply or answers another type. */
+    std::string deliver(wire::Message reply);
     void readerLoop();
-    /** Resolve every in-flight future with @p code (Unavailable on a
-     *  lost connection, ProtocolError on a wire violation) and mark
-     *  the client disconnected. */
+    /** Resolve every in-flight request unanswered with @p code
+     *  (Unavailable on a lost connection, ProtocolError on a wire
+     *  violation) and mark the client disconnected. */
     void failAllPending(wire::ErrorCode code,
                         const std::string &reason);
 
     int fd_ = -1;
-    std::uint32_t negotiated_protocol_ = wire::kProtocolVersion;
-
     std::mutex send_mutex_;
     std::atomic<bool> connected_{false};
-    std::thread reader_;
     std::once_flag join_once_;
 
-    mutable std::mutex pending_mutex_;
+    /** Request ids, session ids included. */
     std::atomic<std::uint64_t> next_id_{1};
-    std::atomic<std::uint64_t> next_session_id_{1};
-    std::map<std::uint64_t, std::promise<wire::InferResponse>>
-        pending_infer_;
-    /** Keyed by step id; the session id rides along so a failed
-     *  connection can synthesize fully-addressed SessionStates. */
-    std::map<std::uint64_t,
-             std::pair<std::uint64_t, std::promise<wire::SessionState>>>
-        pending_steps_;
-    std::map<std::uint64_t, std::promise<wire::SessionAck>>
-        pending_session_opens_; ///< keyed by session_id
-    std::deque<std::promise<wire::StatsResponse>> pending_stats_;
-    std::deque<std::promise<wire::InfoResponse>> pending_info_;
-    std::deque<std::promise<wire::MetricsResponse>> pending_metrics_;
-    std::deque<std::promise<wire::TraceResponse>> pending_trace_;
+    std::mutex pending_mutex_;
+    PendingTable pending_; ///< guarded by pending_mutex_
+
+    std::thread reader_;
 };
 
 } // namespace eie::serve

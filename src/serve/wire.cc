@@ -1,52 +1,94 @@
 #include "serve/wire.hh"
 
+#include <concepts>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
 namespace eie::serve::wire {
 
 namespace {
 
-/** Little-endian scalar/string/vector writer (appends to a buffer). */
+/** A model-name string field: the reader caps it at kMaxModelName
+ *  rather than kMaxBodyBytes. */
+template <typename S>
+struct ModelName
+{
+    S &text;
+};
+
+/** Appends fields to one frame, leaving room for the length prefix
+ *  that frame() patches in at the end. */
 class BodyWriter
 {
   public:
-    template <typename T>
-    void
-    scalar(T value)
+    BodyWriter()
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        const auto *p = reinterpret_cast<const std::uint8_t *>(&value);
-        bytes_.insert(bytes_.end(), p, p + sizeof(T));
+        // A small frame's fields then append without reallocating,
+        // and GCC 12 no longer misreads the first append as out of
+        // bounds (-Warray-bounds).
+        bytes_.reserve(64);
+        bytes_.resize(4);
     }
 
+    template <typename... Fields>
     void
-    string(const std::string &text)
+    operator()(Fields &&...fields)
     {
-        scalar<std::uint32_t>(static_cast<std::uint32_t>(text.size()));
-        bytes_.insert(bytes_.end(), text.begin(), text.end());
+        (put(fields), ...);
     }
 
-    void
-    vectorI64(const std::vector<std::int64_t> &values)
+    std::vector<std::uint8_t>
+    frame() &&
     {
-        scalar<std::uint32_t>(
-            static_cast<std::uint32_t>(values.size()));
-        for (const std::int64_t v : values)
-            scalar<std::int64_t>(v);
+        const auto body_len =
+            static_cast<std::uint32_t>(bytes_.size() - 4);
+        std::memcpy(bytes_.data(), &body_len, 4);
+        return std::move(bytes_);
     }
-
-    void
-    vectorF32(const std::vector<float> &values)
-    {
-        scalar<std::uint32_t>(
-            static_cast<std::uint32_t>(values.size()));
-        for (const float v : values)
-            scalar<float>(v);
-    }
-
-    std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
   private:
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    void
+    put(T value)
+    {
+        append(&value, sizeof(T));
+    }
+
+    void put(bool value) { put<std::uint8_t>(value ? 1 : 0); }
+
+    void put(ErrorCode code) { put(static_cast<std::uint8_t>(code)); }
+
+    void
+    put(const std::string &text)
+    {
+        put(static_cast<std::uint32_t>(text.size()));
+        append(text.data(), text.size());
+    }
+
+    template <typename S>
+    void
+    put(ModelName<S> name)
+    {
+        put(name.text);
+    }
+
+    template <typename T>
+    void
+    put(const std::vector<T> &values)
+    {
+        put(static_cast<std::uint32_t>(values.size()));
+        append(values.data(), values.size() * sizeof(T));
+    }
+
+    void
+    append(const void *data, std::size_t size)
+    {
+        const auto *p = static_cast<const std::uint8_t *>(data);
+        bytes_.insert(bytes_.end(), p, p + size);
+    }
+
     std::vector<std::uint8_t> bytes_;
 };
 
@@ -58,60 +100,12 @@ class BodyReader
         : bytes_(bytes)
     {}
 
-    template <typename T>
-    T
-    scalar()
+    template <typename... Fields>
+    void
+    operator()(Fields &&...fields)
     {
-        static_assert(std::is_trivially_copyable_v<T>);
-        if (pos_ + sizeof(T) > bytes_.size())
-            throw WireError("frame truncated");
-        T value;
-        std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return value;
+        (get(fields), ...);
     }
-
-    std::string
-    string(std::size_t max_len)
-    {
-        const auto len = scalar<std::uint32_t>();
-        if (len > max_len)
-            throw WireError("string field exceeds limit");
-        if (pos_ + len > bytes_.size())
-            throw WireError("frame truncated");
-        std::string text(
-            reinterpret_cast<const char *>(bytes_.data() + pos_), len);
-        pos_ += len;
-        return text;
-    }
-
-    std::vector<std::int64_t>
-    vectorI64()
-    {
-        const auto count = scalar<std::uint32_t>();
-        if (static_cast<std::size_t>(count) * 8 >
-            bytes_.size() - pos_)
-            throw WireError("vector field exceeds frame");
-        std::vector<std::int64_t> values(count);
-        for (auto &v : values)
-            v = scalar<std::int64_t>();
-        return values;
-    }
-
-    std::vector<float>
-    vectorF32()
-    {
-        const auto count = scalar<std::uint32_t>();
-        if (static_cast<std::size_t>(count) * 4 >
-            bytes_.size() - pos_)
-            throw WireError("vector field exceeds frame");
-        std::vector<float> values(count);
-        for (auto &v : values)
-            v = scalar<float>();
-        return values;
-    }
-
-    bool atEnd() const { return pos_ == bytes_.size(); }
 
     void
     done() const
@@ -121,180 +115,182 @@ class BodyReader
     }
 
   private:
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    void
+    get(T &value)
+    {
+        take(&value, sizeof(T));
+    }
+
+    void
+    get(bool &value)
+    {
+        std::uint8_t byte = 0;
+        get(byte);
+        value = byte != 0;
+    }
+
+    void
+    get(ErrorCode &code)
+    {
+        std::uint8_t byte = 0;
+        get(byte);
+        // Unknown codes from a newer peer degrade to Internal instead
+        // of rejecting the frame: the error string still travels.
+        code = byte > static_cast<std::uint8_t>(ErrorCode::Unavailable)
+            ? ErrorCode::Internal
+            : static_cast<ErrorCode>(byte);
+    }
+
+    void get(std::string &text) { string(text, kMaxBodyBytes); }
+
+    void
+    get(ModelName<std::string> name)
+    {
+        string(name.text, kMaxModelName);
+    }
+
+    template <typename T>
+    void
+    get(std::vector<T> &values)
+    {
+        std::uint32_t count = 0;
+        get(count);
+        if (static_cast<std::size_t>(count) * sizeof(T) >
+            bytes_.size() - pos_)
+            throw WireError("vector field exceeds frame");
+        values.resize(count);
+        take(values.data(), values.size() * sizeof(T));
+    }
+
+    void
+    string(std::string &text, std::size_t max_len)
+    {
+        std::uint32_t len = 0;
+        get(len);
+        if (len > max_len)
+            throw WireError("string field exceeds limit");
+        if (len > bytes_.size() - pos_)
+            throw WireError("frame truncated");
+        text.assign(reinterpret_cast<const char *>(bytes_.data() + pos_),
+                    len);
+        pos_ += len;
+    }
+
+    void
+    take(void *out, std::size_t size)
+    {
+        if (size > bytes_.size() - pos_)
+            throw WireError("frame truncated");
+        if (size != 0)
+            std::memcpy(out, bytes_.data() + pos_, size);
+        pos_ += size;
+    }
+
     std::span<const std::uint8_t> bytes_;
     std::size_t pos_ = 0;
 };
 
-/** Wrap a finished body in the length-prefixed frame. */
-std::vector<std::uint8_t>
-frame(MsgType type, BodyWriter body_writer)
+/** @p M is message type @p T, const (encoding) or not (decoding). */
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+// Each message's fields in wire order. BodyWriter walks a list over a
+// const message to encode it, BodyReader over a default-constructed
+// one to decode it.
+
+void fields(auto &io, Is<Hello> auto &m) { io(m.protocol); }
+
+void
+fields(auto &io, Is<HelloAck> auto &m)
 {
-    const std::vector<std::uint8_t> payload = body_writer.take();
-    const std::uint32_t body_len =
-        static_cast<std::uint32_t>(1 + payload.size());
-    std::vector<std::uint8_t> out;
-    out.reserve(4 + body_len);
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&body_len);
-    out.insert(out.end(), p, p + 4);
-    out.push_back(static_cast<std::uint8_t>(type));
-    out.insert(out.end(), payload.begin(), payload.end());
-    return out;
+    io(m.protocol, m.ok, m.error);
 }
 
-ErrorCode
-errorCodeFromByte(std::uint8_t byte)
+void
+fields(auto &io, Is<InferRequest> auto &m)
 {
-    // Unknown codes from a newer peer degrade to Internal instead of
-    // rejecting the frame: the error string still travels.
-    return byte > static_cast<std::uint8_t>(ErrorCode::Unavailable)
-        ? ErrorCode::Internal
-        : static_cast<ErrorCode>(byte);
+    io(m.id, ModelName{m.model}, m.version, m.priority, m.deadline_us,
+       m.input, m.trace_id);
 }
+
+void
+fields(auto &io, Is<InferResponse> auto &m)
+{
+    // The reader has filled ok by the time it branches.
+    io(m.id, m.ok);
+    if (m.ok)
+        io(m.output);
+    else
+        io(m.code, m.error);
+}
+
+void fields(auto &io, Is<StatsRequest> auto &m) { io(m.id); }
+
+void fields(auto &io, Is<StatsResponse> auto &m) { io(m.id, m.json); }
+
+void
+fields(auto &io, Is<InfoRequest> auto &m)
+{
+    io(m.id, ModelName{m.model}, m.version);
+}
+
+void
+fields(auto &io, Is<InfoResponse> auto &m)
+{
+    io(m.id, m.ok, m.code, m.error, ModelName{m.model}, m.version,
+       m.input_size, m.output_size, m.shards, m.placement);
+}
+
+void
+fields(auto &io, Is<SessionOpen> auto &m)
+{
+    io(m.session_id, ModelName{m.model}, m.version);
+}
+
+void
+fields(auto &io, Is<SessionAck> auto &m)
+{
+    io(m.session_id, m.ok, m.code, m.error, m.input_size,
+       m.hidden_size);
+}
+
+void
+fields(auto &io, Is<SessionStep> auto &m)
+{
+    io(m.session_id, m.id, m.priority, m.deadline_us, m.x, m.trace_id);
+}
+
+void
+fields(auto &io, Is<SessionState> auto &m)
+{
+    io(m.session_id, m.id, m.ok, m.code, m.error, m.h);
+}
+
+void fields(auto &io, Is<SessionClose> auto &m) { io(m.session_id); }
+
+void fields(auto &io, Is<MetricsRequest> auto &m) { io(m.id); }
+
+void
+fields(auto &io, Is<MetricsResponse> auto &m)
+{
+    io(m.id, m.text, m.json);
+}
+
+void fields(auto &io, Is<TraceRequest> auto &m) { io(m.id); }
+
+void fields(auto &io, Is<TraceResponse> auto &m) { io(m.id, m.json); }
 
 } // namespace
-
-MsgType
-messageType(const Message &message)
-{
-    return std::visit(
-        [](const auto &msg) {
-            using T = std::decay_t<decltype(msg)>;
-            if constexpr (std::is_same_v<T, Hello>)
-                return MsgType::Hello;
-            else if constexpr (std::is_same_v<T, HelloAck>)
-                return MsgType::HelloAck;
-            else if constexpr (std::is_same_v<T, InferRequest>)
-                return MsgType::InferRequest;
-            else if constexpr (std::is_same_v<T, InferResponse>)
-                return MsgType::InferResponse;
-            else if constexpr (std::is_same_v<T, StatsRequest>)
-                return MsgType::StatsRequest;
-            else if constexpr (std::is_same_v<T, StatsResponse>)
-                return MsgType::StatsResponse;
-            else if constexpr (std::is_same_v<T, InfoRequest>)
-                return MsgType::InfoRequest;
-            else if constexpr (std::is_same_v<T, InfoResponse>)
-                return MsgType::InfoResponse;
-            else if constexpr (std::is_same_v<T, SessionOpen>)
-                return MsgType::SessionOpen;
-            else if constexpr (std::is_same_v<T, SessionAck>)
-                return MsgType::SessionAck;
-            else if constexpr (std::is_same_v<T, SessionStep>)
-                return MsgType::SessionStep;
-            else if constexpr (std::is_same_v<T, SessionState>)
-                return MsgType::SessionState;
-            else if constexpr (std::is_same_v<T, SessionClose>)
-                return MsgType::SessionClose;
-            else if constexpr (std::is_same_v<T, MetricsRequest>)
-                return MsgType::MetricsRequest;
-            else if constexpr (std::is_same_v<T, MetricsResponse>)
-                return MsgType::MetricsResponse;
-            else if constexpr (std::is_same_v<T, TraceRequest>)
-                return MsgType::TraceRequest;
-            else
-                return MsgType::TraceResponse;
-        },
-        message);
-}
 
 std::vector<std::uint8_t>
 encodeFrame(const Message &message)
 {
     BodyWriter writer;
-    std::visit(
-        [&writer](const auto &msg) {
-            using T = std::decay_t<decltype(msg)>;
-            if constexpr (std::is_same_v<T, Hello>) {
-                writer.scalar<std::uint32_t>(msg.protocol);
-            } else if constexpr (std::is_same_v<T, HelloAck>) {
-                writer.scalar<std::uint32_t>(msg.protocol);
-                if (msg.wire_layout >= 2) {
-                    writer.scalar<std::uint8_t>(msg.ok ? 1 : 0);
-                    writer.string(msg.error);
-                }
-            } else if constexpr (std::is_same_v<T, InferRequest>) {
-                writer.scalar<std::uint64_t>(msg.id);
-                writer.string(msg.model);
-                writer.scalar<std::uint32_t>(msg.version);
-                writer.scalar<std::int32_t>(msg.priority);
-                writer.scalar<std::uint32_t>(msg.deadline_us);
-                writer.vectorI64(msg.input);
-                // v3 trailing extension: only traced requests grow
-                // the frame, so v2 servers keep decoding untraced
-                // traffic (their reader would reject extra bytes).
-                if (msg.trace_id != 0)
-                    writer.scalar<std::uint64_t>(msg.trace_id);
-            } else if constexpr (std::is_same_v<T, InferResponse>) {
-                writer.scalar<std::uint64_t>(msg.id);
-                writer.scalar<std::uint8_t>(msg.ok ? 1 : 0);
-                if (msg.ok) {
-                    writer.vectorI64(msg.output);
-                } else {
-                    writer.scalar<std::uint8_t>(
-                        static_cast<std::uint8_t>(msg.code));
-                    writer.string(msg.error);
-                }
-            } else if constexpr (std::is_same_v<T, StatsRequest>) {
-                // empty payload
-            } else if constexpr (std::is_same_v<T, StatsResponse>) {
-                writer.string(msg.json);
-            } else if constexpr (std::is_same_v<T, InfoRequest>) {
-                writer.string(msg.model);
-                writer.scalar<std::uint32_t>(msg.version);
-            } else if constexpr (std::is_same_v<T, InfoResponse>) {
-                writer.scalar<std::uint8_t>(msg.ok ? 1 : 0);
-                writer.string(msg.error);
-                writer.string(msg.model);
-                writer.scalar<std::uint32_t>(msg.version);
-                writer.scalar<std::uint64_t>(msg.input_size);
-                writer.scalar<std::uint64_t>(msg.output_size);
-                writer.scalar<std::uint32_t>(msg.shards);
-                writer.string(msg.placement);
-            } else if constexpr (std::is_same_v<T, SessionOpen>) {
-                writer.scalar<std::uint64_t>(msg.session_id);
-                writer.string(msg.model);
-                writer.scalar<std::uint32_t>(msg.version);
-            } else if constexpr (std::is_same_v<T, SessionAck>) {
-                writer.scalar<std::uint64_t>(msg.session_id);
-                writer.scalar<std::uint8_t>(msg.ok ? 1 : 0);
-                writer.scalar<std::uint8_t>(
-                    static_cast<std::uint8_t>(msg.code));
-                writer.string(msg.error);
-                writer.scalar<std::uint64_t>(msg.input_size);
-                writer.scalar<std::uint64_t>(msg.hidden_size);
-            } else if constexpr (std::is_same_v<T, SessionStep>) {
-                writer.scalar<std::uint64_t>(msg.session_id);
-                writer.scalar<std::uint64_t>(msg.id);
-                writer.scalar<std::int32_t>(msg.priority);
-                writer.scalar<std::uint32_t>(msg.deadline_us);
-                writer.vectorF32(msg.x);
-                if (msg.trace_id != 0)
-                    writer.scalar<std::uint64_t>(msg.trace_id);
-            } else if constexpr (std::is_same_v<T, SessionState>) {
-                writer.scalar<std::uint64_t>(msg.session_id);
-                writer.scalar<std::uint64_t>(msg.id);
-                writer.scalar<std::uint8_t>(msg.ok ? 1 : 0);
-                writer.scalar<std::uint8_t>(
-                    static_cast<std::uint8_t>(msg.code));
-                writer.string(msg.error);
-                writer.vectorF32(msg.h);
-            } else if constexpr (std::is_same_v<T, SessionClose>) {
-                writer.scalar<std::uint64_t>(msg.session_id);
-            } else if constexpr (std::is_same_v<T,
-                                                MetricsRequest>) {
-                // empty payload
-            } else if constexpr (std::is_same_v<T,
-                                                MetricsResponse>) {
-                writer.string(msg.text);
-                writer.string(msg.json);
-            } else if constexpr (std::is_same_v<T, TraceRequest>) {
-                // empty payload
-            } else { // TraceResponse
-                writer.string(msg.json);
-            }
-        },
-        message);
-    return frame(messageType(message), std::move(writer));
+    writer(static_cast<std::uint8_t>(messageType(message)));
+    std::visit([&writer](const auto &m) { fields(writer, m); }, message);
+    return std::move(writer).frame();
 }
 
 Message
@@ -305,159 +301,19 @@ decodeBody(std::span<const std::uint8_t> body)
     if (body.size() > kMaxBodyBytes)
         throw WireError("frame body exceeds limit");
 
+    const std::size_t tag = body[0];
+    if (tag == 0 || tag > std::variant_size_v<Message>)
+        throw WireError("unknown frame type " + std::to_string(tag));
+    // Default-construct the alternative the tag names, then fill it.
+    Message message;
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        (void)((I + 1 == tag && (message.emplace<I>(), true)) || ...);
+    }(std::make_index_sequence<std::variant_size_v<Message>>{});
+
     BodyReader reader(body.subspan(1));
-    switch (static_cast<MsgType>(body[0])) {
-      case MsgType::Hello: {
-        Hello msg;
-        msg.protocol = reader.scalar<std::uint32_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::HelloAck: {
-        HelloAck msg;
-        msg.protocol = reader.scalar<std::uint32_t>();
-        if (reader.atEnd()) {
-            // v1 legacy layout: the version field only.
-            msg.wire_layout = 1;
-            msg.ok = true;
-        } else {
-            msg.wire_layout = 2;
-            msg.ok = reader.scalar<std::uint8_t>() != 0;
-            msg.error = reader.string(kMaxBodyBytes);
-        }
-        reader.done();
-        return msg;
-      }
-      case MsgType::InferRequest: {
-        InferRequest msg;
-        msg.id = reader.scalar<std::uint64_t>();
-        msg.model = reader.string(kMaxModelName);
-        msg.version = reader.scalar<std::uint32_t>();
-        msg.priority = reader.scalar<std::int32_t>();
-        msg.deadline_us = reader.scalar<std::uint32_t>();
-        msg.input = reader.vectorI64();
-        // v3 trailing trace id: absent on v2 frames and on untraced
-        // v3 frames (both decode to trace_id 0).
-        if (!reader.atEnd())
-            msg.trace_id = reader.scalar<std::uint64_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::InferResponse: {
-        InferResponse msg;
-        msg.id = reader.scalar<std::uint64_t>();
-        msg.ok = reader.scalar<std::uint8_t>() != 0;
-        if (msg.ok) {
-            msg.output = reader.vectorI64();
-        } else {
-            msg.code = errorCodeFromByte(reader.scalar<std::uint8_t>());
-            msg.error = reader.string(kMaxBodyBytes);
-        }
-        reader.done();
-        return msg;
-      }
-      case MsgType::StatsRequest: {
-        reader.done();
-        return StatsRequest{};
-      }
-      case MsgType::StatsResponse: {
-        StatsResponse msg;
-        msg.json = reader.string(kMaxBodyBytes);
-        reader.done();
-        return msg;
-      }
-      case MsgType::InfoRequest: {
-        InfoRequest msg;
-        msg.model = reader.string(kMaxModelName);
-        msg.version = reader.scalar<std::uint32_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::InfoResponse: {
-        InfoResponse msg;
-        msg.ok = reader.scalar<std::uint8_t>() != 0;
-        msg.error = reader.string(kMaxBodyBytes);
-        msg.model = reader.string(kMaxModelName);
-        msg.version = reader.scalar<std::uint32_t>();
-        msg.input_size = reader.scalar<std::uint64_t>();
-        msg.output_size = reader.scalar<std::uint64_t>();
-        msg.shards = reader.scalar<std::uint32_t>();
-        msg.placement = reader.string(kMaxBodyBytes);
-        reader.done();
-        return msg;
-      }
-      case MsgType::SessionOpen: {
-        SessionOpen msg;
-        msg.session_id = reader.scalar<std::uint64_t>();
-        msg.model = reader.string(kMaxModelName);
-        msg.version = reader.scalar<std::uint32_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::SessionAck: {
-        SessionAck msg;
-        msg.session_id = reader.scalar<std::uint64_t>();
-        msg.ok = reader.scalar<std::uint8_t>() != 0;
-        msg.code = errorCodeFromByte(reader.scalar<std::uint8_t>());
-        msg.error = reader.string(kMaxBodyBytes);
-        msg.input_size = reader.scalar<std::uint64_t>();
-        msg.hidden_size = reader.scalar<std::uint64_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::SessionStep: {
-        SessionStep msg;
-        msg.session_id = reader.scalar<std::uint64_t>();
-        msg.id = reader.scalar<std::uint64_t>();
-        msg.priority = reader.scalar<std::int32_t>();
-        msg.deadline_us = reader.scalar<std::uint32_t>();
-        msg.x = reader.vectorF32();
-        if (!reader.atEnd())
-            msg.trace_id = reader.scalar<std::uint64_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::SessionState: {
-        SessionState msg;
-        msg.session_id = reader.scalar<std::uint64_t>();
-        msg.id = reader.scalar<std::uint64_t>();
-        msg.ok = reader.scalar<std::uint8_t>() != 0;
-        msg.code = errorCodeFromByte(reader.scalar<std::uint8_t>());
-        msg.error = reader.string(kMaxBodyBytes);
-        msg.h = reader.vectorF32();
-        reader.done();
-        return msg;
-      }
-      case MsgType::SessionClose: {
-        SessionClose msg;
-        msg.session_id = reader.scalar<std::uint64_t>();
-        reader.done();
-        return msg;
-      }
-      case MsgType::MetricsRequest: {
-        reader.done();
-        return MetricsRequest{};
-      }
-      case MsgType::MetricsResponse: {
-        MetricsResponse msg;
-        msg.text = reader.string(kMaxBodyBytes);
-        msg.json = reader.string(kMaxBodyBytes);
-        reader.done();
-        return msg;
-      }
-      case MsgType::TraceRequest: {
-        reader.done();
-        return TraceRequest{};
-      }
-      case MsgType::TraceResponse: {
-        TraceResponse msg;
-        msg.json = reader.string(kMaxBodyBytes);
-        reader.done();
-        return msg;
-      }
-    }
-    throw WireError("unknown frame type " +
-                    std::to_string(static_cast<unsigned>(body[0])));
+    std::visit([&reader](auto &m) { fields(reader, m); }, message);
+    reader.done();
+    return message;
 }
 
 } // namespace eie::serve::wire

@@ -13,42 +13,41 @@
  * Payloads by type:
  *   Hello            : u32 protocol version (first frame the client
  *                      sends)
- *   HelloAck         : u32 protocol version, then — in the v2 layout —
- *                      u8 ok and str error. The server answers in the
- *                      layout of min(client version, server version)
- *                      so a v1 client still decodes the ack: a
- *                      mismatched client gets a clean rejection (v2+:
- *                      ok = 0 plus the reason; v1: a protocol number
- *                      its own handshake check refuses) instead of
- *                      undefined decoding of later frames.
+ *   HelloAck         : u32 protocol version, u8 ok, str error. A
+ *                      client whose Hello names another version gets
+ *                      ok = 0 plus the reason, and the connection
+ *                      closes. This layout is the same in every
+ *                      revision since v2, so older clients decode the
+ *                      rejection too.
  *   InferRequest     : u64 id, str model, u32 version (0 = latest),
  *                      i32 priority, u32 deadline_us (0 = none),
  *                      vec<i64> input (raw fixed-point activations),
- *                      then optionally (v3) u64 trace_id — only
- *                      present when nonzero, so a v2 peer decodes
- *                      untraced requests unchanged
+ *                      u64 trace_id (0 = untraced)
  *   InferResponse    : u64 id, u8 ok, then vec<i64> output (ok = 1)
  *                      or u8 code + str error (ok = 0)
- *   StatsRequest     : empty
- *   StatsResponse    : str json (ServingDirectory::statsJson)
- *   InfoRequest      : str model, u32 version (0 = latest)
- *   InfoResponse     : u8 ok, str error, str model, u32 version,
- *                      u64 input_size, u64 output_size, u32 shards,
- *                      str placement
+ *   StatsRequest     : u64 id
+ *   StatsResponse    : u64 id, str json (ServingDirectory::statsJson)
+ *   InfoRequest      : u64 id, str model, u32 version (0 = latest)
+ *   InfoResponse     : u64 id, u8 ok, u8 code, str error, str model,
+ *                      u32 version, u64 input_size, u64 output_size,
+ *                      u32 shards, str placement
  *   SessionOpen      : u64 session_id, str model, u32 version
  *   SessionAck       : u64 session_id, u8 ok, u8 code, str error,
  *                      u64 input_size (X), u64 hidden_size (H)
  *   SessionStep      : u64 session_id, u64 id, i32 priority,
- *                      u32 deadline_us, vec<f32> x, then optionally
- *                      (v3) u64 trace_id when nonzero
+ *                      u32 deadline_us, vec<f32> x, u64 trace_id
  *   SessionState     : u64 session_id, u64 id, u8 ok, u8 code,
  *                      str error, vec<f32> h (the new hidden state)
  *   SessionClose     : u64 session_id (one-way; no reply)
- *   MetricsRequest   : empty (v3)
- *   MetricsResponse  : str text (Prometheus exposition), str json
- *                      (MetricsRegistry::renderJson) (v3)
- *   TraceRequest     : empty (v3)
- *   TraceResponse    : str json (chrome://tracing traceEvents) (v3)
+ *   MetricsRequest   : u64 id
+ *   MetricsResponse  : u64 id, str text (Prometheus exposition),
+ *                      str json (MetricsRegistry::renderJson)
+ *   TraceRequest     : u64 id
+ *   TraceResponse    : u64 id, str json (chrome://tracing traceEvents)
+ *
+ * Every reply carries the id of the request it answers (a SessionAck
+ * its SessionOpen's session_id), so a client matches replies to
+ * requests by id alone, in whatever order they arrive.
  *
  * str is u32 length + bytes; vec<i64> is u32 count + count x i64;
  * vec<f32> is u32 count + count x f32 (IEEE-754 bit patterns, so a
@@ -57,16 +56,6 @@
  * transport drops the connection) instead of killing the daemon,
  * unlike the fatal()-on-corruption model-file loader whose inputs are
  * operator-owned files.
- *
- * Version history:
- *   v1 — Hello..InfoResponse, error responses carried a string only.
- *   v2 — HelloAck gained ok/error (negotiated layout), InferResponse
- *        errors carry an ErrorCode, session messages added.
- *   v3 — InferRequest/SessionStep carry an optional trailing
- *        trace_id; Metrics/Trace query frames added. v2 peers are
- *        still accepted (both sides speak min(client, server)): a
- *        client talking to a v2 server sends no trace ids and
- *        refuses metrics/trace queries locally.
  */
 
 #ifndef EIE_SERVE_WIRE_HH
@@ -81,13 +70,9 @@
 
 namespace eie::serve::wire {
 
-/** Protocol revision; bumped on any frame-layout change. */
-inline constexpr std::uint32_t kProtocolVersion = 3;
-
-/** Oldest peer revision both endpoints still interoperate with:
- *  the negotiated version is min(client, server) and either side
- *  rejects anything below this. */
-inline constexpr std::uint32_t kMinProtocolVersion = 2;
+/** Protocol revision; bumped on any frame-layout change. Both ends
+ *  speak exactly this one. */
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /** Upper bound on one frame's body, guarding decoder allocations. */
 inline constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 28;
@@ -95,7 +80,8 @@ inline constexpr std::size_t kMaxBodyBytes = std::size_t{1} << 28;
 /** Longest accepted model name (matches the registry's limit). */
 inline constexpr std::size_t kMaxModelName = 128;
 
-/** Frame type tags (the body's leading byte). */
+/** Frame type tags (the body's leading byte): each is its Message
+ *  alternative's index plus one. */
 enum class MsgType : std::uint8_t
 {
     Hello = 1,
@@ -145,16 +131,7 @@ struct HelloAck
 {
     std::uint32_t protocol = kProtocolVersion;
     bool ok = true;
-    std::string error; ///< set when !ok (v2 layout only)
-
-    /**
-     * Which layout to encode with: >= 2 appends ok/error, 1 is the
-     * protocol-only legacy layout. The server sets this to
-     * min(client's Hello version, kProtocolVersion) so the peer can
-     * always decode the ack; filled on decode with the layout found.
-     * Never travels as a field itself.
-     */
-    std::uint32_t wire_layout = kProtocolVersion;
+    std::string error; ///< set when !ok
 };
 
 struct InferRequest
@@ -165,11 +142,7 @@ struct InferRequest
     std::int32_t priority = 0;   ///< engine::SubmitOptions::priority
     std::uint32_t deadline_us = 0; ///< 0 = no deadline
     std::vector<std::int64_t> input;
-
-    /** v3 trailing extension: the request's distributed trace id.
-     *  Encoded only when nonzero (so the v2 layout is unchanged for
-     *  untraced traffic); 0 after decoding a v2 frame. */
-    std::uint64_t trace_id = 0;
+    std::uint64_t trace_id = 0; ///< 0 = untraced
 };
 
 struct InferResponse
@@ -182,22 +155,28 @@ struct InferResponse
 };
 
 struct StatsRequest
-{};
+{
+    std::uint64_t id = 0;
+};
 
 struct StatsResponse
 {
+    std::uint64_t id = 0;
     std::string json;
 };
 
 struct InfoRequest
 {
+    std::uint64_t id = 0;
     std::string model;
     std::uint32_t version = 0; ///< 0 = latest published
 };
 
 struct InfoResponse
 {
+    std::uint64_t id = 0;
     bool ok = false;
+    ErrorCode code = ErrorCode::Internal; ///< meaningful when !ok
     std::string error; ///< set when !ok
     std::string model;
     std::uint32_t version = 0; ///< resolved (never 0 when ok)
@@ -211,7 +190,8 @@ struct InfoResponse
  *  side, one session per @p session_id per connection). */
 struct SessionOpen
 {
-    std::uint64_t session_id = 0; ///< client-chosen, unique per conn
+    /** Client-chosen from its request ids; the ack echoes it. */
+    std::uint64_t session_id = 0;
     std::string model;
     std::uint32_t version = 0; ///< 0 = latest published
 };
@@ -235,9 +215,7 @@ struct SessionStep
     std::int32_t priority = 0;
     std::uint32_t deadline_us = 0; ///< 0 = no deadline
     std::vector<float> x;
-
-    /** v3 trailing extension, same rules as InferRequest::trace_id. */
-    std::uint64_t trace_id = 0;
+    std::uint64_t trace_id = 0; ///< 0 = untraced
 };
 
 /** The state half of the session pair: the new hidden state after
@@ -258,22 +236,28 @@ struct SessionClose
     std::uint64_t session_id = 0;
 };
 
-/** Ask the server for its process metrics registry (v3). */
+/** Ask the server for its process metrics registry. */
 struct MetricsRequest
-{};
+{
+    std::uint64_t id = 0;
+};
 
 struct MetricsResponse
 {
+    std::uint64_t id = 0;
     std::string text; ///< Prometheus-style plaintext exposition
     std::string json; ///< MetricsRegistry::renderJson
 };
 
-/** Ask the server for its span ring as a chrome trace (v3). */
+/** Ask the server for its span ring as a chrome trace. */
 struct TraceRequest
-{};
+{
+    std::uint64_t id = 0;
+};
 
 struct TraceResponse
 {
+    std::uint64_t id = 0;
     std::string json; ///< chrome://tracing traceEvents document
 };
 
@@ -284,6 +268,9 @@ using Message = std::variant<Hello, HelloAck, InferRequest,
                              SessionStep, SessionState, SessionClose,
                              MetricsRequest, MetricsResponse,
                              TraceRequest, TraceResponse>;
+
+static_assert(std::variant_size_v<Message> ==
+              static_cast<std::size_t>(MsgType::TraceResponse));
 
 /** Thrown on any malformed, truncated or oversized frame. */
 class WireError : public std::runtime_error
@@ -303,7 +290,11 @@ std::vector<std::uint8_t> encodeFrame(const Message &message);
 Message decodeBody(std::span<const std::uint8_t> body);
 
 /** The type tag @p message would carry on the wire. */
-MsgType messageType(const Message &message);
+inline MsgType
+messageType(const Message &message)
+{
+    return static_cast<MsgType>(message.index() + 1);
+}
 
 } // namespace eie::serve::wire
 

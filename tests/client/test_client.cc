@@ -13,11 +13,13 @@
 
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <thread>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "client/client.hh"
@@ -420,6 +422,93 @@ TEST(Client, MalformedServerFramesAreProtocolErrors)
         << result.status.toString();
 
     client->close();
+    fake_server.join();
+    ::close(listener);
+}
+
+TEST(Client, AReplyOfTheWrongTypeIsAProtocolError)
+{
+    // A fake daemon that handshakes, then answers the first request's
+    // id with an InfoResponse. The infer must resolve PROTOCOL_ERROR
+    // at once rather than wait for the connection to close. The
+    // daemon closes after 10 s without the client bailing, so a
+    // client that drops the stray reply fails this test instead of
+    // hanging it.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    sockaddr_in bound{};
+    socklen_t bound_len = sizeof(bound);
+    ASSERT_EQ(::getsockname(listener,
+                            reinterpret_cast<sockaddr *>(&bound),
+                            &bound_len),
+              0);
+    const std::uint16_t port = ntohs(bound.sin_port);
+
+    std::thread fake_server([listener] {
+        const int fd = ::accept(listener, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        const timeval patience{10, 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &patience,
+                     sizeof(patience));
+        std::uint8_t hello[9];
+        std::uint32_t len = 0;
+        if (::recv(fd, hello, sizeof(hello), MSG_WAITALL) ==
+                static_cast<ssize_t>(sizeof(hello))) {
+            const auto ack =
+                serve::wire::encodeFrame(serve::wire::HelloAck{});
+            ::send(fd, ack.data(), ack.size(), MSG_NOSIGNAL);
+        }
+        if (::recv(fd, &len, 4, MSG_WAITALL) == 4 && len < 4096) {
+            std::vector<std::uint8_t> body(len);
+            if (::recv(fd, body.data(), len, MSG_WAITALL) ==
+                static_cast<ssize_t>(len)) {
+                const serve::wire::Message request =
+                    serve::wire::decodeBody(body);
+                serve::wire::InfoResponse info;
+                if (const auto *infer =
+                        std::get_if<serve::wire::InferRequest>(&request))
+                    info.id = infer->id;
+                info.ok = true;
+                const auto reply = serve::wire::encodeFrame(info);
+                ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+            }
+        }
+        char byte = 0;
+        ::recv(fd, &byte, 1, 0); // the client bails, or patience ends
+        ::close(fd);
+    });
+
+    client::ClientOptions options;
+    options.config = makeConfig();
+    client::Status status;
+    auto client = client::Client::connect(
+        "tcp://127.0.0.1:" + std::to_string(port), options, status);
+    EXPECT_NE(client, nullptr) << status.toString();
+    if (client != nullptr) {
+        auto infer = std::async(std::launch::async, [&client] {
+            return client->inferRaw("fc",
+                                    std::vector<std::int64_t>(4, 1));
+        });
+        EXPECT_EQ(infer.wait_for(std::chrono::seconds(5)),
+                  std::future_status::ready)
+            << "the infer waited for the connection to close";
+        const client::InferenceResult result = infer.get();
+        EXPECT_EQ(result.status.code, client::StatusCode::ProtocolError)
+            << result.status.toString();
+        EXPECT_NE(result.status.message.find("wrong type"),
+                  std::string::npos)
+            << result.status.message;
+        client->close();
+    }
     fake_server.join();
     ::close(listener);
 }

@@ -3,7 +3,7 @@
  * Client-side resilience: the RetryPolicy schedule (deterministic
  * backoff with jitter), retry of shed requests, the idempotent-only
  * guard, the per-request wall-clock timeout, TcpTransport's
- * transparent reconnect (wire-v2 re-handshake) across a daemon
+ * transparent reconnect (a fresh wire handshake) across a daemon
  * bounce and an injected connection drop, and shed session steps
  * surfacing as Unavailable on every transport. Runs under
  * ThreadSanitizer and ASan/UBSan in tools/check.sh.
@@ -336,7 +336,7 @@ TEST(ClientRetry, TcpTransportReconnectsAcrossDaemonBounce)
     serve::TcpServer second_server(fx.directory, reborn_options);
     second_server.start();
 
-    // The transport re-dials (fresh wire-v2 handshake) on the next
+    // The transport re-dials (fresh wire handshake) on the next
     // request — same client object, same bits.
     client::InferenceResult after = client->inferRaw("fc", input);
     ASSERT_TRUE(after.ok()) << after.status.toString();

@@ -369,10 +369,10 @@ TEST(ClientSession, PipelinedStepsRunInOrderAndADroppedConnectionIsReaped)
     fault::arm("tcp.drop_after_write", drop);
 
     serve::TcpClient client("127.0.0.1", fx.server.port());
-    const std::uint64_t id = client.nextSessionId();
     const serve::wire::SessionAck ack =
-        client.openSession(id, "nt-lstm").get();
+        client.openSession("nt-lstm").get();
     ASSERT_TRUE(ack.ok) << ack.error;
+    const std::uint64_t id = ack.session_id;
 
     const auto submit = [&](std::uint64_t t) {
         const nn::Vector x = fx.stepInput(t);

@@ -394,6 +394,12 @@ TEST(FaultPoints, CorruptModelFileSurfacesOnEveryTransport)
                     result.status.code ==
                         client::StatusCode::Internal)
             << endpoint << ": " << result.status.toString();
+        // A model the daemon cannot load is its deployment's problem,
+        // not a missing model, on every transport.
+        client::ModelInfo info;
+        const client::Status info_status = client->info("fc", 1, info);
+        EXPECT_EQ(info_status.code, client::StatusCode::Internal)
+            << endpoint << ": " << info_status.toString();
         client->close();
     }
     Logger::setQuiet(false);

@@ -234,6 +234,83 @@ TEST(TcpServing, UnknownModelAndWrongSizeYieldErrorResponses)
     EXPECT_EQ(client.infer("fc", input), fx.oracle(input));
 }
 
+TEST(TcpServing, ConcurrentCallsOfEveryTypeGetTheirOwnReplies)
+{
+    TcpFixture fx;
+    fx.registry.publish(
+        "wide", 1,
+        test::randomCompressedLayer(80, 64, 0.25, 4, 1102).storage());
+    serve::TcpClient client("127.0.0.1", fx.server.port());
+
+    // Four threads share one connection. Each pipelines inferences
+    // around blocking info, stats, metrics and trace queries, so
+    // replies of every type interleave on the wire, and each reply
+    // must reach the call that asked for it.
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 6;
+    constexpr int kPipelined = 4;
+    std::vector<std::vector<std::int64_t>> inputs, oracles;
+    for (int i = 0; i < kThreads * kRounds * kPipelined; ++i) {
+        inputs.push_back(fx.randomInput(2300 + i));
+        oracles.push_back(fx.oracle(inputs.back()));
+    }
+    std::vector<std::string> failures(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            try {
+                for (int round = 0; round < kRounds; ++round) {
+                    const int first = (t * kRounds + round) * kPipelined;
+                    std::vector<std::future<serve::wire::InferResponse>>
+                        futures;
+                    for (int i = first; i < first + kPipelined; ++i)
+                        futures.push_back(
+                            client.submitInfer("fc", 0, inputs[i]));
+
+                    const bool wide = (t + round) % 2 != 0;
+                    const serve::wire::InfoResponse info =
+                        client.info(wide ? "wide" : "fc", 1);
+                    if (!info.ok || info.model != (wide ? "wide" : "fc") ||
+                        info.version != 1 ||
+                        info.output_size != (wide ? 80u : 96u))
+                        failures[t] += "round " + std::to_string(round) +
+                            ": info answered " + info.model + " v" +
+                            std::to_string(info.version) + "; ";
+                    if (round % 3 == 0 &&
+                        client.stats().find("\"clusters\"") ==
+                            std::string::npos)
+                        failures[t] += "stats without clusters; ";
+                    if (round % 3 == 1 &&
+                        client.metrics().text.find("eie_") ==
+                            std::string::npos)
+                        failures[t] += "metrics without eie_ names; ";
+                    if (round % 3 == 2 &&
+                        client.traceDump().find("traceEvents") ==
+                            std::string::npos)
+                        failures[t] += "trace without traceEvents; ";
+
+                    for (int i = 0; i < kPipelined; ++i) {
+                        const serve::wire::InferResponse response =
+                            futures[i].get();
+                        if (!response.ok ||
+                            response.output != oracles[first + i])
+                            failures[t] += "request " +
+                                std::to_string(first + i) +
+                                " diverged: " + response.error + "; ";
+                    }
+                }
+            } catch (const std::exception &error) {
+                failures[t] += error.what();
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_TRUE(failures[t].empty())
+            << "thread " << t << ": " << failures[t];
+}
+
 TEST(TcpServing, DeadlinesDropOverTheWire)
 {
     TcpFixture fx;
@@ -332,30 +409,27 @@ TEST(TcpServing, OldClientGetsACleanVersionRejection)
 {
     TcpFixture fx;
 
-    // Simulate a protocol-v1 client: its Hello carries version 1 and
-    // it can only decode the protocol-only HelloAck layout. A v2
-    // server must answer exactly that layout (the v1 client's own
-    // handshake check then rejects the foreign version cleanly)
-    // instead of leaving the peer to misdecode a longer ack.
+    // Simulate a protocol-v3 client: its Hello carries version 3. The
+    // HelloAck layout (u32 protocol, u8 ok, str error) is the same in
+    // v3, so the old client decodes the rejection and its reason.
     const int fd = rawConnect(fx.server.port());
-    const std::uint8_t v1_hello[] = {5, 0, 0, 0, // body length
+    const std::uint8_t v3_hello[] = {5, 0, 0, 0, // body length
                                      1,          // MsgType::Hello
-                                     1, 0, 0, 0}; // protocol = 1
-    ASSERT_EQ(::send(fd, v1_hello, sizeof(v1_hello), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(v1_hello)));
+                                     3, 0, 0, 0}; // protocol = 3
+    ASSERT_EQ(::send(fd, v3_hello, sizeof(v3_hello), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(v3_hello)));
 
-    // Expect a 5-byte body: HelloAck tag + u32 protocol — nothing
-    // else (the v2 tail would be undefined bytes to a v1 decoder).
     const std::vector<std::uint8_t> header = rawRecv(fd, 4);
     std::uint32_t body_len = 0;
     std::memcpy(&body_len, header.data(), 4);
-    ASSERT_EQ(body_len, 5u);
-    const std::vector<std::uint8_t> ack_body = rawRecv(fd, body_len);
-    EXPECT_EQ(ack_body[0],
-              static_cast<std::uint8_t>(serve::wire::MsgType::HelloAck));
-    std::uint32_t protocol = 0;
-    std::memcpy(&protocol, ack_body.data() + 1, 4);
-    EXPECT_EQ(protocol, serve::wire::kProtocolVersion);
+    ASSERT_LT(body_len, 1024u);
+    const serve::wire::Message message =
+        serve::wire::decodeBody(rawRecv(fd, body_len));
+    const auto *ack = std::get_if<serve::wire::HelloAck>(&message);
+    ASSERT_NE(ack, nullptr);
+    EXPECT_FALSE(ack->ok);
+    EXPECT_NE(ack->error.find("version 3"), std::string::npos)
+        << ack->error;
 
     // ... and the server closes the connection.
     char byte = 0;
@@ -370,11 +444,11 @@ TEST(TcpServing, OldClientGetsACleanVersionRejection)
 
 TEST(TcpServing, NewClientRejectsOldServerCleanly)
 {
-    // Simulate a protocol-v1 server on a raw listener. Two historic
-    // behaviours exist: answering with a v1 HelloAck carrying its own
-    // version, or (the deployed v1 daemon) closing without an ack.
-    // Both must surface as a clean handshake error on the client.
-    for (const bool send_v1_ack : {true, false}) {
+    // Simulate an older server on a raw listener. Two behaviours
+    // exist: a v3 server acks the Hello with its own version 3, and
+    // an older one closes without an ack. Both must surface as a
+    // clean handshake error on the client.
+    for (const bool send_v3_ack : {true, false}) {
         const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
         ASSERT_GE(listener, 0);
         const int one = 1;
@@ -398,23 +472,25 @@ TEST(TcpServing, NewClientRejectsOldServerCleanly)
                   0);
         const std::uint16_t port = ntohs(bound.sin_port);
 
-        std::thread old_server([listener, send_v1_ack] {
+        std::thread old_server([listener, send_v3_ack] {
             const int fd = ::accept(listener, nullptr, nullptr);
             ASSERT_GE(fd, 0);
             rawRecv(fd, 9); // the client's Hello frame
-            if (send_v1_ack) {
-                const std::uint8_t v1_ack[] = {5, 0, 0, 0, // length
+            if (send_v3_ack) {
+                const std::uint8_t v3_ack[] = {10, 0, 0, 0, // length
                                                2, // MsgType::HelloAck
-                                               1, 0, 0, 0}; // v1
-                ::send(fd, v1_ack, sizeof(v1_ack), MSG_NOSIGNAL);
+                                               3, 0, 0, 0, // v3
+                                               1,          // ok
+                                               0, 0, 0, 0}; // no error
+                ::send(fd, v3_ack, sizeof(v3_ack), MSG_NOSIGNAL);
             }
             ::close(fd);
         });
 
         try {
             serve::TcpClient client("127.0.0.1", port);
-            FAIL() << "handshake with a v1 server must fail "
-                   << "(send_v1_ack=" << send_v1_ack << ")";
+            FAIL() << "handshake with a v3 server must fail "
+                   << "(send_v3_ack=" << send_v3_ack << ")";
         } catch (const serve::wire::WireError &error) {
             // Clean rejection naming the mismatch, not garbage
             // decoding.

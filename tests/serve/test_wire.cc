@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <span>
 
 #include "serve/wire.hh"
@@ -56,6 +57,7 @@ TEST(Wire, InferRequestRoundTrip)
     request.priority = -2;
     request.deadline_us = 1500;
     request.input = {0, -5, 127, -32768, 32767, 42};
+    request.trace_id = 0xfeedfacecafebeefull;
 
     const auto decoded = roundTrip(request);
     const auto *out = std::get_if<wire::InferRequest>(&decoded);
@@ -66,6 +68,7 @@ TEST(Wire, InferRequestRoundTrip)
     EXPECT_EQ(out->priority, request.priority);
     EXPECT_EQ(out->deadline_us, request.deadline_us);
     EXPECT_EQ(out->input, request.input);
+    EXPECT_EQ(out->trace_id, request.trace_id);
 }
 
 TEST(Wire, InferResponseRoundTripsBothArms)
@@ -95,10 +98,9 @@ TEST(Wire, InferResponseRoundTripsBothArms)
     EXPECT_TRUE(err->output.empty());
 }
 
-TEST(Wire, HelloAckNegotiatesBothLayouts)
+TEST(Wire, HelloAckCarriesTheRejectionReason)
 {
-    // v2 layout: ok/error travel (a mismatched client gets the
-    // reason).
+    // ok/error travel, so a mismatched client gets the reason.
     wire::HelloAck rejection;
     rejection.ok = false;
     rejection.error = "unsupported protocol version 7";
@@ -106,23 +108,8 @@ TEST(Wire, HelloAckNegotiatesBothLayouts)
     const auto *ack = std::get_if<wire::HelloAck>(&decoded);
     ASSERT_NE(ack, nullptr);
     EXPECT_FALSE(ack->ok);
+    EXPECT_EQ(ack->protocol, wire::kProtocolVersion);
     EXPECT_EQ(ack->error, rejection.error);
-    EXPECT_EQ(ack->wire_layout, 2u);
-
-    // v1 legacy layout: protocol only — what a v1 peer can decode.
-    // Its absence of a tail must decode as an ok ack (a v1 server's
-    // acks carried no error channel).
-    wire::HelloAck legacy;
-    legacy.protocol = 1;
-    legacy.wire_layout = 1;
-    const auto legacy_frame = body(wire::encodeFrame(legacy));
-    EXPECT_EQ(legacy_frame.size(), 1u + 4u); // tag + u32 only
-    const auto decoded_legacy = wire::decodeBody(legacy_frame);
-    const auto *old = std::get_if<wire::HelloAck>(&decoded_legacy);
-    ASSERT_NE(old, nullptr);
-    EXPECT_TRUE(old->ok);
-    EXPECT_EQ(old->protocol, 1u);
-    EXPECT_EQ(old->wire_layout, 1u);
 }
 
 TEST(Wire, SessionMessagesRoundTrip)
@@ -169,6 +156,7 @@ TEST(Wire, SessionMessagesRoundTrip)
     step.priority = 3;
     step.deadline_us = 250;
     step.x = {0.0f, -1.5f, 3.25e-7f, 1024.5f};
+    step.trace_id = 0x0123456789abcdefull;
     const auto decoded_step = roundTrip(step);
     const auto *step_out = std::get_if<wire::SessionStep>(&decoded_step);
     ASSERT_NE(step_out, nullptr);
@@ -177,6 +165,7 @@ TEST(Wire, SessionMessagesRoundTrip)
     EXPECT_EQ(step_out->priority, 3);
     EXPECT_EQ(step_out->deadline_us, 250u);
     EXPECT_EQ(step_out->x, step.x);
+    EXPECT_EQ(step_out->trace_id, step.trace_id);
 
     wire::SessionState state;
     state.session_id = 11;
@@ -188,6 +177,8 @@ TEST(Wire, SessionMessagesRoundTrip)
         std::get_if<wire::SessionState>(&decoded_state);
     ASSERT_NE(state_out, nullptr);
     EXPECT_TRUE(state_out->ok);
+    EXPECT_EQ(state_out->session_id, 11u);
+    EXPECT_EQ(state_out->id, 99u);
     EXPECT_EQ(state_out->h, state.h);
 
     wire::SessionClose close_msg;
@@ -201,26 +192,34 @@ TEST(Wire, SessionMessagesRoundTrip)
 
 TEST(Wire, StatsAndInfoRoundTrip)
 {
-    EXPECT_TRUE(std::holds_alternative<wire::StatsRequest>(
-        roundTrip(wire::StatsRequest{})));
+    const auto decoded_stats_req = roundTrip(wire::StatsRequest{21});
+    const auto *stats_req =
+        std::get_if<wire::StatsRequest>(&decoded_stats_req);
+    ASSERT_NE(stats_req, nullptr);
+    EXPECT_EQ(stats_req->id, 21u);
 
     wire::StatsResponse stats;
+    stats.id = 21;
     stats.json = "{\"clusters\":[]}";
     const auto decoded = roundTrip(stats);
     const auto *out = std::get_if<wire::StatsResponse>(&decoded);
     ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->id, 21u);
     EXPECT_EQ(out->json, stats.json);
 
     wire::InfoRequest info_request;
+    info_request.id = 22;
     info_request.model = "m";
     info_request.version = 9;
     const auto decoded_req = roundTrip(info_request);
     const auto *req = std::get_if<wire::InfoRequest>(&decoded_req);
     ASSERT_NE(req, nullptr);
+    EXPECT_EQ(req->id, 22u);
     EXPECT_EQ(req->model, "m");
     EXPECT_EQ(req->version, 9u);
 
     wire::InfoResponse info;
+    info.id = 22;
     info.ok = true;
     info.model = "m";
     info.version = 9;
@@ -231,10 +230,60 @@ TEST(Wire, StatsAndInfoRoundTrip)
     const auto decoded_info = roundTrip(info);
     const auto *out_info = std::get_if<wire::InfoResponse>(&decoded_info);
     ASSERT_NE(out_info, nullptr);
+    EXPECT_EQ(out_info->id, 22u);
     EXPECT_TRUE(out_info->ok);
     EXPECT_EQ(out_info->input_size, 4096u);
     EXPECT_EQ(out_info->shards, 4u);
     EXPECT_EQ(out_info->placement, "partitioned");
+
+    // A failed lookup carries its code, so a model the daemon cannot
+    // load is not reported as a missing one.
+    wire::InfoResponse failed;
+    failed.id = 23;
+    failed.code = wire::ErrorCode::NotFound;
+    failed.error = "model 'm' not found";
+    const auto decoded_failed = roundTrip(failed);
+    const auto *out_failed =
+        std::get_if<wire::InfoResponse>(&decoded_failed);
+    ASSERT_NE(out_failed, nullptr);
+    EXPECT_EQ(out_failed->id, 23u);
+    EXPECT_FALSE(out_failed->ok);
+    EXPECT_EQ(out_failed->code, wire::ErrorCode::NotFound);
+    EXPECT_EQ(out_failed->error, failed.error);
+}
+
+TEST(Wire, MetricsAndTraceRoundTrip)
+{
+    const auto decoded_metrics_req = roundTrip(wire::MetricsRequest{31});
+    const auto *metrics_req =
+        std::get_if<wire::MetricsRequest>(&decoded_metrics_req);
+    ASSERT_NE(metrics_req, nullptr);
+    EXPECT_EQ(metrics_req->id, 31u);
+
+    const wire::MetricsResponse metrics{
+        31, "eie_server_requests_total 7\n",
+        "{\"counters\":{\"eie_server_requests_total\":7}}"};
+    const auto decoded_metrics = roundTrip(metrics);
+    const auto *out_metrics =
+        std::get_if<wire::MetricsResponse>(&decoded_metrics);
+    ASSERT_NE(out_metrics, nullptr);
+    EXPECT_EQ(out_metrics->id, 31u);
+    EXPECT_EQ(out_metrics->text, metrics.text);
+    EXPECT_EQ(out_metrics->json, metrics.json);
+
+    const auto decoded_trace_req = roundTrip(wire::TraceRequest{32});
+    const auto *trace_req =
+        std::get_if<wire::TraceRequest>(&decoded_trace_req);
+    ASSERT_NE(trace_req, nullptr);
+    EXPECT_EQ(trace_req->id, 32u);
+
+    const wire::TraceResponse trace{32, "{\"traceEvents\":[]}"};
+    const auto decoded_trace = roundTrip(trace);
+    const auto *out_trace =
+        std::get_if<wire::TraceResponse>(&decoded_trace);
+    ASSERT_NE(out_trace, nullptr);
+    EXPECT_EQ(out_trace->id, 32u);
+    EXPECT_EQ(out_trace->json, trace.json);
 }
 
 TEST(Wire, MalformedFramesThrowInsteadOfCrashing)
@@ -283,8 +332,9 @@ TEST(Wire, RejectsOversizedDeclaredFields)
     request.model = "m";
     request.input = {1};
     auto frame_body = body(wire::encodeFrame(request));
-    // The input count field sits 4+8+4+1+4+4+4 = 25 bytes in; bump it.
-    const std::size_t count_at = frame_body.size() - 4 - 8;
+    // The input count sits before one i64 input and the u64 trace id;
+    // bump it.
+    const std::size_t count_at = frame_body.size() - 8 - 8 - 4;
     std::uint32_t bogus = 1000;
     std::memcpy(frame_body.data() + count_at, &bogus, 4);
     EXPECT_THROW(wire::decodeBody(frame_body), wire::WireError);
@@ -307,6 +357,7 @@ sampleFrames()
     request.priority = -7;
     request.deadline_us = 12345;
     request.input = {0, -5, 127, -32768, 32767, 42, -1};
+    request.trace_id = 0xabcdef0123456789ull;
     frames.push_back(request);
     wire::InferResponse response;
     response.id = 42;
@@ -318,14 +369,16 @@ sampleFrames()
     failure.code = wire::ErrorCode::Unavailable;
     failure.error = "request shed: server queue is full";
     frames.push_back(failure);
-    frames.push_back(wire::StatsRequest{});
+    frames.push_back(wire::StatsRequest{44});
     frames.push_back(
-        wire::StatsResponse{"{\"clusters\":[{\"requests\":9}]}"});
+        wire::StatsResponse{44, "{\"clusters\":[{\"requests\":9}]}"});
     wire::InfoRequest info_request;
+    info_request.id = 45;
     info_request.model = "fuzz-model";
     info_request.version = 1;
     frames.push_back(info_request);
     wire::InfoResponse info_response;
+    info_response.id = 45;
     info_response.ok = true;
     info_response.model = "fuzz-model";
     info_response.version = 1;
@@ -334,6 +387,11 @@ sampleFrames()
     info_response.shards = 4;
     info_response.placement = "replicated";
     frames.push_back(info_response);
+    wire::InfoResponse info_failure;
+    info_failure.id = 46;
+    info_failure.code = wire::ErrorCode::Internal;
+    info_failure.error = "model 'fuzz-model' v1 is unreadable";
+    frames.push_back(info_failure);
     wire::SessionOpen open;
     open.session_id = 11;
     open.model = "lstm";
@@ -348,6 +406,7 @@ sampleFrames()
     step.session_id = 11;
     step.id = 9;
     step.x = {0.5f, -1.0f, 0.25f};
+    step.trace_id = 0x1122334455667788ull;
     frames.push_back(step);
     wire::SessionState state;
     state.session_id = 11;
@@ -358,6 +417,13 @@ sampleFrames()
     wire::SessionClose close_msg;
     close_msg.session_id = 11;
     frames.push_back(close_msg);
+    frames.push_back(wire::MetricsRequest{47});
+    frames.push_back(wire::MetricsResponse{
+        47, "eie_server_requests_total 9\n",
+        "{\"counters\":{\"eie_server_requests_total\":9}}"});
+    frames.push_back(wire::TraceRequest{48});
+    frames.push_back(wire::TraceResponse{
+        48, "{\"traceEvents\":[{\"name\":\"enqueue\"}]}"});
     return frames;
 }
 
@@ -379,9 +445,15 @@ TEST(WireFuzz, SeededMutationsOfEveryFrameTypeFailTyped)
     // never crash, hang, or trip a sanitizer. Seeded, so a failure
     // reproduces exactly.
     std::uint64_t rng = 0xe1ef0e7c0ffee123ull;
+    std::set<std::size_t> covered;
     for (const wire::Message &message : sampleFrames()) {
         const auto clean = body(wire::encodeFrame(message));
-        ASSERT_NO_THROW((void)wire::decodeBody(clean));
+        // Every field survives the round trip: re-encoding the decoded
+        // frame gives back the same bytes.
+        wire::Message decoded;
+        ASSERT_NO_THROW(decoded = wire::decodeBody(clean));
+        EXPECT_EQ(body(wire::encodeFrame(decoded)), clean);
+        covered.insert(message.index());
 
         for (int round = 0; round < 200; ++round) {
             auto mutated = clean;
@@ -419,6 +491,7 @@ TEST(WireFuzz, SeededMutationsOfEveryFrameTypeFailTyped)
             }
         }
     }
+    EXPECT_EQ(covered.size(), std::variant_size_v<wire::Message>);
 }
 
 TEST(WireFuzz, PureGarbageBodiesFailTyped)
@@ -479,11 +552,36 @@ TEST(Wire, MessageTypeTagsAreStable)
     EXPECT_EQ(static_cast<unsigned>(wire::MsgType::TraceResponse),
               17u);
 
-    // The session messages and negotiated HelloAck were the v2 bump;
-    // the telemetry queries (and the optional trailing trace id on
-    // InferRequest/SessionStep) are v3. v2 peers stay accepted.
-    EXPECT_EQ(wire::kProtocolVersion, 3u);
-    EXPECT_EQ(wire::kMinProtocolVersion, 2u);
+    // Each tag is its Message alternative's index plus one, which is
+    // how the codec picks the type to decode.
+    const std::vector<std::pair<wire::Message, wire::MsgType>> tags{
+        {wire::Hello{}, wire::MsgType::Hello},
+        {wire::HelloAck{}, wire::MsgType::HelloAck},
+        {wire::InferRequest{}, wire::MsgType::InferRequest},
+        {wire::InferResponse{}, wire::MsgType::InferResponse},
+        {wire::StatsRequest{}, wire::MsgType::StatsRequest},
+        {wire::StatsResponse{}, wire::MsgType::StatsResponse},
+        {wire::InfoRequest{}, wire::MsgType::InfoRequest},
+        {wire::InfoResponse{}, wire::MsgType::InfoResponse},
+        {wire::SessionOpen{}, wire::MsgType::SessionOpen},
+        {wire::SessionAck{}, wire::MsgType::SessionAck},
+        {wire::SessionStep{}, wire::MsgType::SessionStep},
+        {wire::SessionState{}, wire::MsgType::SessionState},
+        {wire::SessionClose{}, wire::MsgType::SessionClose},
+        {wire::MetricsRequest{}, wire::MsgType::MetricsRequest},
+        {wire::MetricsResponse{}, wire::MsgType::MetricsResponse},
+        {wire::TraceRequest{}, wire::MsgType::TraceRequest},
+        {wire::TraceResponse{}, wire::MsgType::TraceResponse}};
+    ASSERT_EQ(tags.size(), std::variant_size_v<wire::Message>);
+    for (const auto &[message, tag] : tags) {
+        EXPECT_EQ(wire::messageType(message), tag);
+        EXPECT_EQ(body(wire::encodeFrame(message))[0],
+                  static_cast<std::uint8_t>(tag));
+    }
+
+    // v4: every reply carries its request's id, and InferRequest and
+    // SessionStep end in a fixed trace id.
+    EXPECT_EQ(wire::kProtocolVersion, 4u);
 }
 
 } // namespace

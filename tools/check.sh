@@ -36,13 +36,15 @@
 # (-DEIE_TSAN=ON) and runs them; a data race in the serving path
 # fails the check even when the race never corrupts an assertion.
 #
-# A fourth pass rebuilds the robustness suites — wire-frame fuzz,
-# HTTP-parser fuzz, the JSON number parser that reads untrusted
-# gateway bodies, fault injection, retry, model-file corruption,
-# tenant-config parsing — under Address+UndefinedBehavior sanitizers
-# (-DEIE_ASAN=ON) so a decoder overread or UB on a garbage frame,
-# corrupt model file or malformed HTTP request fails loudly instead of
-# decoding garbage quietly.
+# A fourth pass rebuilds the robustness suites — wire-frame fuzz, the
+# TCP front end and LSTM sessions (server and client both decode peer
+# bytes, and the client's pending requests live in one table of
+# promise variants), HTTP-parser fuzz, the JSON number parser that
+# reads untrusted gateway bodies, fault injection, retry, model-file
+# corruption, tenant-config parsing — under Address+UndefinedBehavior
+# sanitizers (-DEIE_ASAN=ON) so a decoder overread or UB on a garbage
+# frame, corrupt model file or malformed HTTP request fails loudly
+# instead of decoding garbage quietly.
 #
 # Finally two daemon-signal smokes: `eie_serve` against a scratch
 # registry must exit 0 on SIGINT, and `eie_gateway` fronting that
@@ -129,10 +131,12 @@ ${TSAN_OPTIONS:-}" \
 ctest --test-dir "${tsan_dir}" --output-on-failure \
     -R "$(echo "${tsan_tests}" | tr ' ' '|')"
 
-echo "=== Address+UB sanitizers (wire fuzz + faults + model file) ==="
+echo "=== Address+UB sanitizers (wire fuzz + tcp + faults + model \
+file) ==="
 asan_dir="build-check-asan"
-asan_tests="test_wire test_model_file test_registry test_faults \
-test_retry test_client test_http test_tenants test_json"
+asan_tests="test_wire test_tcp test_session test_model_file \
+test_registry test_faults test_retry test_client test_http \
+test_tenants test_json"
 cmake -B "${asan_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEIE_ASAN=ON "$@"
 cmake --build "${asan_dir}" -j "${jobs}" \
