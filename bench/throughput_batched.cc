@@ -11,8 +11,9 @@
  * point) so later PRs have a perf trajectory to regress against.
  * Every thread count runs over its own stack, compiled as CompiledBackend
  * compiles it (engine::compiledStackOptions: one row block per
- * worker). Four same-box gates: vector beats reference at batch 64
- * (SIMD boxes), auto on one thread runs at least 2x the scalar
+ * worker). Five same-box gates: vector beats reference at batch 64
+ * and at batch 4 on one thread (SIMD boxes), auto on one thread runs
+ * at least 2x the scalar
  * interpreter at every batch, auto on the hardware thread count runs
  * at least as fast as auto on one thread at every batch, and the
  * "footprint" object holds the layer's resident stream bytes to at
@@ -382,31 +383,51 @@ main(int argc, char **argv)
     std::cout << "best speedup over scalar interpreter: " << best
               << "x\n";
 
-    // The headline regression gate: the SIMD inner loop must out-run
-    // the reference loop at the serving batch size.
-    auto rateAt = [&](const char *kernel, std::size_t batch) {
+    // The headline regression gates: the SIMD inner loop must out-run
+    // the reference loop at the serving batch size, and on one thread
+    // at batch 4, a small batch auto sends to it. A zero thread count
+    // takes the best over every thread count.
+    auto rateAt = [&](const char *kernel, std::size_t batch,
+                      unsigned threads) {
         double rate = 0.0;
         for (const Point &p : points)
-            if (p.kernel == kernel && p.batch == batch)
+            if (p.kernel == kernel && p.batch == batch &&
+                (threads == 0 || p.threads == threads))
                 rate = std::max(rate, p.frames_per_sec);
         return rate;
     };
-    const double reference_64 = rateAt("reference", 64);
-    const double vector_64 = rateAt("vector", 64);
+    const double reference_64 = rateAt("reference", 64, 0);
+    const double vector_64 = rateAt("vector", 64, 0);
+    const double reference_4 = rateAt("reference", 4, 1);
+    const double vector_4 = rateAt("vector", 4, 1);
     std::cout << "batch 64: reference " << reference_64
-              << " f/s, vector " << vector_64 << " f/s\n";
-    // With real SIMD lanes this is a hard regression gate; on a box
+              << " f/s, vector " << vector_64 << " f/s\n"
+              << "batch 4, 1 thread: reference " << reference_4
+              << " f/s, vector " << vector_4 << " f/s\n";
+    // With real SIMD lanes these are hard regression gates; on a box
     // whose dispatch fell back to the portable scalar loop the dense
     // sweep can legitimately lose to the sparse gather, so only warn.
     const bool have_simd =
         std::string(core::kernel::simdIsaName()) != "scalar";
-    fatal_if(have_simd && vector_64 <= reference_64,
-             "vector did not beat the reference kernel at batch 64 "
-             "despite %s lanes",
-             core::kernel::simdIsaName());
-    if (vector_64 <= reference_64)
-        std::cout << "WARNING: vector did not beat the reference "
-                     "kernel at batch 64 (scalar fallback dispatch)\n";
+    const struct
+    {
+        const char *cell;
+        double reference_fps;
+        double vector_fps;
+    } gates[] = {
+        {"batch 64", reference_64, vector_64},
+        {"batch 4 on 1 thread", reference_4, vector_4},
+    };
+    for (const auto &gate : gates) {
+        fatal_if(have_simd && gate.vector_fps <= gate.reference_fps,
+                 "vector did not beat the reference kernel at %s "
+                 "despite %s lanes",
+                 gate.cell, core::kernel::simdIsaName());
+        if (gate.vector_fps <= gate.reference_fps)
+            std::cout << "WARNING: vector did not beat the reference "
+                         "kernel at "
+                      << gate.cell << " (scalar fallback dispatch)\n";
+    }
 
     bench::Json throughput_points = bench::Json::array();
     for (const Point &p : points) {
@@ -430,6 +451,12 @@ main(int argc, char **argv)
         .set("vector_fps", vector_64)
         .set("vector_over_reference",
              reference_64 > 0.0 ? vector_64 / reference_64 : 0.0);
+    bench::Json batch4_json;
+    batch4_json.set("threads", 1u)
+        .set("reference_fps", reference_4)
+        .set("vector_fps", vector_4)
+        .set("vector_over_reference",
+             reference_4 > 0.0 ? vector_4 / reference_4 : 0.0);
 
     // The auto gate: what production callers get on one thread must
     // clearly out-run the scalar interpreter at every batch of the
@@ -500,6 +527,7 @@ main(int argc, char **argv)
         .set("points", std::move(throughput_points))
         .set("best_speedup", best)
         .set("batch64_by_kernel", std::move(batch64_json))
+        .set("batch4_by_kernel", std::move(batch4_json))
         .set("auto_pooled_over_serial", std::move(pooled_json))
         .set("footprint", std::move(footprint_json));
 

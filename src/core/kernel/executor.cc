@@ -90,17 +90,32 @@ struct QueuePanel
     }
 };
 
+/** Lanes of one vector-sweep block. The vector variant pads its dense
+ *  panel and its accumulator rows to whole blocks, so every SIMD op of
+ *  its sweep is unmasked. */
+constexpr std::size_t kLaneBlock = 8;
+
+/** The vector variant's lane stride: @p batch rounded up to a whole
+ *  number of lane blocks. */
+constexpr std::size_t
+laneStride(std::size_t batch)
+{
+    return (batch + kLaneBlock - 1) / kLaneBlock * kLaneBlock;
+}
+
 /**
  * Per-pass activation panel of the vector variant: every frame of
- * every column, transposed to column-major int32 so the MAC row
- * kernel streams contiguous lanes. Zero activations stay in place —
- * their product is zero and sat(acc + 0) == acc, so the dense sweep
- * is bit-exact with the sparse skip — but columns with no active
- * frame at all are flagged and skipped whole.
+ * every column, transposed to column-major int32 at the lane stride so
+ * the sweep streams whole lane blocks. Zero activations stay in place
+ * — their product is zero and sat(acc + 0) == acc, so the dense sweep
+ * is bit-exact with the sparse skip — and the pad lanes past the batch
+ * hold zero, so a pad accumulator stays zero and is never drained.
+ * Columns with no active frame at all are flagged and skipped whole.
  */
 struct DensePanel
 {
-    std::vector<std::int32_t> value;  ///< cols x batch, column-major
+    std::size_t stride = 0;           ///< lanes per column, laneStride()
+    std::vector<std::int32_t> value;  ///< cols x stride, column-major
     std::vector<std::uint8_t> active; ///< any non-zero frame in column
 
     void
@@ -109,10 +124,10 @@ struct DensePanel
     {
         const std::size_t cols = col_end - col_begin;
         const std::size_t batch = inputs.size();
-        value.resize(cols * batch);
+        value.assign(cols * stride, 0);
         active.assign(cols, 0);
         for (std::size_t j = 0; j < cols; ++j) {
-            const std::size_t base = j * batch;
+            const std::size_t base = j * stride;
             std::uint8_t any = 0;
             for (std::size_t b = 0; b < batch; ++b) {
                 // In act_format range by the withinActFormat() gate
@@ -126,143 +141,196 @@ struct DensePanel
     }
 };
 
-// ------------------------------------------------- MAC row kernels
+// --------------------------------------------------- vector sweeps
+
+/** The saturating MAC every vector sweep lane runs:
+ *  acc = clamp(acc + ((lut[index] * act) >> shift), lo, hi). All
+ *  intermediates fit int32 lanes by vectorEligible(); C++20
+ *  guarantees the arithmetic right shift on negatives. */
+struct LaneMac
+{
+    const std::int32_t *lut; ///< the layer's table, narrowed to int32
+    int shift;
+    std::int32_t lo;
+    std::int32_t hi;
+};
 
 /**
- * One saturating MAC row of the vector variant:
- * acc[b] = clamp(acc[b] + ((w * act[b]) >> shift), lo, hi) for every
- * frame b. All intermediates fit 32-bit lanes by vectorEligible();
- * C++20 guarantees the arithmetic right shift on negatives.
+ * The vector variant's sweep of one row block over the dense panel:
+ * every entry of every active column runs the LaneMac on all
+ * panel.stride lanes of its accumulator row (rows are panel.stride
+ * int32 apart). Lanes are independent frames, and each accumulator
+ * still sees its column-ascending MAC sequence.
  */
-using MacRowFn = void (*)(std::int32_t *acc, const std::int32_t *act,
-                          std::int32_t w, int shift, std::int32_t lo,
-                          std::int32_t hi, std::size_t n);
+using VectorSweepFn = void (*)(const SliceStream &block,
+                               const DensePanel &panel,
+                               const LaneMac &mac, std::int32_t *acc);
 
+/** The portable sweep, for boxes without AVX2. */
 void
-macRowScalar(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
-             int shift, std::int32_t lo, std::int32_t hi, std::size_t n)
+sweepScalar(const SliceStream &block, const DensePanel &panel,
+            const LaneMac &mac, std::int32_t *acc)
 {
-    for (std::size_t b = 0; b < n; ++b) {
-        std::int32_t v = acc[b] + ((w * act[b]) >> shift);
-        v = v < lo ? lo : v;
-        v = v > hi ? hi : v;
-        acc[b] = v;
+    const std::size_t stride = panel.stride;
+    const std::uint32_t *entries = block.entries.data();
+    const std::size_t cols = block.col_ptr.size() - 1;
+    for (std::size_t j = 0; j < cols; ++j) {
+        if (!panel.active[j])
+            continue;
+        const std::int32_t *act = &panel.value[j * stride];
+        const std::uint32_t e_end = block.col_ptr[j + 1];
+        for (std::uint32_t e = block.col_ptr[j]; e < e_end; ++e) {
+            const std::uint32_t entry = entries[e];
+            const std::int32_t w = mac.lut[entryIndex(entry)];
+            std::int32_t *acc_row =
+                acc + static_cast<std::size_t>(entryRow(entry)) * stride;
+            for (std::size_t l = 0; l < stride; ++l) {
+                std::int32_t v = acc_row[l] + ((w * act[l]) >> mac.shift);
+                v = v < mac.lo ? mac.lo : v;
+                v = v > mac.hi ? mac.hi : v;
+                acc_row[l] = v;
+            }
+        }
     }
 }
 
 #if defined(EIE_KERNEL_X86)
 
-__attribute__((target("sse4.1"))) void
-macRowSse41(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
-            int shift, std::int32_t lo, std::int32_t hi, std::size_t n)
+/** One unmasked 8-lane LaneMac on @p acc with activations @p va. */
+__attribute__((target("avx2"))) inline void
+mac8(std::int32_t *acc, __m256i va, __m256i vw, __m128i vshift,
+     __m256i vlo, __m256i vhi)
 {
-    const __m128i vw = _mm_set1_epi32(w);
-    const __m128i vlo = _mm_set1_epi32(lo);
-    const __m128i vhi = _mm_set1_epi32(hi);
-    const __m128i vshift = _mm_cvtsi32_si128(shift);
-    std::size_t b = 0;
-    for (; b + 4 <= n; b += 4) {
-        const __m128i va = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(act + b));
-        const __m128i vacc = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(acc + b));
-        __m128i v = _mm_add_epi32(
-            vacc, _mm_sra_epi32(_mm_mullo_epi32(vw, va), vshift));
-        v = _mm_min_epi32(_mm_max_epi32(v, vlo), vhi);
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(acc + b), v);
-    }
-    macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
+    __m256i *row = reinterpret_cast<__m256i *>(acc);
+    const __m256i v = _mm256_add_epi32(
+        _mm256_loadu_si256(row),
+        _mm256_sra_epi32(_mm256_mullo_epi32(vw, va), vshift));
+    _mm256_storeu_si256(row, _mm256_min_epi32(_mm256_max_epi32(v, vlo),
+                                              vhi));
 }
 
-/** One 16-lane block of the AVX-512 MAC row. Lanes outside @p mask
- *  are neither loaded nor stored, so a partial block stays bit-exact
- *  with the scalar loop. */
-__attribute__((target("avx512f"))) inline void
-macBlockAvx512(std::int32_t *acc, const std::int32_t *act, __m512i vw,
-               __m128i vshift, __m512i vlo, __m512i vhi, __mmask16 mask)
-{
-    const __m512i va = _mm512_maskz_loadu_epi32(mask, act);
-    const __m512i vacc = _mm512_maskz_loadu_epi32(mask, acc);
-    __m512i v = _mm512_add_epi32(
-        vacc, _mm512_sra_epi32(_mm512_mullo_epi32(vw, va), vshift));
-    v = _mm512_min_epi32(_mm512_max_epi32(v, vlo), vhi);
-    _mm512_mask_storeu_epi32(acc, mask, v);
-}
-
-__attribute__((target("avx512f,avx512bw"))) void
-macRowAvx512(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
-             int shift, std::int32_t lo, std::int32_t hi, std::size_t n)
-{
-    const __m512i vw = _mm512_set1_epi32(w);
-    const __m512i vlo = _mm512_set1_epi32(lo);
-    const __m512i vhi = _mm512_set1_epi32(hi);
-    const __m128i vshift = _mm_cvtsi32_si128(shift);
-    std::size_t b = 0;
-    for (; b + 16 <= n; b += 16)
-        macBlockAvx512(acc + b, act + b, vw, vshift, vlo, vhi, 0xffff);
-    // A remainder of more than 8 lanes takes one masked pass; up to 8
-    // lanes the scalar loop measured faster under a multi-thread pool.
-    if (n - b > 8)
-        macBlockAvx512(acc + b, act + b, vw, vshift, vlo, vhi,
-                       static_cast<__mmask16>((1u << (n - b)) - 1));
-    else
-        macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
-}
-
+/** The AVX2 sweep: 8-lane blocks. At stride 8 (batches 1-8) each
+ *  active column's activations load once into one register. */
 __attribute__((target("avx2"))) void
-macRowAvx2(std::int32_t *acc, const std::int32_t *act, std::int32_t w,
-           int shift, std::int32_t lo, std::int32_t hi, std::size_t n)
+sweepAvx2(const SliceStream &block, const DensePanel &panel,
+          const LaneMac &mac, std::int32_t *acc)
 {
-    const __m256i vw = _mm256_set1_epi32(w);
-    const __m256i vlo = _mm256_set1_epi32(lo);
-    const __m256i vhi = _mm256_set1_epi32(hi);
-    const __m128i vshift = _mm_cvtsi32_si128(shift);
-    std::size_t b = 0;
-    for (; b + 8 <= n; b += 8) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(act + b));
-        const __m256i vacc = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(acc + b));
-        __m256i v = _mm256_add_epi32(
-            vacc,
-            _mm256_sra_epi32(_mm256_mullo_epi32(vw, va), vshift));
-        v = _mm256_min_epi32(_mm256_max_epi32(v, vlo), vhi);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + b), v);
+    const std::size_t stride = panel.stride;
+    const std::uint32_t *entries = block.entries.data();
+    const std::size_t cols = block.col_ptr.size() - 1;
+    const __m128i vshift = _mm_cvtsi32_si128(mac.shift);
+    const __m256i vlo = _mm256_set1_epi32(mac.lo);
+    const __m256i vhi = _mm256_set1_epi32(mac.hi);
+    for (std::size_t j = 0; j < cols; ++j) {
+        if (!panel.active[j])
+            continue;
+        const std::int32_t *act = &panel.value[j * stride];
+        const std::uint32_t e_begin = block.col_ptr[j];
+        const std::uint32_t e_end = block.col_ptr[j + 1];
+        if (stride == kLaneBlock) {
+            const __m256i va = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(act));
+            for (std::uint32_t e = e_begin; e < e_end; ++e) {
+                const std::uint32_t entry = entries[e];
+                mac8(acc + static_cast<std::size_t>(entryRow(entry)) *
+                               kLaneBlock,
+                     va, _mm256_set1_epi32(mac.lut[entryIndex(entry)]),
+                     vshift, vlo, vhi);
+            }
+            continue;
+        }
+        for (std::uint32_t e = e_begin; e < e_end; ++e) {
+            const std::uint32_t entry = entries[e];
+            const __m256i vw =
+                _mm256_set1_epi32(mac.lut[entryIndex(entry)]);
+            std::int32_t *acc_row =
+                acc + static_cast<std::size_t>(entryRow(entry)) * stride;
+            for (std::size_t l = 0; l < stride; l += kLaneBlock)
+                mac8(acc_row + l,
+                     _mm256_loadu_si256(
+                         reinterpret_cast<const __m256i *>(act + l)),
+                     vw, vshift, vlo, vhi);
+        }
     }
-    macRowScalar(acc + b, act + b, w, shift, lo, hi, n - b);
+}
+
+/** The AVX-512 sweep: 16-lane blocks, plus one 8-lane block when the
+ *  stride is an odd multiple of 8. Stride 8 runs the AVX2 sweep's
+ *  one-register loop. */
+__attribute__((target("avx512f"))) void
+sweepAvx512(const SliceStream &block, const DensePanel &panel,
+            const LaneMac &mac, std::int32_t *acc)
+{
+    const std::size_t stride = panel.stride;
+    if (stride == kLaneBlock) {
+        sweepAvx2(block, panel, mac, acc);
+        return;
+    }
+    const std::uint32_t *entries = block.entries.data();
+    const std::size_t cols = block.col_ptr.size() - 1;
+    const __m128i vshift = _mm_cvtsi32_si128(mac.shift);
+    const __m512i vlo = _mm512_set1_epi32(mac.lo);
+    const __m512i vhi = _mm512_set1_epi32(mac.hi);
+    const __m256i vlo8 = _mm256_set1_epi32(mac.lo);
+    const __m256i vhi8 = _mm256_set1_epi32(mac.hi);
+    for (std::size_t j = 0; j < cols; ++j) {
+        if (!panel.active[j])
+            continue;
+        const std::int32_t *act = &panel.value[j * stride];
+        const std::uint32_t e_end = block.col_ptr[j + 1];
+        for (std::uint32_t e = block.col_ptr[j]; e < e_end; ++e) {
+            const std::uint32_t entry = entries[e];
+            const std::int32_t w = mac.lut[entryIndex(entry)];
+            const __m512i vw = _mm512_set1_epi32(w);
+            std::int32_t *acc_row =
+                acc + static_cast<std::size_t>(entryRow(entry)) * stride;
+            std::size_t l = 0;
+            for (; l + 2 * kLaneBlock <= stride; l += 2 * kLaneBlock) {
+                const __m512i va = _mm512_loadu_si512(act + l);
+                const __m512i v = _mm512_add_epi32(
+                    _mm512_loadu_si512(acc_row + l),
+                    _mm512_sra_epi32(_mm512_mullo_epi32(vw, va), vshift));
+                _mm512_storeu_si512(
+                    acc_row + l,
+                    _mm512_min_epi32(_mm512_max_epi32(v, vlo), vhi));
+            }
+            if (l < stride)
+                mac8(acc_row + l,
+                     _mm256_loadu_si256(
+                         reinterpret_cast<const __m256i *>(act + l)),
+                     _mm256_set1_epi32(w), vshift, vlo8, vhi8);
+        }
+    }
 }
 
 #endif // EIE_KERNEL_X86
 
-/** The dispatched MAC row kernel and the ISA label BENCH files
- *  stamp for it — one selection site, so they cannot drift. */
-struct MacRowKernel
+/** One tier of the vector sweep and the ISA label BENCH files stamp
+ *  for it — one selection site, so they cannot drift. */
+struct VectorSweep
 {
-    MacRowFn fn;
+    VectorSweepFn fn;
     const char *isa;
 };
 
-/** Runtime ISA dispatch, decided once. */
-MacRowKernel
-pickMacRow()
+/** Every sweep tier this CPU runs, fastest first. */
+std::vector<VectorSweep>
+supportedSweeps()
 {
+    std::vector<VectorSweep> sweeps;
 #if defined(EIE_KERNEL_X86)
-    // avx512bw implies avx512f on every shipped part, but probe what
-    // the lanes actually require; boxes without AVX-512 fall through
-    // to the unchanged paths below (skip, not fail).
-    if (__builtin_cpu_supports("avx512bw") &&
-        __builtin_cpu_supports("avx512f"))
-        return {macRowAvx512, "avx512"};
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        sweeps.push_back({sweepAvx512, "avx512"});
     if (__builtin_cpu_supports("avx2"))
-        return {macRowAvx2, "avx2"};
-    if (__builtin_cpu_supports("sse4.1"))
-        return {macRowSse41, "sse4.1"};
+        sweeps.push_back({sweepAvx2, "avx2"});
 #endif
-    return {macRowScalar, "scalar"};
+    sweeps.push_back({sweepScalar, "scalar"});
+    return sweeps;
 }
 
-const MacRowKernel g_mac_row_kernel = pickMacRow();
-const MacRowFn g_mac_row = g_mac_row_kernel.fn;
+/** Runtime ISA dispatch, decided once per process. */
+const VectorSweep g_vector_sweep = supportedSweeps().front();
 
 // ------------------------------------------------ stream inner loops
 
@@ -366,46 +434,20 @@ runStreamActSparse(const SliceStream &stream, const std::int64_t *lut,
     }
 }
 
-/** Sweep one stream over the dense panel with the SIMD MAC row kernel
- *  (the vector variant's loop). vectorEligible() guarantees every
- *  table value fits an int32 lane. */
-void
-runStreamVector(const SliceStream &stream, const std::int64_t *lut,
-                const DensePanel &panel, std::size_t batch,
-                std::int32_t *acc, int shift, std::int32_t lo,
-                std::int32_t hi)
-{
-    const std::uint32_t *entries = stream.entries.data();
-    const std::size_t cols = stream.col_ptr.size() - 1;
-    for (std::size_t j = 0; j < cols; ++j) {
-        if (!panel.active[j])
-            continue;
-        const std::uint32_t e_begin = stream.col_ptr[j];
-        const std::uint32_t e_end = stream.col_ptr[j + 1];
-        if (e_begin == e_end)
-            continue;
-        const std::int32_t *act = &panel.value[j * batch];
-        for (std::uint32_t e = e_begin; e < e_end; ++e) {
-            const std::uint32_t entry = entries[e];
-            g_mac_row(acc + static_cast<std::size_t>(entryRow(entry)) *
-                          batch,
-                      act, static_cast<std::int32_t>(lut[entryIndex(entry)]),
-                      shift, lo, hi, batch);
-        }
-    }
-}
-
 // ------------------------------------------------------ tile drivers
 
-/** Drain one row batch: non-linearity, then commit per frame. */
+/** Drain one row batch: non-linearity, then commit per frame.
+ *  Accumulator rows are @p acc_stride apart; lanes past the batch are
+ *  padding and never drain. */
 template <typename AccT>
 void
 drainRowBatch(const CompiledLayer &layer, const AccT *acc,
               std::size_t row_begin, std::size_t row_end,
-              std::size_t batch, Batch &outputs)
+              std::size_t acc_stride, Batch &outputs)
 {
+    const std::size_t batch = outputs.size();
     for (std::size_t r = 0; r < row_end - row_begin; ++r) {
-        const AccT *acc_row = acc + r * batch;
+        const AccT *acc_row = acc + r * acc_stride;
         for (std::size_t b = 0; b < batch; ++b) {
             std::int64_t value = acc_row[b];
             switch (layer.nonlin) {
@@ -425,26 +467,25 @@ drainRowBatch(const CompiledLayer &layer, const AccT *acc,
 
 /**
  * The tile driver of every variant. Accumulators zero per row batch
- * and persist across passes — frame-major per row — and each tile
- * gathers its panel once before @p sweep walks its row blocks: in
- * order on a serial run, one block per index under a multi-thread
- * pool. Blocks own disjoint contiguous rows, so the workers never
- * share an accumulator.
+ * and persist across passes — frame-major per row, rows
+ * @p acc_stride apart — and each tile gathers its panel once before
+ * @p sweep walks its row blocks: in order on a serial run, one block
+ * per index under a multi-thread pool. Blocks own disjoint contiguous
+ * rows, so the workers never share an accumulator.
  */
 template <typename AccT, typename Panel, typename Sweep>
 void
 executeTiles(const CompiledLayer &layer, const Batch &inputs,
              WorkerPool *pool, Batch &outputs, Panel &panel,
-             const Sweep &sweep)
+             std::size_t acc_stride, const Sweep &sweep)
 {
-    const std::size_t batch = inputs.size();
     const bool pooled = pool && pool->threads() > 1;
     std::vector<AccT> acc;
     for (const auto &batch_tiles : layer.tiles) {
         panic_if(batch_tiles.empty(), "row batch with no tiles");
         const std::size_t row_begin = batch_tiles.front().row_begin;
         const std::size_t row_end = batch_tiles.front().row_end;
-        acc.assign((row_end - row_begin) * batch, 0);
+        acc.assign((row_end - row_begin) * acc_stride, 0);
         for (const CompiledTile &tile : batch_tiles) {
             panel.gather(inputs, tile.col_begin, tile.col_end);
             if (pooled && tile.blocks.size() > 1)
@@ -455,13 +496,14 @@ executeTiles(const CompiledLayer &layer, const Batch &inputs,
                 for (const SliceStream &block : tile.blocks)
                     sweep(block, acc.data());
         }
-        drainRowBatch(layer, acc.data(), row_begin, row_end, batch,
+        drainRowBatch(layer, acc.data(), row_begin, row_end, acc_stride,
                       outputs);
     }
 }
 
-/** The reference and actsparse variants: int64 accumulators, the
- *  variant's activation @p Panel and its @p run_stream loop. */
+/** The reference and actsparse variants: int64 accumulators, one per
+ *  frame, the variant's activation @p Panel and its @p run_stream
+ *  loop. */
 template <typename Panel, typename RunStream>
 void
 executeSparse(const CompiledLayer &layer, const Batch &inputs,
@@ -471,32 +513,37 @@ executeSparse(const CompiledLayer &layer, const Batch &inputs,
     const std::size_t batch = inputs.size();
     Panel panel;
     executeTiles<std::int64_t>(
-        layer, inputs, pool, outputs, panel,
+        layer, inputs, pool, outputs, panel, batch,
         [&](const SliceStream &stream, std::int64_t *acc) {
             run_stream(stream, layer.lut.data(), panel, batch, acc,
                        layer.weight_format, layer.act_format);
         });
 }
 
-/** The vector variant: int32 accumulators, dense panel, SIMD MAC
- *  rows. */
+/** The vector variant: int32 accumulators and the dense panel at the
+ *  lane stride, one @p sweep call per row block. */
 void
 executeVector(const CompiledLayer &layer, const Batch &inputs,
-              WorkerPool *pool, Batch &outputs)
+              WorkerPool *pool, VectorSweepFn sweep, Batch &outputs)
 {
-    const std::size_t batch = inputs.size();
-    const int shift =
+    // vectorEligible() guarantees every table value fits an int32 lane.
+    std::vector<std::int32_t> lut;
+    lut.reserve(layer.lut.size());
+    for (const std::int64_t w : layer.lut)
+        lut.push_back(static_cast<std::int32_t>(w));
+    const LaneMac mac{
+        lut.data(),
         2 * static_cast<int>(layer.weight_format.fracBits) -
-        static_cast<int>(layer.act_format.fracBits);
-    const auto lo = static_cast<std::int32_t>(layer.act_format.minRaw());
-    const auto hi = static_cast<std::int32_t>(layer.act_format.maxRaw());
+            static_cast<int>(layer.act_format.fracBits),
+        static_cast<std::int32_t>(layer.act_format.minRaw()),
+        static_cast<std::int32_t>(layer.act_format.maxRaw())};
 
     DensePanel panel;
+    panel.stride = laneStride(inputs.size());
     executeTiles<std::int32_t>(
-        layer, inputs, pool, outputs, panel,
-        [&](const SliceStream &stream, std::int32_t *acc) {
-            runStreamVector(stream, layer.lut.data(), panel, batch, acc,
-                            shift, lo, hi);
+        layer, inputs, pool, outputs, panel, panel.stride,
+        [&](const SliceStream &block, std::int32_t *acc) {
+            sweep(block, panel, mac, acc);
         });
 }
 
@@ -521,12 +568,30 @@ withinActFormat(const Batch &inputs, const FixedFormat &fmt)
     return true;
 }
 
+/** Check @p inputs against @p layer and allocate its zeroed outputs. */
+Batch
+zeroOutputs(const CompiledLayer &layer, const Batch &inputs)
+{
+    panic_if(!layer.has_host_stream,
+             "layer '%s' compiled without the host kernel streams "
+             "(CompileOptions::host_stream)",
+             layer.name.c_str());
+    for (const auto &input : inputs)
+        panic_if(input.size() != layer.input_size,
+                 "input length %zu != compiled %zu", input.size(),
+                 layer.input_size);
+    Batch outputs(inputs.size());
+    for (auto &output : outputs)
+        output.assign(layer.output_size, 0);
+    return outputs;
+}
+
 } // namespace
 
 const char *
 simdIsaName()
 {
-    return g_mac_row_kernel.isa;
+    return g_vector_sweep.isa;
 }
 
 double
@@ -563,18 +628,7 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
          WorkerPool *pool, KernelVariant variant, DispatchInfo *dispatch)
 {
     const std::size_t batch = inputs.size();
-    panic_if(!layer.has_host_stream,
-             "layer '%s' compiled without the host kernel streams "
-             "(CompileOptions::host_stream)",
-             layer.name.c_str());
-    for (const auto &input : inputs)
-        panic_if(input.size() != layer.input_size,
-                 "input length %zu != compiled %zu", input.size(),
-                 layer.input_size);
-
-    Batch outputs(batch);
-    for (auto &output : outputs)
-        output.assign(layer.output_size, 0);
+    Batch outputs = zeroOutputs(layer, inputs);
     if (batch == 0) {
         if (dispatch)
             *dispatch = DispatchInfo{};
@@ -589,7 +643,7 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
         resolved = KernelVariant::Reference;
     switch (resolved) {
       case KernelVariant::Vector:
-        executeVector(layer, inputs, pool, outputs);
+        executeVector(layer, inputs, pool, g_vector_sweep.fn, outputs);
         break;
       case KernelVariant::ActSparse:
         executeSparse<QueuePanel>(layer, inputs, pool,
@@ -608,5 +662,38 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
     }
     return outputs;
 }
+
+namespace detail {
+
+std::vector<std::string>
+vectorSweepIsas()
+{
+    std::vector<std::string> isas;
+    for (const VectorSweep &sweep : supportedSweeps())
+        isas.emplace_back(sweep.isa);
+    return isas;
+}
+
+Batch
+runVectorSweep(const CompiledLayer &layer, const Batch &inputs,
+               WorkerPool *pool, const std::string &isa)
+{
+    Batch outputs = zeroOutputs(layer, inputs);
+    panic_if(!vectorEligible(layer) ||
+                 !withinActFormat(inputs, layer.act_format),
+             "layer '%s' or its inputs do not fit the vector lanes",
+             layer.name.c_str());
+    for (const VectorSweep &sweep : supportedSweeps()) {
+        if (isa != sweep.isa)
+            continue;
+        if (!inputs.empty())
+            executeVector(layer, inputs, pool, sweep.fn, outputs);
+        return outputs;
+    }
+    panic("vector sweep tier '%s' does not run on this CPU", isa.c_str());
+    return outputs; // unreachable: panic() aborts
+}
+
+} // namespace detail
 
 } // namespace eie::core::kernel

@@ -5,10 +5,12 @@
  * One sweep over the compressed columns is amortized across the whole
  * batch. The inner loop is selected by KernelVariant (see
  * variant.hh): the scalar sparse-gather reference walk, the SIMD
- * dense-batch vector MAC, or the activation-sparse queue walk (a
- * front-end nonzero scan compresses each frame into a compact
- * (column, value) queue — the paper's NZ-detect stage — and the inner
- * loop touches only nonzero columns). Every variant preserves the
+ * vector sweep (each entry's saturating MAC runs on every frame at
+ * once, over int32 accumulator rows padded to whole 8-lane blocks),
+ * or the activation-sparse queue walk (a front-end nonzero scan
+ * compresses each frame into a compact (column, value) queue — the
+ * paper's NZ-detect stage — and the inner loop touches only nonzero
+ * columns). Every variant preserves the
  * exact per-accumulator update sequence of the scalar interpreter
  * (passes, then columns, then at most one entry per accumulator per
  * column; a zero activation contributes a zero product and
@@ -37,6 +39,7 @@
 #define EIE_CORE_KERNEL_EXECUTOR_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/kernel/compiled_layer.hh"
@@ -93,6 +96,22 @@ Batch runBatch(const CompiledLayer &layer, const Batch &inputs,
                WorkerPool *pool = nullptr,
                KernelVariant variant = KernelVariant::Auto,
                DispatchInfo *dispatch = nullptr);
+
+namespace detail {
+
+/** The vector sweep tiers this CPU runs, the dispatched one (the one
+ *  simdIsaName() reports) first: "avx512" and "avx2" where supported,
+ *  then "scalar". Test-only. */
+std::vector<std::string> vectorSweepIsas();
+
+/** runBatch(layer, inputs, pool, KernelVariant::Vector) on sweep tier
+ *  @p isa, one of vectorSweepIsas(), instead of the dispatched one, so
+ *  one CPU can check every tier it runs. Panics when the layer's
+ *  formats or the inputs do not fit the lanes. Test-only. */
+Batch runVectorSweep(const CompiledLayer &layer, const Batch &inputs,
+                     WorkerPool *pool, const std::string &isa);
+
+} // namespace detail
 
 } // namespace eie::core::kernel
 

@@ -103,12 +103,15 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
       case KernelVariant::Auto:
         break;
     }
-    if (vectorEligible(layer) && batch >= kVectorAutoBatch)
-        return KernelVariant::Vector;
     // A single frame has no stream re-walk to amortize: the LNZD
     // queue walk wins at every density.
-    if (batch == 1 ||
-        (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity))
+    if (batch == 1)
+        return KernelVariant::ActSparse;
+    // From two frames on, each entry's SIMD MAC serves every frame at
+    // once; it beat both scalar loops at every density measured.
+    if (vectorEligible(layer))
+        return KernelVariant::Vector;
+    if (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity)
         return KernelVariant::ActSparse;
     return KernelVariant::Reference;
 }
@@ -120,8 +123,8 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
     return resolveKernelVariant(requested, layer, batch, -1.0);
 }
 
-// simdIsaName() is defined in executor.cc, next to the MAC row
-// kernel dispatch it reports on, so the stamp can never drift from
-// the loop that actually runs.
+// simdIsaName() is defined in executor.cc, next to the vector sweep
+// dispatch it reports on, so the stamp can never drift from the loop
+// that actually runs.
 
 } // namespace eie::core::kernel

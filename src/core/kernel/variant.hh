@@ -19,8 +19,12 @@
  *  - "vector": a 32-bit-lane SIMD saturating MAC, dense over the
  *    batch dimension (zero activations contribute a zero product, and
  *    sat(acc + 0) == acc, so skipping them is an optimization, not a
- *    semantic — the dense sweep is bit-exact). Requires the layer's
- *    formats to fit 32-bit lanes; see vectorEligible().
+ *    semantic — the dense sweep is bit-exact). Accumulator rows and
+ *    the activation panel are padded to whole 8-lane blocks, so each
+ *    entry runs unmasked SIMD ops on every frame at once, and one
+ *    ISA-dispatched sweep walks a whole row block (see simdIsaName()).
+ *    Requires the layer's formats to fit 32-bit lanes; see
+ *    vectorEligible().
  *  - "actsparse": the paper's leading-nonzero-detect datapath. A
  *    front-end scan compresses each input frame into a compact
  *    (column, value) activation queue, and the inner loop walks only
@@ -31,7 +35,9 @@
  *  - "auto": the fastest variant that is bit-exact for the layer's
  *    formats and the call's batch size; the default everywhere. A
  *    single frame always takes "actsparse" (the paper's
- *    one-vector-at-a-time operating point); other small batches are
+ *    one-vector-at-a-time operating point), and every batch of two or
+ *    more frames takes "vector" when the formats fit its lanes. On a
+ *    layer whose formats do not, batches of two or more are
  *    density-aware and take "actsparse" only at low measured
  *    activation density (see kActSparseAutoMaxDensity).
  *
@@ -62,16 +68,11 @@ enum class KernelVariant
     ActSparse,  ///< nonzero-activation queue walk (EIE NZ-detect)
 };
 
-/** Auto routes to Vector at or above this batch when the formats are
- *  eligible: below it the dense lanes carry too many zeros to beat
- *  the sparse gather loops. */
-constexpr std::size_t kVectorAutoBatch = 8;
-
-/** Auto routes batches of 2 up to kVectorAutoBatch - 1 frames to
- *  ActSparse when the measured activation density is at or below this
- *  fraction; above it the per-frame stream re-walk stops paying for
- *  the skipped zeros. A single frame has no re-walk and takes
- *  ActSparse at any density. */
+/** On a layer whose formats are not vectorEligible(), Auto routes
+ *  batches of two or more frames to ActSparse when the measured
+ *  activation density is at or below this fraction; above it the
+ *  per-frame stream re-walk stops paying for the skipped zeros. A
+ *  single frame has no re-walk and takes ActSparse at any density. */
 constexpr double kActSparseAutoMaxDensity = 0.5;
 
 /** Registry names, selection order ("auto", "reference", ...). */
@@ -100,11 +101,11 @@ bool vectorEligible(const CompiledLayer &layer);
 /**
  * Resolve @p requested for one runBatch call:
  *
- *  - Auto picks Vector when the formats are eligible and the batch is
- *    wide enough to fill lanes (>= kVectorAutoBatch); otherwise
- *    ActSparse for a single frame, or when @p act_density is known
- *    (>= 0) and at most kActSparseAutoMaxDensity; Reference
- *    otherwise.
+ *  - Auto picks ActSparse for a single frame, and Vector for every
+ *    batch of two or more frames when the formats are eligible, at
+ *    any density. On an ineligible layer it picks ActSparse when
+ *    @p act_density is known (>= 0) and at most
+ *    kActSparseAutoMaxDensity, and Reference otherwise.
  *  - Vector is fatal when the layer's formats are not eligible: the
  *    lanes would overflow, silently breaking bit-exactness.
  *  - ActSparse and Reference always resolve to themselves: both are
@@ -121,15 +122,18 @@ KernelVariant resolveKernelVariant(KernelVariant requested,
                                    double act_density);
 
 /** Density-blind overload: resolves with unknown activation density
- *  (Auto picks ActSparse only for a single frame). */
+ *  (on an ineligible layer Auto picks ActSparse only for a single
+ *  frame). */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
                                    std::size_t batch);
 
 /**
- * The instruction set the SIMD MAC row kernel dispatched to at
- * runtime on this machine: "avx512", "avx2", "sse4.1" or "scalar"
- * (the portable fallback loop). Stamped into BENCH_*.json files.
+ * The tier the vector sweep dispatched to at runtime on this machine,
+ * decided once per process: "avx512" (16-lane blocks, plus one 8-lane
+ * block at a stride that is an odd multiple of 8; stride 8 runs the
+ * AVX2 loop), "avx2" (8-lane blocks) or "scalar" (the portable loop,
+ * for boxes without AVX2). Stamped into BENCH_*.json files.
  */
 const char *simdIsaName();
 

@@ -327,10 +327,11 @@ InferenceServer::batcherLoop()
 
         // Execute outside the lock: submitters keep enqueuing while
         // the backend sweeps this batch.
+        // Nothing reads a request's input after this, so move it.
         core::kernel::Batch inputs;
         inputs.reserve(formed.batch.size());
-        for (const detail::Pending &pending : formed.batch)
-            inputs.push_back(pending.input);
+        for (detail::Pending &pending : formed.batch)
+            inputs.push_back(std::move(pending.input));
         const auto form_time = std::chrono::steady_clock::now();
         RunReport report = backend_->runBatch(inputs);
 

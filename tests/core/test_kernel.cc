@@ -85,9 +85,12 @@ TEST(CompiledKernel, RandomizedEquivalenceAcrossConfigs)
             core::planLayer(layer, nn::Nonlinearity::ReLU, config);
         const core::FunctionalModel model(config);
 
-        // 12 and 31 leave a SIMD remainder after zero and after one
-        // full 16-lane block.
-        for (std::size_t batch : {1u, 4u, 12u, 16u, 31u}) {
+        // The vector sweep pads each accumulator row to whole 8-lane
+        // blocks: 4 and 5 leave pad lanes in one block, 8 fills one,
+        // 9, 12 and 16 take the 16-lane stride, 24 a 16-lane block
+        // plus an 8-lane one, and 31 two 16-lane blocks with one pad.
+        for (std::size_t batch :
+             {1u, 4u, 5u, 8u, 9u, 12u, 16u, 24u, 31u}) {
             const auto frames = makeFrames(model, p.cols, batch,
                                            p.a_density, seed += 100);
             const auto reference = scalarReference(model, plan, frames);

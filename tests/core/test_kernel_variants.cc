@@ -8,9 +8,10 @@
  * with the scalar
  * oracle exactly at the saturation boundary of the accumulator format
  * and across an activation-density sweep, and ragged / all-zero
- * activation batches (the panel skip paths and the SIMD tail lanes)
- * must flow through every variant — including the threads>1
- * WorkerPool route — without divergence.
+ * activation batches (the panel skip paths and the vector sweep's
+ * pad lanes) must flow through every variant — including the threads>1
+ * WorkerPool route — without divergence. Every vector sweep tier the
+ * CPU runs must match the oracle at every lane-stride shape.
  *
  * The column-partitioned serving caveat that motivates the
  * saturation suite (splitting a saturating layer across shards
@@ -101,15 +102,14 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::resolveKernelVariant;
-    // Auto: wide batch fills SIMD lanes; a single frame takes the
-    // queue walk; other small batches of unknown density the
-    // reference loop.
+    // Auto: a single frame takes the queue walk; every batch of two
+    // or more frames fills SIMD lanes.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
               KernelVariant::Vector);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
               KernelVariant::ActSparse);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2),
-              KernelVariant::Reference);
+              KernelVariant::Vector);
     // Explicit requests stick where legal.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
               KernelVariant::Vector);
@@ -136,42 +136,61 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::kActSparseAutoMaxDensity;
-    using core::kernel::kVectorAutoBatch;
     using core::kernel::resolveKernelVariant;
 
-    // Small batch + sparse activations: the nonzero-queue walk wins.
+    // On an eligible layer, two or more frames take the SIMD lanes at
+    // every density, known or not...
+    for (const double density : {0.35, 0.5, 0.75, -1.0})
+        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
+                                       2, density),
+                  KernelVariant::Vector)
+            << density;
     EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 2, 0.35),
-        KernelVariant::ActSparse);
-    // The crossover is inclusive at the documented threshold...
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2,
-                                   kActSparseAutoMaxDensity),
-              KernelVariant::ActSparse);
-    // ...and dense activations above it keep the reference loop.
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 2, 0.75),
-        KernelVariant::Reference);
-    // A single frame takes the queue walk at any density.
-    for (const double density : {0.35, 0.75, 1.0})
+        resolveKernelVariant(KernelVariant::Auto, compiled, 7, 0.05),
+        KernelVariant::Vector);
+    // ...and a single frame takes the queue walk at any density.
+    for (const double density : {0.05, 0.35, 0.75, 1.0, -1.0})
         EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
                                        1, density),
                   KernelVariant::ActSparse)
             << density;
-    // Batch wins over density: SIMD lanes fill at kVectorAutoBatch
-    // regardless of how sparse the activations are.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
-                                   kVectorAutoBatch, 0.05),
-              KernelVariant::Vector);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
-                                   kVectorAutoBatch - 1, 0.05),
+
+    // A layer the lanes cannot run (a left-shift alignment, as in
+    // IneligibleFormatsFallBackBitExact): the density crossover still
+    // governs batches of two or more.
+    core::EieConfig wide_config;
+    wide_config.n_pe = 4;
+    wide_config.weight_format = FixedFormat{16, 6};
+    wide_config.act_format = FixedFormat{16, 13};
+    const auto wide = core::kernel::CompiledLayer::compile(
+        core::planLayer(layer, nn::Nonlinearity::ReLU, wide_config),
+        wide_config);
+    ASSERT_FALSE(core::kernel::vectorEligible(wide));
+    // Small batch + sparse activations: the nonzero-queue walk wins.
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2, 0.35),
               KernelVariant::ActSparse);
-    // Unknown density (no probe) preserves the density-blind rules.
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 1, -1.0),
-        KernelVariant::ActSparse);
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 2, -1.0),
-        KernelVariant::Reference);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 7, 0.05),
+              KernelVariant::ActSparse);
+    // The crossover is inclusive at the documented threshold...
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2,
+                                   kActSparseAutoMaxDensity),
+              KernelVariant::ActSparse);
+    // ...and dense activations above it keep the reference loop.
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2, 0.75),
+              KernelVariant::Reference);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 64, 0.75),
+              KernelVariant::Reference);
+    // A single frame takes the queue walk at any density.
+    for (const double density : {0.35, 0.75, 1.0})
+        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 1,
+                                       density),
+                  KernelVariant::ActSparse)
+            << density;
+    // Unknown density (no probe) keeps the density-blind rules.
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 1, -1.0),
+              KernelVariant::ActSparse);
+    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2, -1.0),
+              KernelVariant::Reference);
 }
 
 /** A plan forced into a 3 row-batch x 3 column-pass grid (ragged
@@ -373,14 +392,82 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
         ASSERT_EQ(out, config.act_format.minRaw());
     }
 
-    for (unsigned threads : {1u, 4u}) {
-        for (const KernelVariant kernel : kAllVariants) {
-            const auto outputs =
-                model.runBatch(plan, frames, threads, kernel);
-            for (std::size_t b = 0; b < frames.size(); ++b)
-                EXPECT_EQ(outputs[b], reference[b])
-                    << core::kernel::kernelVariantName(kernel) << ", "
-                    << threads << " threads, frame " << b;
+    // The three frames repeated to 3, 9 and 24: the vector sweep's pad
+    // lanes, its 16-lane stride and its 16 + 8 lane blocks all run
+    // beside lanes pinned to the rails.
+    for (const std::size_t batch : {3u, 9u, 24u}) {
+        core::kernel::Batch repeated;
+        for (std::size_t b = 0; b < batch; ++b)
+            repeated.push_back(frames[b % frames.size()]);
+        for (unsigned threads : {1u, 4u}) {
+            for (const KernelVariant kernel : kAllVariants) {
+                const auto outputs =
+                    model.runBatch(plan, repeated, threads, kernel);
+                for (std::size_t b = 0; b < batch; ++b)
+                    EXPECT_EQ(outputs[b], reference[b % frames.size()])
+                        << core::kernel::kernelVariantName(kernel) << ", "
+                        << threads << " threads, batch " << batch
+                        << ", frame " << b;
+            }
+        }
+    }
+}
+
+TEST(KernelVariants, EveryVectorSweepTierBitExact)
+{
+    // runBatch dispatches one sweep tier per process; the test seam
+    // runs every tier this CPU supports, so the AVX2 multi-block path
+    // and the portable loop are checked on an AVX-512 box too. The
+    // batches cover every lane-stride shape: pad lanes in one 8-lane
+    // block (1, 4, 5), one exact block (8), the 16-lane stride (9,
+    // 12, 16), 16 + 8 lane blocks (24) and 32 lanes with one pad (31).
+    const auto isas = core::kernel::detail::vectorSweepIsas();
+    ASSERT_FALSE(isas.empty());
+    EXPECT_EQ(isas.front(), core::kernel::simdIsaName());
+    EXPECT_EQ(isas.back(), "scalar");
+
+    core::EieConfig config;
+    config.n_pe = 4;
+    const core::FunctionalModel model(config);
+    core::kernel::WorkerPool pool(3);
+    const auto random = test::randomCompressedLayer(96, 64, 0.2, 4, 81);
+    const auto random_plan =
+        core::planLayer(random, nn::Nonlinearity::ReLU, config);
+    // None keeps the saturated negative rail observable.
+    const auto rails = saturatingLayer(48, 64, 4, 100.0f);
+    const auto rails_plan =
+        core::planLayer(rails, nn::Nonlinearity::None, config);
+
+    for (const core::LayerPlan *plan : {&random_plan, &rails_plan}) {
+        const auto compiled = compileBlocks(*plan, config, 3);
+        ASSERT_TRUE(core::kernel::vectorEligible(compiled));
+        for (const std::size_t batch :
+             {1u, 4u, 5u, 8u, 9u, 12u, 16u, 24u, 31u}) {
+            // Dense, half-dense and all-zero frames side by side.
+            core::kernel::Batch frames;
+            for (std::size_t b = 0; b < batch; ++b)
+                frames.push_back(model.quantizeInput(
+                    test::randomActivations(64, 1.0 - 0.5 * (b % 3),
+                                            810 + 7 * b)));
+            core::kernel::Batch reference;
+            for (const auto &frame : frames)
+                reference.push_back(model.run(*plan, frame).output_raw);
+
+            for (const std::string &isa : isas) {
+                for (core::kernel::WorkerPool *p :
+                     {static_cast<core::kernel::WorkerPool *>(nullptr),
+                      &pool}) {
+                    const auto outputs = core::kernel::detail::
+                        runVectorSweep(compiled, frames, p, isa);
+                    ASSERT_EQ(outputs.size(), frames.size());
+                    for (std::size_t b = 0; b < batch; ++b)
+                        EXPECT_EQ(outputs[b], reference[b])
+                            << isa << ", " << plan->name << ", batch "
+                            << batch << ", "
+                            << (p ? "pooled" : "serial") << ", frame "
+                            << b;
+                }
+            }
         }
     }
 }
@@ -477,8 +564,8 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
 
     const std::vector<std::int64_t> zero_frame(64, 0);
 
-    // Ragged batch sizes exercise the SIMD tail lanes (1, 3, 5, 9 are
-    // all off the 4/8-lane grid); interleaved all-zero frames and the
+    // Ragged batch sizes leave pad lanes in the vector sweep's 8-lane
+    // blocks (1, 3, 5, 9); interleaved all-zero frames and the
     // all-zero batch exercise the activation-panel skip path.
     std::vector<core::kernel::Batch> batches;
     for (const std::size_t batch : {1u, 3u, 5u, 9u}) {
@@ -609,8 +696,8 @@ TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
     // sequence exactly from the table lookups: every activation
     // density (empty queues at 0%, the paper's 9% weight / 35%
     // activation regime, fully dense), ragged batch sizes off the SIMD
-    // lane grid (9 reaches the vector loop under auto), serial (blocks
-    // in order) and pooled (one block per worker) routes.
+    // lane grid (under auto, 3, 5 and 9 reach the vector loop), serial
+    // (blocks in order) and pooled (one block per worker) routes.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 91);
@@ -690,7 +777,7 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
               core::kernel::kActSparseAutoMaxDensity);
 
     // A fully dense single frame probes high and still takes the
-    // queue walk; two dense frames keep the reference loop.
+    // queue walk; two dense frames take the SIMD lanes.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
@@ -703,7 +790,7 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
         model.quantizeInput(test::randomActivations(48, 1.0, 1003)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant, KernelVariant::Reference);
+    EXPECT_EQ(info.variant, KernelVariant::Vector);
     EXPECT_GT(info.act_density,
               core::kernel::kActSparseAutoMaxDensity);
 

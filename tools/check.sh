@@ -17,8 +17,9 @@
 # pass so a serving regression is called out by name even when the
 # full run already covered it. A Release variant-matrix smoke then
 # drives eie_sim through every kernel variant (--kernel
-# reference|vector|actsparse|auto at batch 1, 12 and 16 on 1 and 4
-# threads over NT-We, and at batch 1 and 64 on 3 threads over NT-Wd)
+# reference|vector|actsparse|auto at batch 1, 5, 12, 16 and 24 on 1
+# and 4 threads over NT-We, and at batch 1 and 64 on 3 threads over
+# NT-Wd)
 # in both the batched-throughput and the serving path, each checked
 # bit-exact against the scalar oracle by the tool itself.
 #
@@ -91,12 +92,15 @@ done
 
 echo "=== kernel variant matrix (Release eie_sim smoke) ==="
 # One thread walks each tile's stream as one row block, four threads
-# as four. Batch 1 is the single-frame path, batch 12 ends every SIMD
-# row in a partial block, batch 16 in none. NT-Wd on 3 threads cuts
-# three uneven blocks over 4096 rows plus the ragged 599-row last row
-# batch, at batch 1 and 64.
+# as four. The vector sweep pads accumulator rows to whole 8-lane
+# blocks: batch 1 is the single-frame path (auto: actsparse) and one
+# block with 7 pad lanes, batch 5 one block with 3 pad lanes (the
+# ntwe-burst shape), batch 12 a 16-lane stride with 4 pad lanes,
+# batch 16 one exact 16-lane block and batch 24 a 16-lane block plus
+# an 8-lane one. NT-Wd on 3 threads cuts three uneven blocks over
+# 4096 rows plus the ragged 599-row last row batch, at batch 1 and 64.
 for kernel in reference vector actsparse auto; do
-    for batch in 1 12 16; do
+    for batch in 1 5 12 16 24; do
         for threads in 1 4; do
             ./build-check-release/eie_sim --throughput "${batch}" \
                 --threads "${threads}" --benchmark NT-We \
