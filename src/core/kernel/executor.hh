@@ -100,8 +100,8 @@ Batch runBatch(const CompiledLayer &layer, const Batch &inputs,
 namespace detail {
 
 /** The vector sweep tiers this CPU runs, the dispatched one (the one
- *  simdIsaName() reports) first: "avx512" and "avx2" where supported,
- *  then "scalar". Test-only. */
+ *  simdIsaName() reports) first: "avx2" where supported, then
+ *  "scalar". Test-only. */
 std::vector<std::string> vectorSweepIsas();
 
 /** runBatch(layer, inputs, pool, KernelVariant::Vector) on sweep tier

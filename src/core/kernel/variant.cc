@@ -1,6 +1,7 @@
 #include "core/kernel/variant.hh"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "core/kernel/compiled_layer.hh"
@@ -103,17 +104,9 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
       case KernelVariant::Auto:
         break;
     }
-    // A single frame has no stream re-walk to amortize: the LNZD
-    // queue walk wins at every density.
-    if (batch == 1)
-        return KernelVariant::ActSparse;
-    // From two frames on, each entry's SIMD MAC serves every frame at
-    // once; it beat both scalar loops at every density measured.
-    if (vectorEligible(layer))
-        return KernelVariant::Vector;
-    if (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity)
-        return KernelVariant::ActSparse;
-    return KernelVariant::Reference;
+    static const bool simd_sweep =
+        std::string_view(simdIsaName()) != "scalar";
+    return detail::resolveAuto(layer, batch, act_density, simd_sweep);
 }
 
 KernelVariant
@@ -122,6 +115,30 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
 {
     return resolveKernelVariant(requested, layer, batch, -1.0);
 }
+
+namespace detail {
+
+KernelVariant
+resolveAuto(const CompiledLayer &layer, std::size_t batch,
+            double act_density, bool simd_sweep)
+{
+    // A single frame has no stream re-walk to amortize: the LNZD
+    // queue walk wins at every density.
+    if (batch == 1)
+        return KernelVariant::ActSparse;
+    // From two frames on, each entry's SIMD MAC serves every frame at
+    // once; on SIMD lanes it beat both scalar loops at every density
+    // measured. The portable sweep runs each entry on a whole 8-lane
+    // block in scalar code, so it takes only batches that fill one.
+    if (vectorEligible(layer) &&
+        (simd_sweep || batch >= kScalarSweepAutoBatch))
+        return KernelVariant::Vector;
+    if (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity)
+        return KernelVariant::ActSparse;
+    return KernelVariant::Reference;
+}
+
+} // namespace detail
 
 // simdIsaName() is defined in executor.cc, next to the vector sweep
 // dispatch it reports on, so the stamp can never drift from the loop

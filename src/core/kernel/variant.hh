@@ -36,10 +36,11 @@
  *    formats and the call's batch size; the default everywhere. A
  *    single frame always takes "actsparse" (the paper's
  *    one-vector-at-a-time operating point), and every batch of two or
- *    more frames takes "vector" when the formats fit its lanes. On a
- *    layer whose formats do not, batches of two or more are
- *    density-aware and take "actsparse" only at low measured
- *    activation density (see kActSparseAutoMaxDensity).
+ *    more frames takes "vector" when the formats fit its lanes — on a
+ *    CPU without SIMD lanes only from kScalarSweepAutoBatch frames on.
+ *    Other batches of two or more are density-aware and take
+ *    "actsparse" only at low measured activation density (see
+ *    kActSparseAutoMaxDensity).
  *
  * All variants produce bit-identical outputs (the saturating-MAC
  * update sequence per accumulator is preserved exactly); "vector" is
@@ -50,6 +51,7 @@
 #ifndef EIE_CORE_KERNEL_VARIANT_HH
 #define EIE_CORE_KERNEL_VARIANT_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -68,11 +70,18 @@ enum class KernelVariant
     ActSparse,  ///< nonzero-activation queue walk (EIE NZ-detect)
 };
 
-/** On a layer whose formats are not vectorEligible(), Auto routes
- *  batches of two or more frames to ActSparse when the measured
- *  activation density is at or below this fraction; above it the
- *  per-frame stream re-walk stops paying for the skipped zeros. A
- *  single frame has no re-walk and takes ActSparse at any density. */
+/** On a CPU whose vector sweep is the portable loop (simdIsaName()
+ *  reports "scalar"), Auto sends an eligible layer's batches to Vector
+ *  only from this many frames on: that loop runs each entry on a whole
+ *  8-lane block in scalar code, and Vector's win at smaller batches
+ *  was measured on SIMD lanes only. */
+constexpr std::size_t kScalarSweepAutoBatch = 8;
+
+/** On a batch of two or more frames that Auto does not send to Vector,
+ *  it routes to ActSparse when the measured activation density is at
+ *  or below this fraction; above it the per-frame stream re-walk stops
+ *  paying for the skipped zeros. A single frame has no re-walk and
+ *  takes ActSparse at any density. */
 constexpr double kActSparseAutoMaxDensity = 0.5;
 
 /** Registry names, selection order ("auto", "reference", ...). */
@@ -103,7 +112,9 @@ bool vectorEligible(const CompiledLayer &layer);
  *
  *  - Auto picks ActSparse for a single frame, and Vector for every
  *    batch of two or more frames when the formats are eligible, at
- *    any density. On an ineligible layer it picks ActSparse when
+ *    any density — when the vector sweep runs on SIMD lanes; on the
+ *    portable sweep only for batches of at least
+ *    kScalarSweepAutoBatch. Any other batch takes ActSparse when
  *    @p act_density is known (>= 0) and at most
  *    kActSparseAutoMaxDensity, and Reference otherwise.
  *  - Vector is fatal when the layer's formats are not eligible: the
@@ -122,20 +133,30 @@ KernelVariant resolveKernelVariant(KernelVariant requested,
                                    double act_density);
 
 /** Density-blind overload: resolves with unknown activation density
- *  (on an ineligible layer Auto picks ActSparse only for a single
- *  frame). */
+ *  (where Auto does not pick Vector, it picks ActSparse only for a
+ *  single frame). */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
                                    std::size_t batch);
 
 /**
  * The tier the vector sweep dispatched to at runtime on this machine,
- * decided once per process: "avx512" (16-lane blocks, plus one 8-lane
- * block at a stride that is an odd multiple of 8; stride 8 runs the
- * AVX2 loop), "avx2" (8-lane blocks) or "scalar" (the portable loop,
- * for boxes without AVX2). Stamped into BENCH_*.json files.
+ * decided once per process: "avx2" (8-lane blocks) or "scalar" (the
+ * portable loop, for boxes without AVX2). Stamped into BENCH_*.json
+ * files.
  */
 const char *simdIsaName();
+
+namespace detail {
+
+/** Auto's rule (see resolveKernelVariant) with the sweep tier given:
+ *  @p simd_sweep is whether the vector sweep runs on SIMD lanes.
+ *  resolveKernelVariant passes the dispatched tier; a test can check
+ *  both tiers' rule on one CPU. */
+KernelVariant resolveAuto(const CompiledLayer &layer, std::size_t batch,
+                          double act_density, bool simd_sweep);
+
+} // namespace detail
 
 } // namespace eie::core::kernel
 

@@ -87,8 +87,8 @@ TEST(CompiledKernel, RandomizedEquivalenceAcrossConfigs)
 
         // The vector sweep pads each accumulator row to whole 8-lane
         // blocks: 4 and 5 leave pad lanes in one block, 8 fills one,
-        // 9, 12 and 16 take the 16-lane stride, 24 a 16-lane block
-        // plus an 8-lane one, and 31 two 16-lane blocks with one pad.
+        // 9 and 12 leave pad lanes in the second of two, 16 fills two,
+        // 24 three, and 31 leaves one pad lane in the fourth.
         for (std::size_t batch :
              {1u, 4u, 5u, 8u, 9u, 12u, 16u, 24u, 31u}) {
             const auto frames = makeFrames(model, p.cols, batch,

@@ -103,13 +103,15 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
 
     using core::kernel::resolveKernelVariant;
     // Auto: a single frame takes the queue walk; every batch of two
-    // or more frames fills SIMD lanes.
+    // or more frames fills SIMD lanes, and on the portable sweep a
+    // batch below a lane block keeps the sparse loops.
+    const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
               KernelVariant::Vector);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
               KernelVariant::ActSparse);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2),
-              KernelVariant::Vector);
+              simd ? KernelVariant::Vector : KernelVariant::Reference);
     // Explicit requests stick where legal.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
               KernelVariant::Vector);
@@ -136,24 +138,42 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::kActSparseAutoMaxDensity;
+    using core::kernel::kScalarSweepAutoBatch;
     using core::kernel::resolveKernelVariant;
+    using core::kernel::detail::resolveAuto;
 
-    // On an eligible layer, two or more frames take the SIMD lanes at
-    // every density, known or not...
+    // On an eligible layer with SIMD lanes, two or more frames take
+    // the lanes at every density, known or not...
     for (const double density : {0.35, 0.5, 0.75, -1.0})
-        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
-                                       2, density),
+        EXPECT_EQ(resolveAuto(compiled, 2, density, true),
                   KernelVariant::Vector)
             << density;
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Auto, compiled, 7, 0.05),
-        KernelVariant::Vector);
+    EXPECT_EQ(resolveAuto(compiled, 7, 0.05, true), KernelVariant::Vector);
+    // ...while the portable sweep takes only whole lane blocks and
+    // leaves smaller batches to the density crossover...
+    EXPECT_EQ(resolveAuto(compiled, kScalarSweepAutoBatch, 0.05, false),
+              KernelVariant::Vector);
+    EXPECT_EQ(resolveAuto(compiled, 64, -1.0, false),
+              KernelVariant::Vector);
+    EXPECT_EQ(resolveAuto(compiled, 2, 0.35, false),
+              KernelVariant::ActSparse);
+    EXPECT_EQ(resolveAuto(compiled, kScalarSweepAutoBatch - 1, 0.75, false),
+              KernelVariant::Reference);
+    EXPECT_EQ(resolveAuto(compiled, 2, -1.0, false),
+              KernelVariant::Reference);
     // ...and a single frame takes the queue walk at any density.
-    for (const double density : {0.05, 0.35, 0.75, 1.0, -1.0})
-        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
-                                       1, density),
-                  KernelVariant::ActSparse)
-            << density;
+    for (const bool simd : {true, false})
+        for (const double density : {0.05, 0.35, 0.75, 1.0, -1.0})
+            EXPECT_EQ(resolveAuto(compiled, 1, density, simd),
+                      KernelVariant::ActSparse)
+                << density;
+    // resolveKernelVariant applies the rule of the dispatched tier.
+    const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
+    for (const std::size_t batch : {1u, 2u, 7u, 8u, 64u})
+        EXPECT_EQ(
+            resolveKernelVariant(KernelVariant::Auto, compiled, batch, 0.75),
+            resolveAuto(compiled, batch, 0.75, simd))
+            << batch;
 
     // A layer the lanes cannot run (a left-shift alignment, as in
     // IneligibleFormatsFallBackBitExact): the density crossover still
@@ -393,8 +413,8 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
     }
 
     // The three frames repeated to 3, 9 and 24: the vector sweep's pad
-    // lanes, its 16-lane stride and its 16 + 8 lane blocks all run
-    // beside lanes pinned to the rails.
+    // lanes in one 8-lane block, in the second of two and across three
+    // whole blocks all run beside lanes pinned to the rails.
     for (const std::size_t batch : {3u, 9u, 24u}) {
         core::kernel::Batch repeated;
         for (std::size_t b = 0; b < batch; ++b)
@@ -416,11 +436,12 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
 TEST(KernelVariants, EveryVectorSweepTierBitExact)
 {
     // runBatch dispatches one sweep tier per process; the test seam
-    // runs every tier this CPU supports, so the AVX2 multi-block path
-    // and the portable loop are checked on an AVX-512 box too. The
-    // batches cover every lane-stride shape: pad lanes in one 8-lane
-    // block (1, 4, 5), one exact block (8), the 16-lane stride (9,
-    // 12, 16), 16 + 8 lane blocks (24) and 32 lanes with one pad (31).
+    // runs every tier this CPU supports, so the portable loop is
+    // checked on a SIMD box too. The batches cover every lane-stride
+    // shape: pad lanes in one 8-lane block (1, 4, 5), one exact block
+    // (8, the AVX2 sweep's one-register loop), two blocks with pad
+    // lanes (9, 12) and without (16), three exact blocks (24) and four
+    // with one pad lane (31).
     const auto isas = core::kernel::detail::vectorSweepIsas();
     ASSERT_FALSE(isas.empty());
     EXPECT_EQ(isas.front(), core::kernel::simdIsaName());
@@ -777,7 +798,8 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
               core::kernel::kActSparseAutoMaxDensity);
 
     // A fully dense single frame probes high and still takes the
-    // queue walk; two dense frames take the SIMD lanes.
+    // queue walk; two dense frames take the SIMD lanes, or the
+    // reference loop on the portable sweep.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
@@ -790,7 +812,10 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
         model.quantizeInput(test::randomActivations(48, 1.0, 1003)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant, KernelVariant::Vector);
+    EXPECT_EQ(info.variant,
+              std::string(core::kernel::simdIsaName()) != "scalar"
+                  ? KernelVariant::Vector
+                  : KernelVariant::Reference);
     EXPECT_GT(info.act_density,
               core::kernel::kActSparseAutoMaxDensity);
 

@@ -95,9 +95,9 @@ echo "=== kernel variant matrix (Release eie_sim smoke) ==="
 # as four. The vector sweep pads accumulator rows to whole 8-lane
 # blocks: batch 1 is the single-frame path (auto: actsparse) and one
 # block with 7 pad lanes, batch 5 one block with 3 pad lanes (the
-# ntwe-burst shape), batch 12 a 16-lane stride with 4 pad lanes,
-# batch 16 one exact 16-lane block and batch 24 a 16-lane block plus
-# an 8-lane one. NT-Wd on 3 threads cuts three uneven blocks over
+# ntwe-burst shape, on the AVX2 sweep's one-register loop), batch 12
+# two blocks with 4 pad lanes, batch 16 two exact blocks and batch 24
+# three. NT-Wd on 3 threads cuts three uneven blocks over
 # 4096 rows plus the ragged 599-row last row batch, at batch 1 and 64.
 for kernel in reference vector actsparse auto; do
     for batch in 1 5 12 16 24; do
