@@ -11,26 +11,25 @@
  * point) so later PRs have a perf trajectory to regress against.
  * Every thread count runs over its own stack, compiled as CompiledBackend
  * compiles it (engine::compiledStackOptions: one row block per
- * worker). Five same-box gates: vector beats reference at batch 64
- * and at batch 4 on one thread (SIMD boxes; the batch-4 pair is timed
- * in interleaved reps and compared by median), auto on one thread runs
- * at least 2x the scalar
- * interpreter at every batch, auto on the hardware thread count runs
- * at least as fast as auto on one thread at every batch, and the
- * "footprint" object holds the layer's resident stream bytes to at
- * most 5 per nonzero on every stack (byte accounting, so
- * deterministic).
+ * worker). Five same-box gates: vector beats actsparse at batch 64 and
+ * at batch 4 on one thread (SIMD boxes; each pair is timed in
+ * interleaved reps and compared by median), auto on one thread runs
+ * at least 2x the scalar interpreter at every batch, auto on the
+ * hardware thread count runs at least as fast as auto on one thread
+ * at every batch, and the "footprint" object holds the layer's
+ * resident stream bytes to at most 5 per nonzero on every stack (byte
+ * accounting, so deterministic).
  *
  * Part 1b — batch-1 latency vs activation density on the NT-We
  * workload: the EIE activation-sparsity story. One frame at a time
- * (the latency-bound serving shape), densities 5%..100%, comparing
- * the reference dense-walk against the actsparse nonzero-queue walk
- * (both over one row block, the whole merged stream). The two
- * kernels are timed in interleaved reps and compared by median, so a
- * slow phase of a shared box hits both; the "batch1_density_series"
- * object in BENCH_throughput.json gates actsparse > reference at every
- * density <= 50% on SIMD boxes and stamps the paper-reported NT
- * densities for context.
+ * (the latency-bound serving shape), densities 5%..100%, through the
+ * actsparse loop (one row block, the whole merged stream), which
+ * never touches a column whose activation is zero. The densities are
+ * timed in interleaved reps and compared by median, so a slow phase
+ * of a shared box hits all of them; the "batch1_density_series"
+ * object in BENCH_throughput.json gates the zero skip itself —
+ * 35% density must run at least 2x the frames/s of 100% — and stamps
+ * the paper-reported NT densities for context.
  *
  * Part 2 — serving latency vs offered load: an engine::InferenceServer
  * (dynamic micro-batcher) under synthetic open-loop arrivals at
@@ -92,12 +91,15 @@ constexpr unsigned kRepeats = 3;
 constexpr std::size_t kServeRequests = 96;
 
 /** Part 1b: frames per density point of the batch-1 sweep, and
- *  interleaved reps per kernel (odd, so the median is one rep). */
+ *  interleaved reps per density (odd, so the median is one rep). The
+ *  actsparse loop at 35% density must run at least kMinZeroSkipSpeedup
+ *  times its frames/s at 100%. */
 constexpr std::size_t kDensityFrames = 8;
 constexpr unsigned kDensityRepeats = 9;
+constexpr double kMinZeroSkipSpeedup = 2.0;
 
-/** Part 1's batch-4 gate: interleaved reps per kernel (odd, so the
- *  median is one rep). */
+/** Part 1's batch-4 and batch-64 gates: interleaved reps per kernel
+ *  (odd, so the median is one rep). */
 constexpr unsigned kGateRepeats = 9;
 
 /** Part 1 gates: auto on one thread must run at least this multiple
@@ -284,7 +286,6 @@ main(int argc, char **argv)
     // "auto" (what production callers get). Every point is checked
     // bit-exact against the scalar oracle.
     const std::vector<core::kernel::KernelVariant> variants{
-        core::kernel::KernelVariant::Reference,
         core::kernel::KernelVariant::Vector,
         core::kernel::KernelVariant::ActSparse,
         core::kernel::KernelVariant::Auto,
@@ -393,73 +394,64 @@ main(int argc, char **argv)
     std::cout << "best speedup over scalar interpreter: " << best
               << "x\n";
 
-    // The headline regression gates: the SIMD inner loop must out-run
-    // the reference loop at the serving batch size (the best of either
-    // series over every thread count), and on one thread at batch 4, a
-    // small batch auto sends to it. The batch-4 pair runs in
-    // interleaved reps, alternating which goes first, and compares
-    // medians, so a slow phase of a shared box hits both.
-    auto rateAt = [&](const char *kernel, std::size_t batch) {
-        double rate = 0.0;
-        for (const Point &p : points)
-            if (p.kernel == kernel && p.batch == batch)
-                rate = std::max(rate, p.frames_per_sec);
-        return rate;
-    };
-    const double reference_64 = rateAt("reference", 64);
-    const double vector_64 = rateAt("vector", 64);
-    double reference_4 = 0.0;
-    double vector_4 = 0.0;
+    // The headline regression gates: on one thread, the SIMD inner
+    // loop must out-run the int64 scalar loop at the serving batch
+    // size and at batch 4, a small batch auto sends to it. Each pair
+    // runs in interleaved reps, alternating which goes first, and
+    // compares medians, so a slow phase of a shared box hits both.
+    struct GatePair
     {
-        const engine::CompiledBackend gate_backends[] = {
-            {plan_stack, stacks.front(), 1,
-             core::kernel::KernelVariant::Reference},
-            {plan_stack, stacks.front(), 1,
-             core::kernel::KernelVariant::Vector},
+        std::size_t batch;
+        double actsparse_fps = 0.0;
+        double vector_fps = 0.0;
+    };
+    GatePair gates[] = {{64}, {4}};
+    {
+        const core::kernel::KernelVariant gate_kernels[] = {
+            core::kernel::KernelVariant::ActSparse,
+            core::kernel::KernelVariant::Vector,
         };
-        std::vector<double> rep_s[2];
-        for (unsigned rep = 0; rep < kGateRepeats; ++rep) {
-            for (std::size_t i = 0; i < 2; ++i) {
-                const std::size_t k = (i + rep) % 2;
-                const auto start = std::chrono::steady_clock::now();
-                const auto outputs = runChunked(gate_backends[k], 4);
-                rep_s[k].push_back(seconds(start));
-                fatal_if(outputs != reference,
-                         "kernel '%s', batch 4 x 1 thread diverged from "
-                         "the scalar oracle",
-                         k == 0 ? "reference" : "vector");
+        const engine::CompiledBackend gate_backends[] = {
+            {plan_stack, stacks.front(), 1, gate_kernels[0]},
+            {plan_stack, stacks.front(), 1, gate_kernels[1]},
+        };
+        for (GatePair &gate : gates) {
+            std::vector<double> rep_s[2];
+            for (unsigned rep = 0; rep < kGateRepeats; ++rep) {
+                for (std::size_t i = 0; i < 2; ++i) {
+                    const std::size_t k = (i + rep) % 2;
+                    const auto start = std::chrono::steady_clock::now();
+                    const auto outputs =
+                        runChunked(gate_backends[k], gate.batch);
+                    rep_s[k].push_back(seconds(start));
+                    fatal_if(outputs != reference,
+                             "kernel '%s', batch %zu x 1 thread diverged "
+                             "from the scalar oracle",
+                             core::kernel::kernelVariantName(
+                                 gate_kernels[k]),
+                             gate.batch);
+                }
             }
+            gate.actsparse_fps = kFrames / median(rep_s[0]);
+            gate.vector_fps = kFrames / median(rep_s[1]);
+            std::cout << "batch " << gate.batch
+                      << ", 1 thread: actsparse " << gate.actsparse_fps
+                      << " f/s, vector " << gate.vector_fps << " f/s\n";
         }
-        reference_4 = kFrames / median(rep_s[0]);
-        vector_4 = kFrames / median(rep_s[1]);
     }
-    std::cout << "batch 64: reference " << reference_64
-              << " f/s, vector " << vector_64 << " f/s\n"
-              << "batch 4, 1 thread: reference " << reference_4
-              << " f/s, vector " << vector_4 << " f/s\n";
     // With real SIMD lanes these are hard regression gates; on a box
     // whose dispatch fell back to the portable scalar loop the dense
-    // sweep can legitimately lose to the sparse gather, so only warn.
+    // sweep can legitimately lose to the sparse walk, so only warn.
     const bool have_simd =
         std::string(core::kernel::simdIsaName()) != "scalar";
-    const struct
-    {
-        const char *cell;
-        double reference_fps;
-        double vector_fps;
-    } gates[] = {
-        {"batch 64", reference_64, vector_64},
-        {"batch 4 on 1 thread", reference_4, vector_4},
-    };
-    for (const auto &gate : gates) {
-        fatal_if(have_simd && gate.vector_fps <= gate.reference_fps,
-                 "vector did not beat the reference kernel at %s "
+    for (const GatePair &gate : gates) {
+        fatal_if(have_simd && gate.vector_fps <= gate.actsparse_fps,
+                 "vector did not beat actsparse at batch %zu on 1 thread "
                  "despite %s lanes",
-                 gate.cell, core::kernel::simdIsaName());
-        if (gate.vector_fps <= gate.reference_fps)
-            std::cout << "WARNING: vector did not beat the reference "
-                         "kernel at "
-                      << gate.cell << " (scalar fallback dispatch)\n";
+                 gate.batch, core::kernel::simdIsaName());
+        if (gate.vector_fps <= gate.actsparse_fps)
+            std::cout << "WARNING: vector did not beat actsparse at batch "
+                      << gate.batch << " (scalar fallback dispatch)\n";
     }
 
     bench::Json throughput_points = bench::Json::array();
@@ -479,17 +471,17 @@ main(int argc, char **argv)
     bench::Json scalar_json;
     scalar_json.set("frames_per_sec", scalar_fps)
         .set("gops", useful_gops / scalar_s);
-    bench::Json batch64_json;
-    batch64_json.set("reference_fps", reference_64)
-        .set("vector_fps", vector_64)
-        .set("vector_over_reference",
-             reference_64 > 0.0 ? vector_64 / reference_64 : 0.0);
-    bench::Json batch4_json;
-    batch4_json.set("threads", 1u)
-        .set("reference_fps", reference_4)
-        .set("vector_fps", vector_4)
-        .set("vector_over_reference",
-             reference_4 > 0.0 ? vector_4 / reference_4 : 0.0);
+    auto gateJson = [](const GatePair &gate) {
+        bench::Json json;
+        json.set("threads", 1u)
+            .set("actsparse_fps", gate.actsparse_fps)
+            .set("vector_fps", gate.vector_fps)
+            .set("vector_over_actsparse",
+                 gate.actsparse_fps > 0.0
+                     ? gate.vector_fps / gate.actsparse_fps
+                     : 0.0);
+        return json;
+    };
 
     // The auto gate: what production callers get on one thread must
     // clearly out-run the scalar interpreter at every batch of the
@@ -559,17 +551,17 @@ main(int argc, char **argv)
         .set("scalar", std::move(scalar_json))
         .set("points", std::move(throughput_points))
         .set("best_speedup", best)
-        .set("batch64_by_kernel", std::move(batch64_json))
-        .set("batch4_by_kernel", std::move(batch4_json))
+        .set("batch64_by_kernel", gateJson(gates[0]))
+        .set("batch4_by_kernel", gateJson(gates[1]))
         .set("auto_pooled_over_serial", std::move(pooled_json))
         .set("footprint", std::move(footprint_json));
 
     // ---- Part 1b: batch-1 latency vs activation density (NT-We) -----
 
     // The paper's activation-sparsity win is a batch-1 latency story:
-    // one frame at a time, the actsparse queue walk touching only the
+    // one frame at a time, the actsparse loop touching only the
     // nonzero columns. Sweep density 5%..100% on the NT-We shape and
-    // time reference/actsparse a single frame at a time.
+    // time a single frame at a time.
     workloads::SuiteRunner suite_runner(2016);
     const workloads::Benchmark &ntwe = workloads::findBenchmark("NT-We");
     const auto ntwe_plan = suite_runner.plan(ntwe, config);
@@ -578,118 +570,96 @@ main(int argc, char **argv)
         engine::compileLayerStack(config, ntwe_stack);
     const auto ntwe_scalar =
         engine::makeBackend("scalar", config, {&ntwe_plan});
+    const engine::CompiledBackend ntwe_actsparse(
+        ntwe_stack, ntwe_compiled, 1,
+        core::kernel::KernelVariant::ActSparse);
 
     struct DensityPoint
     {
         double density = 0.0;
-        std::string kernel;
         double mean_us = 0.0;
         double frames_per_sec = 0.0;
     };
     const std::vector<double> densities{0.05, 0.15, 0.25, 0.35,
                                         0.50, 0.75, 1.00};
-    const std::vector<core::kernel::KernelVariant> density_variants{
-        core::kernel::KernelVariant::Reference,
-        core::kernel::KernelVariant::ActSparse,
-    };
 
-    std::vector<DensityPoint> density_points;
-    double reference_at_35 = 0.0;
-    double actsparse_at_35 = 0.0;
-    for (const double density : densities) {
-        // Fresh frames at this exact density, plus one oracle pass.
-        std::vector<core::kernel::Batch> singles;
+    // Fresh frames at each exact density, plus one oracle pass.
+    std::vector<std::vector<core::kernel::Batch>> singles(
+        densities.size());
+    std::vector<std::vector<core::kernel::Batch>> oracle(densities.size());
+    for (std::size_t d = 0; d < densities.size(); ++d) {
         for (std::size_t b = 0; b < kDensityFrames; ++b) {
             Rng frame_rng(31000 + 101 * b +
-                          static_cast<std::uint64_t>(1000 * density));
-            singles.push_back({model.quantizeInput(nn::makeActivations(
-                ntwe.input, density, frame_rng))});
+                          static_cast<std::uint64_t>(1000 * densities[d]));
+            singles[d].push_back({model.quantizeInput(nn::makeActivations(
+                ntwe.input, densities[d], frame_rng))});
+            oracle[d].push_back(
+                ntwe_scalar->runBatch(singles[d].back()).outputs);
         }
-        std::vector<core::kernel::Batch> oracle;
-        for (const auto &single : singles)
-            oracle.push_back(ntwe_scalar->runBatch(single).outputs);
-
-        // Interleaved reps: each rep times both kernels, alternating
-        // which goes first, so a slow phase of the box hits both.
-        std::vector<std::unique_ptr<engine::CompiledBackend>> backends;
-        for (const core::kernel::KernelVariant kernel :
-             density_variants)
-            backends.push_back(std::make_unique<engine::CompiledBackend>(
-                ntwe_stack, ntwe_compiled, 1, kernel));
-        std::vector<std::vector<double>> rep_s(density_variants.size());
-        for (unsigned rep = 0; rep < kDensityRepeats; ++rep) {
-            for (std::size_t i = 0; i < backends.size(); ++i) {
-                const std::size_t k = (i + rep) % backends.size();
-                std::vector<core::kernel::Batch> outputs;
-                outputs.reserve(kDensityFrames);
-                const auto start = std::chrono::steady_clock::now();
-                for (const auto &single : singles)
-                    outputs.push_back(
-                        backends[k]->runBatch(single).outputs);
-                rep_s[k].push_back(seconds(start));
-                fatal_if(outputs != oracle,
-                         "kernel '%s' diverged from the scalar oracle "
-                         "at %.0f%% activation density",
-                         core::kernel::kernelVariantName(
-                             density_variants[k]),
-                         100.0 * density);
-            }
-        }
-        double reference_fps = 0.0;
-        double actsparse_fps = 0.0;
-        for (std::size_t k = 0; k < density_variants.size(); ++k) {
-            const core::kernel::KernelVariant kernel = density_variants[k];
-            const double median_s = median(rep_s[k]);
-            DensityPoint p;
-            p.density = density;
-            p.kernel = core::kernel::kernelVariantName(kernel);
-            p.mean_us = 1e6 * median_s / kDensityFrames;
-            p.frames_per_sec = kDensityFrames / median_s;
-            if (kernel == core::kernel::KernelVariant::Reference)
-                reference_fps = p.frames_per_sec;
-            if (kernel == core::kernel::KernelVariant::ActSparse)
-                actsparse_fps = p.frames_per_sec;
-            density_points.push_back(std::move(p));
-        }
-
-        if (density == 0.35) {
-            reference_at_35 = reference_fps;
-            actsparse_at_35 = actsparse_fps;
-        }
-        // The sparsity gate: wherever at least half the activations
-        // are zero, skipping them must win (SIMD boxes only — a
-        // scalar-dispatch box can legitimately be memory-bound enough
-        // that the queue build dominates).
-        fatal_if(have_simd && density <= 0.50 &&
-                     actsparse_fps <= reference_fps,
-                 "actsparse (%.1f f/s) did not beat reference (%.1f f/s) "
-                 "at batch 1, %.0f%% activation density",
-                 actsparse_fps, reference_fps, 100.0 * density);
     }
 
-    TextTable density_table(
-        {"Density", "Kernel", "Mean us/frame", "Frames/s"});
+    // Interleaved reps: each rep times every density, rotating which
+    // goes first, so a slow phase of the box hits all of them.
+    std::vector<std::vector<double>> rep_s(densities.size());
+    for (unsigned rep = 0; rep < kDensityRepeats; ++rep) {
+        for (std::size_t i = 0; i < densities.size(); ++i) {
+            const std::size_t d = (i + rep) % densities.size();
+            std::vector<core::kernel::Batch> outputs;
+            outputs.reserve(kDensityFrames);
+            const auto start = std::chrono::steady_clock::now();
+            for (const auto &single : singles[d])
+                outputs.push_back(ntwe_actsparse.runBatch(single).outputs);
+            rep_s[d].push_back(seconds(start));
+            fatal_if(outputs != oracle[d],
+                     "actsparse diverged from the scalar oracle at "
+                     "%.0f%% activation density",
+                     100.0 * densities[d]);
+        }
+    }
+    std::vector<DensityPoint> density_points;
+    double fps_at_35 = 0.0;
+    double fps_at_100 = 0.0;
+    for (std::size_t d = 0; d < densities.size(); ++d) {
+        const double median_s = median(rep_s[d]);
+        DensityPoint p;
+        p.density = densities[d];
+        p.mean_us = 1e6 * median_s / kDensityFrames;
+        p.frames_per_sec = kDensityFrames / median_s;
+        if (p.density == 0.35)
+            fps_at_35 = p.frames_per_sec;
+        if (p.density == 1.00)
+            fps_at_100 = p.frames_per_sec;
+        density_points.push_back(p);
+    }
+
+    TextTable density_table({"Density", "Mean us/frame", "Frames/s"});
     for (const DensityPoint &p : density_points) {
         density_table.row()
             .add(100.0 * p.density, 0)
-            .add(p.kernel)
             .add(p.mean_us, 1)
             .add(p.frames_per_sec, 1);
     }
     std::cout << "\nNT-We (" << ntwe.input << "x" << ntwe.output
-              << ", 10% weights), batch 1, 1 thread, "
+              << ", 10% weights), actsparse, batch 1, 1 thread, "
               << kDensityFrames << " frames per density\n";
     density_table.print(std::cout);
-    const double actsparse_speedup_35 =
-        reference_at_35 > 0.0 ? actsparse_at_35 / reference_at_35 : 0.0;
-    std::cout << "actsparse over reference at 35% density: "
-              << actsparse_speedup_35 << "x\n";
+    const double zero_skip_speedup =
+        fps_at_100 > 0.0 ? fps_at_35 / fps_at_100 : 0.0;
+    std::cout << "actsparse at 35% over 100% density: "
+              << zero_skip_speedup << "x\n";
+    // The zero-skip gate: a zero activation costs the actsparse loop
+    // nothing, so at the paper's 35% density a frame must run well
+    // ahead of a dense one. The loop is scalar, so the gate holds on
+    // every box.
+    fatal_if(zero_skip_speedup < kMinZeroSkipSpeedup,
+             "actsparse at 35%% activation density ran %.2fx its "
+             "frames/s at 100%% (< %.1fx)",
+             zero_skip_speedup, kMinZeroSkipSpeedup);
 
     bench::Json density_series = bench::Json::array();
     for (const DensityPoint &p : density_points) {
         bench::Json point;
         point.set("act_density", p.density)
-            .set("kernel", p.kernel)
             .set("mean_us_per_frame", p.mean_us)
             .set("frames_per_sec", p.frames_per_sec);
         density_series.push(std::move(point));
@@ -709,7 +679,8 @@ main(int argc, char **argv)
         .set("threads", 1u)
         .set("batch", std::uint64_t{1})
         .set("points", std::move(density_series))
-        .set("actsparse_over_reference_at_35pct", actsparse_speedup_35)
+        .set("kernel", "actsparse")
+        .set("speedup_35pct_over_100pct", zero_skip_speedup)
         .set("paper_act_density", std::move(paper_density));
     throughput_json.set("batch1_density_series",
                         std::move(density_json));

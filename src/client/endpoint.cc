@@ -246,6 +246,7 @@ endpointGrammar()
         "  local:<backend>[,kernel=K][,threads=N][,dir=PATH]\n"
         "  cluster:<dir>[,shards=N][,policy=replicated|partitioned]"
         "[,backend=B][,kernel=K][,threads=N]\n"
+        "  (kernel K: auto|vector|actsparse)\n"
         "  tcp://HOST:PORT\n"
         "  http://HOST:PORT[,token=TOKEN]";
 }

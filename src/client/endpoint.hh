@@ -9,7 +9,8 @@
  *       "compiled" | "sim"), serving ClientOptions::models before
  *       the optional ModelRegistry at dir= (defaults to
  *       ClientOptions::registry). ClientOptions::cluster does not
- *       apply.
+ *       apply. kernel= names a kernel variant: auto | vector |
+ *       actsparse (core/kernel/variant.hh).
  *
  *   cluster:<dir>[,shards=N][,policy=replicated|partitioned]
  *                [,backend=B][,kernel=K][,threads=N]

@@ -1,5 +1,7 @@
 #include "core/kernel/executor.hh"
 
+#include <algorithm>
+
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
 
@@ -13,16 +15,20 @@ namespace eie::core::kernel {
 namespace {
 
 /**
- * Per-pass activation panel of the sparse variants: the active
- * (non-zero) frames of each column, gathered once per tile instead of
- * once per row block per frame. Column j's active frames occupy slots
- * [j*B, j*B + count[j]).
+ * Per-pass activation panel of the actsparse variant, the batched form
+ * of the LNZD's (j, a_j) broadcast, gathered once per tile instead of
+ * once per row block per frame: the columns with a nonzero frame, in
+ * ascending order, each with its (frame, value) pairs, frames
+ * ascending. Listed column k's pairs occupy [begin[k], begin[k+1]), so
+ * a sweep never visits a zero column and reads the pairs in order.
  */
 struct ActivationPanel
 {
-    std::vector<std::uint32_t> frame; ///< frame index of each slot
-    std::vector<std::int64_t> value;  ///< activation value of the slot
-    std::vector<std::uint32_t> count; ///< active frames per column
+    std::size_t columns = 0;          ///< listed columns
+    std::vector<std::uint32_t> col;   ///< tile-relative listed column
+    std::vector<std::uint32_t> begin; ///< columns + 1 pair offsets
+    std::vector<std::uint32_t> frame; ///< frame index of each pair
+    std::vector<std::int64_t> value;  ///< activation value of each pair
 
     void
     gather(const Batch &inputs, std::size_t col_begin,
@@ -30,63 +36,29 @@ struct ActivationPanel
     {
         const std::size_t cols = col_end - col_begin;
         const std::size_t batch = inputs.size();
+        col.resize(cols);
+        begin.resize(cols + 1);
         frame.resize(cols * batch);
         value.resize(cols * batch);
-        count.assign(cols, 0);
+        columns = 0;
+        std::uint32_t n = 0;
         for (std::size_t j = 0; j < cols; ++j) {
-            std::uint32_t n = 0;
-            const std::size_t base = j * batch;
+            const std::uint32_t first = n;
             for (std::size_t b = 0; b < batch; ++b) {
                 const std::int64_t a = inputs[b][col_begin + j];
                 if (a == 0)
                     continue; // the LNZD would never broadcast it
-                frame[base + n] = static_cast<std::uint32_t>(b);
-                value[base + n] = a;
+                frame[n] = static_cast<std::uint32_t>(b);
+                value[n] = a;
                 ++n;
             }
-            count[j] = n;
-        }
-    }
-};
-
-/**
- * Per-pass activation panel of the actsparse variant: each frame
- * compressed into a compact (column, value) queue by a front-end
- * nonzero scan — the paper's NZ-detect / CSC activation vector.
- * Frame b's queue occupies slots [begin[b], begin[b+1]), columns in
- * ascending tile-relative order, so the per-frame stream walk visits
- * columns in the same order as the reference sweep and stays
- * bit-exact. Zero activations never enter a queue: batch-1 cost
- * scales with activation density, not layer width.
- */
-struct QueuePanel
-{
-    std::vector<std::uint32_t> col;   ///< tile-relative column
-    std::vector<std::int64_t> value;  ///< activation value
-    std::vector<std::uint32_t> begin; ///< frame b: [begin[b], begin[b+1])
-
-    void
-    gather(const Batch &inputs, std::size_t col_begin,
-           std::size_t col_end)
-    {
-        const std::size_t batch = inputs.size();
-        col.clear();
-        value.clear();
-        col.reserve(batch * (col_end - col_begin));
-        value.reserve(batch * (col_end - col_begin));
-        begin.assign(batch + 1, 0);
-        for (std::size_t b = 0; b < batch; ++b) {
-            const std::int64_t *input = inputs[b].data();
-            for (std::size_t j = col_begin; j < col_end; ++j) {
-                const std::int64_t a = input[j];
-                if (a == 0)
-                    continue;
-                col.push_back(
-                    static_cast<std::uint32_t>(j - col_begin));
-                value.push_back(a);
+            if (n != first) {
+                col[columns] = static_cast<std::uint32_t>(j);
+                begin[columns] = first;
+                ++columns;
             }
-            begin[b + 1] = static_cast<std::uint32_t>(col.size());
         }
+        begin[columns] = n;
     }
 };
 
@@ -282,104 +254,73 @@ supportedSweeps()
 /** Runtime ISA dispatch, decided once per process. */
 const VectorSweep g_vector_sweep = supportedSweeps().front();
 
-// ------------------------------------------------ stream inner loops
+// ------------------------------------------------- the scalar loop
 
-/** Sweep one stream over the gathered sparse panel (the scalar
- *  reference loop). */
+/** The saturating MAC of the actsparse loop, macFixed()'s arithmetic
+ *  in int64 for every format: acc = clamp(acc + align(w * act), lo,
+ *  hi), with the alignment and the rails hoisted per call. A left
+ *  alignment is folded into the table (executeSparse), so each MAC is
+ *  one multiply and one right shift, and the clamp's conditional moves
+ *  keep a saturating accumulator off the branch predictor. */
+struct ScalarMac
+{
+    int shift; ///< right shift of each product, >= 0
+    std::int64_t lo;
+    std::int64_t hi;
+
+    std::int64_t
+    operator()(std::int64_t acc, std::int64_t w, std::int64_t a) const
+    {
+        std::int64_t sum = acc + ((w * a) >> shift);
+        sum = sum > hi ? hi : sum;
+        return sum < lo ? lo : sum;
+    }
+};
+
+/**
+ * Sweep one stream over the column panel (the actsparse variant's
+ * loop): every entry of a column with a nonzero frame runs the
+ * ScalarMac on each of that column's active frames, and a column
+ * whose frames are all zero is never visited. Each accumulator sees
+ * the columns ascending with at most one entry per column, the
+ * oracle's saturating-MAC order. A single frame indexes one
+ * accumulator per row, with no frame index. @p mac comes by value: a
+ * copy the accumulator stores cannot alias stays in registers.
+ */
 void
-runStreamReference(const SliceStream &stream, const std::int64_t *lut,
+runStreamActSparse(const SliceStream &stream, const std::int64_t *lut,
                    const ActivationPanel &panel, std::size_t batch,
-                   std::int64_t *acc, const FixedFormat &weight_fmt,
-                   const FixedFormat &act_fmt)
+                   std::int64_t *acc, ScalarMac mac)
 {
     const std::uint32_t *entries = stream.entries.data();
-    const std::size_t cols = stream.col_ptr.size() - 1;
-    for (std::size_t j = 0; j < cols; ++j) {
-        const std::uint32_t n_active = panel.count[j];
-        if (n_active == 0)
+    const std::uint32_t *col_ptr = stream.col_ptr.data();
+    const std::uint32_t *frames = panel.frame.data();
+    const std::int64_t *values = panel.value.data();
+    const std::size_t columns = panel.columns;
+    for (std::size_t k = 0; k < columns; ++k) {
+        const std::uint32_t j = panel.col[k];
+        const std::uint32_t t_begin = panel.begin[k];
+        const std::uint32_t t_end = panel.begin[k + 1];
+        const std::uint32_t e_end = col_ptr[j + 1];
+        if (batch == 1) {
+            const std::int64_t a = values[t_begin];
+            for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
+                const std::uint32_t entry = entries[e];
+                std::int64_t &slot = acc[entryRow(entry)];
+                slot = mac(slot, lut[entryIndex(entry)], a);
+            }
             continue;
-        const std::uint32_t e_begin = stream.col_ptr[j];
-        const std::uint32_t e_end = stream.col_ptr[j + 1];
-        if (e_begin == e_end)
-            continue;
-        const std::uint32_t *frames = &panel.frame[j * batch];
-        const std::int64_t *values = &panel.value[j * batch];
-        for (std::uint32_t e = e_begin; e < e_end; ++e) {
+        }
+        const std::uint32_t *f = frames + t_begin;
+        const std::int64_t *v = values + t_begin;
+        const std::uint32_t n_active = t_end - t_begin;
+        for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
             const std::uint32_t entry = entries[e];
             const std::int64_t w = lut[entryIndex(entry)];
             std::int64_t *acc_row =
                 acc + static_cast<std::size_t>(entryRow(entry)) * batch;
-            for (std::uint32_t t = 0; t < n_active; ++t) {
-                acc_row[frames[t]] = macFixed(
-                    acc_row[frames[t]], w, values[t], weight_fmt,
-                    act_fmt);
-            }
-        }
-    }
-}
-
-/**
- * Sweep one stream over the per-frame nonzero queues (the actsparse
- * variant's loop). Frames are independent accumulator columns, and
- * within a frame the queue visits columns ascending with at most one
- * stream entry per (row, column) — the exact per-accumulator update
- * order of the reference sweep, so the saturating MAC sequence is
- * preserved bit-for-bit. Only the col_ptr extents of nonzero columns
- * are ever touched.
- */
-void
-runStreamActSparse(const SliceStream &stream, const std::int64_t *lut,
-                   const QueuePanel &panel, std::size_t batch,
-                   std::int64_t *acc, const FixedFormat &weight_fmt,
-                   const FixedFormat &act_fmt)
-{
-    const std::uint32_t *entries = stream.entries.data();
-    const std::uint32_t *col_ptr = stream.col_ptr.data();
-    if (batch == 1) {
-        // The latency path the variant exists for: one accumulator
-        // per row (no *batch indexing) and the macFixed() shift and
-        // saturation bounds hoisted out of the queue walk. The
-        // arithmetic is macFixed() verbatim, so bit-exactness with
-        // the general loop (and the reference oracle) is preserved.
-        const int shift =
-            2 * static_cast<int>(weight_fmt.fracBits) -
-            static_cast<int>(act_fmt.fracBits);
-        const std::int64_t lo = act_fmt.minRaw();
-        const std::int64_t hi = act_fmt.maxRaw();
-        const std::uint32_t q_end = panel.begin[1];
-        for (std::uint32_t q = 0; q < q_end; ++q) {
-            const std::uint32_t j = panel.col[q];
-            const std::int64_t a = panel.value[q];
-            const std::uint32_t e_end = col_ptr[j + 1];
-            for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
-                const std::uint32_t entry = entries[e];
-                const std::int64_t product = lut[entryIndex(entry)] * a;
-                const std::int64_t aligned = shift >= 0
-                                                 ? product >> shift
-                                                 : product << -shift;
-                std::int64_t sum = acc[entryRow(entry)] + aligned;
-                sum = sum > hi ? hi : sum;
-                sum = sum < lo ? lo : sum;
-                acc[entryRow(entry)] = sum;
-            }
-        }
-        return;
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-        const std::uint32_t q_end = panel.begin[b + 1];
-        for (std::uint32_t q = panel.begin[b]; q < q_end; ++q) {
-            const std::uint32_t j = panel.col[q];
-            const std::int64_t a = panel.value[q];
-            const std::uint32_t e_end = col_ptr[j + 1];
-            for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
-                const std::uint32_t entry = entries[e];
-                std::int64_t &slot =
-                    acc[static_cast<std::size_t>(entryRow(entry)) *
-                            batch +
-                        b];
-                slot = macFixed(slot, lut[entryIndex(entry)], a,
-                                weight_fmt, act_fmt);
-            }
+            for (std::uint32_t t = 0; t < n_active; ++t)
+                acc_row[f[t]] = mac(acc_row[f[t]], w, v[t]);
         }
     }
 }
@@ -451,22 +392,38 @@ executeTiles(const CompiledLayer &layer, const Batch &inputs,
     }
 }
 
-/** The reference and actsparse variants: int64 accumulators, one per
- *  frame, the variant's activation @p Panel and its @p run_stream
- *  loop. */
-template <typename Panel, typename RunStream>
+/** The alignment shift of the layer's products into act_format:
+ *  2 * weight fraction bits - activation fraction bits. */
+int
+alignShift(const CompiledLayer &layer)
+{
+    return 2 * static_cast<int>(layer.weight_format.fracBits) -
+        static_cast<int>(layer.act_format.fracBits);
+}
+
+/** The actsparse variant: int64 accumulators, one per frame, over the
+ *  column panel. */
 void
 executeSparse(const CompiledLayer &layer, const Batch &inputs,
-              WorkerPool *pool, const RunStream &run_stream,
-              Batch &outputs)
+              WorkerPool *pool, Batch &outputs)
 {
+    // A left alignment (more activation than weight fraction bits)
+    // scales the table once: (w << l) * a == (w * a) << l.
+    const int shift = alignShift(layer);
+    std::vector<std::int64_t> lut;
+    lut.reserve(layer.lut.size());
+    for (const std::int64_t w : layer.lut)
+        lut.push_back(shift < 0 ? w << -shift : w);
+    const ScalarMac mac{std::max(shift, 0), layer.act_format.minRaw(),
+                        layer.act_format.maxRaw()};
+
     const std::size_t batch = inputs.size();
-    Panel panel;
+    ActivationPanel panel;
     executeTiles<std::int64_t>(
         layer, inputs, pool, outputs, panel, batch,
         [&](const SliceStream &stream, std::int64_t *acc) {
-            run_stream(stream, layer.lut.data(), panel, batch, acc,
-                       layer.weight_format, layer.act_format);
+            runStreamActSparse(stream, lut.data(), panel, batch, acc,
+                               mac);
         });
 }
 
@@ -482,9 +439,7 @@ executeVector(const CompiledLayer &layer, const Batch &inputs,
     for (const std::int64_t w : layer.lut)
         lut.push_back(static_cast<std::int32_t>(w));
     const LaneMac mac{
-        lut.data(),
-        2 * static_cast<int>(layer.weight_format.fracBits) -
-            static_cast<int>(layer.act_format.fracBits),
+        lut.data(), alignShift(layer),
         static_cast<std::int32_t>(layer.act_format.minRaw()),
         static_cast<std::int32_t>(layer.act_format.maxRaw())};
 
@@ -502,9 +457,8 @@ executeVector(const CompiledLayer &layer, const Batch &inputs,
  * vectorEligible()'s 32-bit-lane arithmetic actually relies on.
  * Out-of-format inputs (possible from an unvalidated remote client:
  * the wire protocol carries raw int64 activations verbatim) must not
- * crash or silently wrap; runBatch demotes them to the reference
- * loop, which computes the same defined int64 semantics as before
- * the vector variant existed.
+ * crash or silently wrap; runBatch demotes them to the actsparse
+ * loop, which computes the oracle's defined int64 semantics.
  */
 bool
 withinActFormat(const Batch &inputs, const FixedFormat &fmt)
@@ -585,27 +539,16 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
         return outputs;
     }
 
+    // The probe feeds DispatchInfo (stats surfaces), not the choice.
     const double act_density = probeActivationDensity(inputs);
-    KernelVariant resolved =
-        resolveKernelVariant(variant, layer, batch, act_density);
+    KernelVariant resolved = resolveKernelVariant(variant, layer, batch);
     if (resolved == KernelVariant::Vector &&
         !withinActFormat(inputs, layer.act_format))
-        resolved = KernelVariant::Reference;
-    switch (resolved) {
-      case KernelVariant::Vector:
+        resolved = KernelVariant::ActSparse;
+    if (resolved == KernelVariant::Vector)
         executeVector(layer, inputs, pool, g_vector_sweep.fn, outputs);
-        break;
-      case KernelVariant::ActSparse:
-        executeSparse<QueuePanel>(layer, inputs, pool,
-                                  runStreamActSparse, outputs);
-        break;
-      case KernelVariant::Reference:
-        executeSparse<ActivationPanel>(layer, inputs, pool,
-                                       runStreamReference, outputs);
-        break;
-      case KernelVariant::Auto:
-        panic("resolveKernelVariant returned Auto");
-    }
+    else
+        executeSparse(layer, inputs, pool, outputs);
     if (dispatch) {
         dispatch->variant = resolved;
         dispatch->act_density = act_density;

@@ -4,13 +4,11 @@
  *
  * One sweep over the compressed columns is amortized across the whole
  * batch. The inner loop is selected by KernelVariant (see
- * variant.hh): the scalar sparse-gather reference walk, the SIMD
- * vector sweep (each entry's saturating MAC runs on every frame at
- * once, over int32 accumulator rows padded to whole 8-lane blocks),
- * or the activation-sparse queue walk (a front-end nonzero scan
- * compresses each frame into a compact (column, value) queue — the
- * paper's NZ-detect stage — and the inner loop touches only nonzero
- * columns). Every variant preserves the
+ * variant.hh): the SIMD vector sweep (each entry's saturating MAC runs
+ * on every frame at once, over int32 accumulator rows padded to whole
+ * 8-lane blocks) or the int64 actsparse walk (each column lists its
+ * nonzero frames — the paper's NZ-detect stage — and the inner loop
+ * touches only columns with a nonzero frame). Both loops preserve the
  * exact per-accumulator update sequence of the scalar interpreter
  * (passes, then columns, then at most one entry per accumulator per
  * column; a zero activation contributes a zero product and
@@ -23,15 +21,15 @@
  * each worker, and a block only ever writes its own rows, so threads
  * share the accumulator buffer without synchronization or write
  * conflicts. A serial run walks the blocks in order, whichever loop
- * the variant selects. Every loop walks the resident (row, codebook
- * index) entries in place and expands each weight through the layer's
+ * the variant selects. Both loops walk the resident (row, codebook
+ * index) entries in place and expand each weight through the layer's
  * table, as the PE does; nothing is decoded per call.
  *
  * Inputs are raw act_format values (quantizeInput or a previous
  * layer's outputs); the vector variant relies on that contract to
  * keep its 32-bit lanes exact, and runBatch enforces it — a batch
  * containing any out-of-format activation (e.g. unvalidated remote
- * input) executes on the reference loop instead, preserving the
+ * input) executes on the actsparse loop instead, preserving the
  * defined wide-integer semantics without a crash path.
  */
 
@@ -54,9 +52,9 @@ using Batch = std::vector<std::vector<std::int64_t>>;
 /**
  * The dispatch decision of one runBatch call, for observability: the
  * variant the call actually executed and the measured (sampled)
- * fraction of nonzero input activations that drove density-aware
- * Auto resolution. Surfaced through RunReport / ServerStats /
- * statsJson so the decision is visible across the serving stack.
+ * fraction of nonzero input activations. Surfaced through RunReport /
+ * ServerStats / statsJson so the decision and the input's sparsity
+ * are visible across the serving stack.
  */
 struct DispatchInfo
 {
@@ -68,10 +66,10 @@ struct DispatchInfo
 };
 
 /**
- * The sampled activation-density probe of density-aware Auto
- * dispatch: the fraction of nonzero values across @p inputs, scanned
- * with a stride so at most a few thousand elements are touched no
- * matter the batch shape (amortized to noise next to the MAC sweep).
+ * The sampled activation-density probe behind DispatchInfo: the
+ * fraction of nonzero values across @p inputs, scanned with a stride
+ * so at most a few thousand elements are touched no matter the batch
+ * shape (amortized to noise next to the MAC sweep).
  * Returns a negative value for an empty batch (density unknown).
  */
 double probeActivationDensity(const Batch &inputs);
@@ -85,9 +83,8 @@ double probeActivationDensity(const Batch &inputs);
  *                than one thread, a tile's row blocks execute in
  *                parallel
  * @param variant inner-loop selection; Auto resolves to the fastest
- *                bit-exact variant for the layer's formats, this
- *                call's batch size and the probed activation density
- *                (resolveKernelVariant)
+ *                bit-exact variant for the layer's formats and this
+ *                call's batch size (resolveKernelVariant)
  * @param dispatch optional out-param recording the executed variant
  *                and the probed activation density
  * @return B output vectors of layer.output_size each

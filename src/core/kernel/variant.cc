@@ -11,8 +11,8 @@ namespace eie::core::kernel {
 const std::vector<std::string> &
 kernelVariantNames()
 {
-    static const std::vector<std::string> names{
-        "auto", "reference", "vector", "actsparse"};
+    static const std::vector<std::string> names{"auto", "vector",
+                                                "actsparse"};
     return names;
 }
 
@@ -22,8 +22,6 @@ kernelVariantName(KernelVariant variant)
     switch (variant) {
       case KernelVariant::Auto:
         return "auto";
-      case KernelVariant::Reference:
-        return "reference";
       case KernelVariant::Vector:
         return "vector";
       case KernelVariant::ActSparse:
@@ -38,8 +36,6 @@ kernelVariantFromName(const std::string &name)
 {
     if (name == "auto")
         return KernelVariant::Auto;
-    if (name == "reference")
-        return KernelVariant::Reference;
     if (name == "vector")
         return KernelVariant::Vector;
     if (name == "actsparse")
@@ -82,21 +78,16 @@ vectorEligible(const CompiledLayer &layer)
 
 KernelVariant
 resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
-                     std::size_t batch, double act_density)
+                     std::size_t batch)
 {
     switch (requested) {
-      case KernelVariant::Reference:
-        return KernelVariant::Reference;
       case KernelVariant::ActSparse:
-        // Int64 scalar MAC like reference: bit-exact for every
-        // format, any batch, any thread count — never demotes.
         return KernelVariant::ActSparse;
       case KernelVariant::Vector:
         fatal_if(!vectorEligible(layer),
                  "kernel variant 'vector' is not bit-exact for layer "
                  "'%s' (weights Q%u.%u, accumulator Q%u.%u overflow "
-                 "32-bit lanes); use 'auto', 'reference' or "
-                 "'actsparse'",
+                 "32-bit lanes); use 'auto' or 'actsparse'",
                  layer.name.c_str(), layer.weight_format.totalBits,
                  layer.weight_format.fracBits,
                  layer.act_format.totalBits, layer.act_format.fracBits);
@@ -106,36 +97,23 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
     }
     static const bool simd_sweep =
         std::string_view(simdIsaName()) != "scalar";
-    return detail::resolveAuto(layer, batch, act_density, simd_sweep);
-}
-
-KernelVariant
-resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
-                     std::size_t batch)
-{
-    return resolveKernelVariant(requested, layer, batch, -1.0);
+    return detail::resolveAuto(layer, batch, simd_sweep);
 }
 
 namespace detail {
 
 KernelVariant
 resolveAuto(const CompiledLayer &layer, std::size_t batch,
-            double act_density, bool simd_sweep)
+            bool simd_sweep)
 {
-    // A single frame has no stream re-walk to amortize: the LNZD
-    // queue walk wins at every density.
-    if (batch == 1)
-        return KernelVariant::ActSparse;
     // From two frames on, each entry's SIMD MAC serves every frame at
-    // once; on SIMD lanes it beat both scalar loops at every density
-    // measured. The portable sweep runs each entry on a whole 8-lane
-    // block in scalar code, so it takes only batches that fill one.
-    if (vectorEligible(layer) &&
-        (simd_sweep || batch >= kScalarSweepAutoBatch))
+    // once. The int64 column walk takes the rest: a single frame, where
+    // it skips zero activations at no cost, formats the lanes cannot
+    // run, and the portable sweep, which runs each entry on a whole
+    // 8-lane block in scalar code.
+    if (batch >= 2 && simd_sweep && vectorEligible(layer))
         return KernelVariant::Vector;
-    if (act_density >= 0.0 && act_density <= kActSparseAutoMaxDensity)
-        return KernelVariant::ActSparse;
-    return KernelVariant::Reference;
+    return KernelVariant::ActSparse;
 }
 
 } // namespace detail

@@ -3,19 +3,16 @@
  * The kernel-variant registry of the compiled execution path.
  *
  * One resident (row, codebook index) stream (see compiled_layer.hh)
- * can be walked by more than one inner loop, and which loop wins
- * depends on the batch size, the activation density and the datapath
- * formats. The variant picks the loop, never the stream: every loop
- * walks the same row blocks, in order on a serial run and one per
- * worker on a pooled one, and expands each entry's weight through the
- * layer's table. Instead of forking the executor per loop, every
- * consumer — CompiledBackend, the WorkerPool batched executor, the
- * serving cluster and the CLI tools — selects a KernelVariant by name
- * and kernel::runBatch dispatches:
+ * is walked by one of two inner loops, and which one wins depends on
+ * the batch size and the datapath formats. The variant picks the
+ * loop, never the stream: both loops walk the same row blocks, in
+ * order on a serial run and one per worker on a pooled one, and
+ * expand each entry's weight through the layer's table. Instead of
+ * forking the executor per loop, every consumer — CompiledBackend,
+ * the WorkerPool batched executor, the serving cluster and the CLI
+ * tools — selects a KernelVariant by name and kernel::runBatch
+ * dispatches:
  *
- *  - "reference": the scalar sparse-gather loop. Bit-exact for every
- *    format; the in-process oracle the other variants are validated
- *    against.
  *  - "vector": a 32-bit-lane SIMD saturating MAC, dense over the
  *    batch dimension (zero activations contribute a zero product, and
  *    sat(acc + 0) == acc, so skipping them is an optimization, not a
@@ -25,24 +22,21 @@
  *    ISA-dispatched sweep walks a whole row block (see simdIsaName()).
  *    Requires the layer's formats to fit 32-bit lanes; see
  *    vectorEligible().
- *  - "actsparse": the paper's leading-nonzero-detect datapath. A
- *    front-end scan compresses each input frame into a compact
- *    (column, value) activation queue, and the inner loop walks only
- *    the nonzero columns of the stream — zero activations cost
- *    nothing, so batch-1 latency scales with activation density
- *    instead of layer width. Works for every format (int64 scalar
- *    MAC, like reference) and any thread count.
- *  - "auto": the fastest variant that is bit-exact for the layer's
- *    formats and the call's batch size; the default everywhere. A
- *    single frame always takes "actsparse" (the paper's
- *    one-vector-at-a-time operating point), and every batch of two or
- *    more frames takes "vector" when the formats fit its lanes — on a
- *    CPU without SIMD lanes only from kScalarSweepAutoBatch frames on.
- *    Other batches of two or more are density-aware and take
- *    "actsparse" only at low measured activation density (see
- *    kActSparseAutoMaxDensity).
+ *  - "actsparse": the paper's leading-nonzero-detect datapath, the
+ *    one int64 scalar loop. Each column with a nonzero frame lists its
+ *    (frame, value) pairs — the batched form of the LNZD's (j, a_j)
+ *    broadcast — and every entry of that column runs one saturating
+ *    MAC per listed frame, so zero activations cost nothing and
+ *    batch-1 latency scales with activation density instead of layer
+ *    width. Works for every format, batch and thread count.
+ *  - "auto": the default everywhere. "vector" for two or more frames
+ *    when the layer's formats fit its lanes and the sweep runs on SIMD
+ *    lanes, "actsparse" for everything else: a single frame (the
+ *    paper's one-vector-at-a-time operating point), a layer the lanes
+ *    cannot run, and every batch on a CPU whose sweep is the portable
+ *    loop.
  *
- * All variants produce bit-identical outputs (the saturating-MAC
+ * Both variants produce bit-identical outputs (the saturating-MAC
  * update sequence per accumulator is preserved exactly); "vector" is
  * additionally gated by the format predicate so it can never be
  * selected where 32-bit lanes would overflow.
@@ -65,26 +59,11 @@ struct CompiledLayer;
 enum class KernelVariant
 {
     Auto,       ///< fastest bit-exact variant for the call shape
-    Reference,  ///< scalar sparse-gather loop, the oracle
     Vector,     ///< SIMD 32-bit-lane dense-batch saturating MAC
-    ActSparse,  ///< nonzero-activation queue walk (EIE NZ-detect)
+    ActSparse,  ///< int64 walk of the nonzero activations (EIE LNZD)
 };
 
-/** On a CPU whose vector sweep is the portable loop (simdIsaName()
- *  reports "scalar"), Auto sends an eligible layer's batches to Vector
- *  only from this many frames on: that loop runs each entry on a whole
- *  8-lane block in scalar code, and Vector's win at smaller batches
- *  was measured on SIMD lanes only. */
-constexpr std::size_t kScalarSweepAutoBatch = 8;
-
-/** On a batch of two or more frames that Auto does not send to Vector,
- *  it routes to ActSparse when the measured activation density is at
- *  or below this fraction; above it the per-frame stream re-walk stops
- *  paying for the skipped zeros. A single frame has no re-walk and
- *  takes ActSparse at any density. */
-constexpr double kActSparseAutoMaxDensity = 0.5;
-
-/** Registry names, selection order ("auto", "reference", ...). */
+/** Registry names, selection order ("auto", "vector", "actsparse"). */
 const std::vector<std::string> &kernelVariantNames();
 
 /** The registry name of @p variant. */
@@ -108,33 +87,18 @@ bool vectorEligible(const FixedFormat &weight_fmt,
 bool vectorEligible(const CompiledLayer &layer);
 
 /**
- * Resolve @p requested for one runBatch call:
+ * Resolve @p requested for one runBatch call of @p batch frames:
  *
- *  - Auto picks ActSparse for a single frame, and Vector for every
- *    batch of two or more frames when the formats are eligible, at
- *    any density — when the vector sweep runs on SIMD lanes; on the
- *    portable sweep only for batches of at least
- *    kScalarSweepAutoBatch. Any other batch takes ActSparse when
- *    @p act_density is known (>= 0) and at most
- *    kActSparseAutoMaxDensity, and Reference otherwise.
+ *  - Auto picks Vector for a batch of two or more frames when the
+ *    layer's formats are eligible and the vector sweep runs on SIMD
+ *    lanes, and ActSparse otherwise.
  *  - Vector is fatal when the layer's formats are not eligible: the
  *    lanes would overflow, silently breaking bit-exactness.
- *  - ActSparse and Reference always resolve to themselves: both are
- *    int64 scalar paths, bit-exact for every format and thread count.
+ *  - ActSparse always resolves to itself: the int64 scalar loop is
+ *    bit-exact for every format and thread count.
  *
- * @p act_density is the measured fraction of nonzero
- * input activations, or negative when unknown (the density-blind
- * overload). The returned variant is always directly executable on
- * @p layer.
+ * The returned variant is always directly executable on @p layer.
  */
-KernelVariant resolveKernelVariant(KernelVariant requested,
-                                   const CompiledLayer &layer,
-                                   std::size_t batch,
-                                   double act_density);
-
-/** Density-blind overload: resolves with unknown activation density
- *  (where Auto does not pick Vector, it picks ActSparse only for a
- *  single frame). */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
                                    std::size_t batch);
@@ -154,7 +118,7 @@ namespace detail {
  *  resolveKernelVariant passes the dispatched tier; a test can check
  *  both tiers' rule on one CPU. */
 KernelVariant resolveAuto(const CompiledLayer &layer, std::size_t batch,
-                          double act_density, bool simd_sweep);
+                          bool simd_sweep);
 
 } // namespace detail
 

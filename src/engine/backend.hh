@@ -30,9 +30,9 @@ namespace eie::engine {
 /**
  * One layer's kernel dispatch decision for a runBatch call: which
  * variant actually executed and the measured (sampled) activation
- * density that drove density-aware Auto resolution. Filled by the
- * compiled backend; surfaced through ServerStats / statsJson /
- * Client::stats() so the decision is observable end to end.
+ * density of its input. Filled by the compiled backend; surfaced
+ * through ServerStats / statsJson / Client::stats() so the decision
+ * is observable end to end.
  */
 struct LayerDispatch
 {

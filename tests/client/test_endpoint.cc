@@ -49,14 +49,14 @@ TEST(Endpoint, ClusterForms)
     ASSERT_TRUE(parseEndpoint(
                     "cluster:/srv/models,shards=4,"
                     "policy=partitioned,backend=scalar,"
-                    "kernel=reference,threads=2",
+                    "kernel=actsparse,threads=2",
                     parsed)
                     .ok());
     EXPECT_EQ(parsed.dir, "/srv/models");
     EXPECT_EQ(parsed.shards, 4u);
     EXPECT_EQ(parsed.placement, "partitioned");
     EXPECT_EQ(parsed.cluster_backend, "scalar");
-    EXPECT_EQ(parsed.kernel, "reference");
+    EXPECT_EQ(parsed.kernel, "actsparse");
     EXPECT_EQ(parsed.threads, 2u);
 }
 
@@ -101,6 +101,7 @@ TEST(Endpoint, MalformedStringsAreInvalidArgumentNotFatal)
         "local:compiled,kernel=warp",       // unknown kernel
         "local:compiled,kernel=fused",      // deleted kernel variant
         "local:compiled,kernel=compressed", // deleted kernel variant
+        "local:compiled,kernel=reference",  // deleted kernel variant
         "local:compiled,residency=decoded", // deleted option
         "local:compiled,threads=0",         // zero threads
         "local:compiled,threads=lots",      // non-numeric
@@ -115,6 +116,7 @@ TEST(Endpoint, MalformedStringsAreInvalidArgumentNotFatal)
         "cluster:/d,backend=no-such",       // unknown backend
         "cluster:/d,kernel=fused",          // deleted kernel variant
         "cluster:/d,kernel=compressed",     // deleted kernel variant
+        "cluster:/d,kernel=reference",      // deleted kernel variant
         "cluster:/d,residency=auto",        // deleted option
         "cluster:/d,frobnicate=1",          // unknown option
         "tcp://",

@@ -28,8 +28,7 @@ using core::kernel::KernelVariant;
 
 /** Every registry variant, explicit and auto. */
 const std::vector<KernelVariant> kAllVariants{
-    KernelVariant::Auto, KernelVariant::Reference,
-    KernelVariant::Vector, KernelVariant::ActSparse};
+    KernelVariant::Auto, KernelVariant::Vector, KernelVariant::ActSparse};
 
 /** Quantized random frames at the given activation density. */
 core::kernel::Batch

@@ -1,7 +1,7 @@
 /**
  * @file
- * Kernel-variant tests: the variant registry (auto / reference /
- * vector / actsparse) must resolve as documented, the one resident
+ * Kernel-variant tests: the variant registry (auto / vector /
+ * actsparse) must resolve as documented, the one resident
  * form — (row, codebook index) entries merged per tile and cut into
  * contiguous row blocks, plus the layer's table — must hold together
  * structurally on a multi-tile plan, every variant must be bit-exact
@@ -39,12 +39,10 @@ using namespace eie;
 using core::kernel::KernelVariant;
 
 const std::vector<KernelVariant> kAllVariants{
-    KernelVariant::Auto, KernelVariant::Reference,
-    KernelVariant::Vector, KernelVariant::ActSparse};
+    KernelVariant::Auto, KernelVariant::Vector, KernelVariant::ActSparse};
 
 const std::vector<KernelVariant> kExplicitVariants{
-    KernelVariant::Reference, KernelVariant::Vector,
-    KernelVariant::ActSparse};
+    KernelVariant::Vector, KernelVariant::ActSparse};
 
 /**
  * A dense layer whose partial sums slam into both accumulator rails:
@@ -69,7 +67,7 @@ saturatingLayer(std::size_t rows, std::size_t cols, unsigned n_pe,
 
 TEST(KernelVariants, RegistryNamesRoundTrip)
 {
-    ASSERT_EQ(core::kernel::kernelVariantNames().size(), 4u);
+    ASSERT_EQ(core::kernel::kernelVariantNames().size(), 3u);
     for (const std::string &name : core::kernel::kernelVariantNames())
         EXPECT_STREQ(core::kernel::kernelVariantName(
                          core::kernel::kernelVariantFromName(name)),
@@ -102,22 +100,19 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::resolveKernelVariant;
-    // Auto: a single frame takes the queue walk; every batch of two
-    // or more frames fills SIMD lanes, and on the portable sweep a
-    // batch below a lane block keeps the sparse loops.
+    // Auto: a single frame takes the column walk; every batch of two
+    // or more frames fills SIMD lanes, and the portable sweep leaves
+    // every batch to the column walk.
     const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
-              KernelVariant::Vector);
+              simd ? KernelVariant::Vector : KernelVariant::ActSparse);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
               KernelVariant::ActSparse);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2),
-              simd ? KernelVariant::Vector : KernelVariant::Reference);
+              simd ? KernelVariant::Vector : KernelVariant::ActSparse);
     // Explicit requests stick where legal.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
               KernelVariant::Vector);
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::Reference, compiled, 64),
-        KernelVariant::Reference);
 
     // An explicit actsparse request never demotes: it needs no SIMD
     // eligibility.
@@ -126,7 +121,7 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
         KernelVariant::ActSparse);
 }
 
-TEST(KernelVariants, AutoResolutionIsDensityAware)
+TEST(KernelVariants, AutoResolutionDoesNotDependOnDensity)
 {
     core::EieConfig config;
     config.n_pe = 4;
@@ -137,47 +132,8 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
         core::kernel::CompiledLayer::compile(plan, config);
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
-    using core::kernel::kActSparseAutoMaxDensity;
-    using core::kernel::kScalarSweepAutoBatch;
-    using core::kernel::resolveKernelVariant;
-    using core::kernel::detail::resolveAuto;
-
-    // On an eligible layer with SIMD lanes, two or more frames take
-    // the lanes at every density, known or not...
-    for (const double density : {0.35, 0.5, 0.75, -1.0})
-        EXPECT_EQ(resolveAuto(compiled, 2, density, true),
-                  KernelVariant::Vector)
-            << density;
-    EXPECT_EQ(resolveAuto(compiled, 7, 0.05, true), KernelVariant::Vector);
-    // ...while the portable sweep takes only whole lane blocks and
-    // leaves smaller batches to the density crossover...
-    EXPECT_EQ(resolveAuto(compiled, kScalarSweepAutoBatch, 0.05, false),
-              KernelVariant::Vector);
-    EXPECT_EQ(resolveAuto(compiled, 64, -1.0, false),
-              KernelVariant::Vector);
-    EXPECT_EQ(resolveAuto(compiled, 2, 0.35, false),
-              KernelVariant::ActSparse);
-    EXPECT_EQ(resolveAuto(compiled, kScalarSweepAutoBatch - 1, 0.75, false),
-              KernelVariant::Reference);
-    EXPECT_EQ(resolveAuto(compiled, 2, -1.0, false),
-              KernelVariant::Reference);
-    // ...and a single frame takes the queue walk at any density.
-    for (const bool simd : {true, false})
-        for (const double density : {0.05, 0.35, 0.75, 1.0, -1.0})
-            EXPECT_EQ(resolveAuto(compiled, 1, density, simd),
-                      KernelVariant::ActSparse)
-                << density;
-    // resolveKernelVariant applies the rule of the dispatched tier.
-    const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
-    for (const std::size_t batch : {1u, 2u, 7u, 8u, 64u})
-        EXPECT_EQ(
-            resolveKernelVariant(KernelVariant::Auto, compiled, batch, 0.75),
-            resolveAuto(compiled, batch, 0.75, simd))
-            << batch;
-
     // A layer the lanes cannot run (a left-shift alignment, as in
-    // IneligibleFormatsFallBackBitExact): the density crossover still
-    // governs batches of two or more.
+    // IneligibleFormatsFallBackBitExact).
     core::EieConfig wide_config;
     wide_config.n_pe = 4;
     wide_config.weight_format = FixedFormat{16, 6};
@@ -186,31 +142,55 @@ TEST(KernelVariants, AutoResolutionIsDensityAware)
         core::planLayer(layer, nn::Nonlinearity::ReLU, wide_config),
         wide_config);
     ASSERT_FALSE(core::kernel::vectorEligible(wide));
-    // Small batch + sparse activations: the nonzero-queue walk wins.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2, 0.35),
-              KernelVariant::ActSparse);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 7, 0.05),
-              KernelVariant::ActSparse);
-    // The crossover is inclusive at the documented threshold...
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2,
-                                   kActSparseAutoMaxDensity),
-              KernelVariant::ActSparse);
-    // ...and dense activations above it keep the reference loop.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2, 0.75),
-              KernelVariant::Reference);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 64, 0.75),
-              KernelVariant::Reference);
-    // A single frame takes the queue walk at any density.
-    for (const double density : {0.35, 0.75, 1.0})
-        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 1,
-                                       density),
+
+    using core::kernel::detail::resolveAuto;
+    const std::size_t batches[] = {1, 2, 7, 8, 64};
+    for (const std::size_t batch : batches) {
+        // SIMD lanes: a single frame takes the column walk, every
+        // larger batch the lanes...
+        EXPECT_EQ(resolveAuto(compiled, batch, true),
+                  batch == 1 ? KernelVariant::ActSparse
+                             : KernelVariant::Vector)
+            << batch;
+        // ...while the portable sweep and the ineligible layer take
+        // the column walk at every batch.
+        EXPECT_EQ(resolveAuto(compiled, batch, false),
                   KernelVariant::ActSparse)
-            << density;
-    // Unknown density (no probe) keeps the density-blind rules.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 1, -1.0),
-              KernelVariant::ActSparse);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, 2, -1.0),
-              KernelVariant::Reference);
+            << batch;
+        for (const bool simd : {true, false})
+            EXPECT_EQ(resolveAuto(wide, batch, simd),
+                      KernelVariant::ActSparse)
+                << batch << ", simd " << simd;
+    }
+
+    // runBatch applies the dispatched tier's rule at every measured
+    // activation density: all-zero, sparse, the paper's 35%, dense.
+    const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
+    const struct
+    {
+        const char *name;
+        const core::kernel::CompiledLayer &layer;
+        core::FunctionalModel model;
+    } forms[] = {{"Q16.8", compiled, core::FunctionalModel(config)},
+                 {"Q16.6 x Q16.13", wide,
+                  core::FunctionalModel(wide_config)}};
+    for (const auto &form : forms) {
+        for (const std::size_t batch : batches) {
+            for (const double density : {0.0, 0.05, 0.35, 0.75, 1.0}) {
+                core::kernel::Batch frames;
+                for (std::size_t b = 0; b < batch; ++b)
+                    frames.push_back(form.model.quantizeInput(
+                        test::randomActivations(48, density, 130 + b)));
+                core::kernel::DispatchInfo info;
+                core::kernel::runBatch(form.layer, frames, nullptr,
+                                       KernelVariant::Auto, &info);
+                EXPECT_EQ(info.variant,
+                          resolveAuto(form.layer, batch, simd))
+                    << form.name << ", batch " << batch << ", density "
+                    << density;
+            }
+        }
+    }
 }
 
 /** A plan forced into a 3 row-batch x 3 column-pass grid (ragged
@@ -496,7 +476,8 @@ TEST(KernelVariants, EveryVectorSweepTierBitExact)
 TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
 {
     // A negative shift-and-add alignment keeps "vector" out; Auto
-    // must route around it and stay bit-exact.
+    // must route around it and stay bit-exact. Q16.6 weights into
+    // Q16.13 activations align each product with a left shift.
     core::EieConfig config;
     config.n_pe = 4;
     config.weight_format = FixedFormat{16, 6};
@@ -504,39 +485,82 @@ TEST(KernelVariants, IneligibleFormatsFallBackBitExact)
     const auto layer = test::randomCompressedLayer(64, 48, 0.3, 4, 41);
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::ReLU, config);
-    const auto compiled =
-        core::kernel::CompiledLayer::compile(plan, config);
-    ASSERT_FALSE(core::kernel::vectorEligible(compiled));
-    EXPECT_EQ(core::kernel::resolveKernelVariant(KernelVariant::Auto,
-                                                 compiled, 64),
-              KernelVariant::Reference);
-
+    // None (not ReLU) keeps the negative rail observable.
+    const auto rails = saturatingLayer(24, 48, 4, 100.0f);
+    const auto rails_plan =
+        core::planLayer(rails, nn::Nonlinearity::None, config);
     const core::FunctionalModel model(config);
-    core::kernel::Batch frames;
-    for (std::size_t b = 0; b < 9; ++b)
-        frames.push_back(model.quantizeInput(
-            test::randomActivations(48, 0.5, 42 + b)));
+    core::kernel::WorkerPool pool(3);
 
-    core::kernel::Batch reference;
-    for (const auto &frame : frames)
-        reference.push_back(model.run(plan, frame).output_raw);
+    // Random frames on the random layer; on the rails layer, a frame
+    // of ones ends every accumulator on the negative rail after
+    // pinning it to the positive one, and a frame live only on the
+    // positive columns ends on the positive rail.
+    nn::Vector half_ones(48, 0.0f);
+    std::fill(half_ones.begin(), half_ones.begin() + 24, 1.0f);
+    const struct
+    {
+        const core::LayerPlan &plan;
+        core::kernel::Batch frames;
+    } cases[] = {
+        {plan,
+         {model.quantizeInput(test::randomActivations(48, 0.5, 42)),
+          model.quantizeInput(test::randomActivations(48, 1.0, 43)),
+          model.quantizeInput(test::randomActivations(48, 0.1, 44))}},
+        {rails_plan,
+         {model.quantizeInput(nn::Vector(48, 1.0f)),
+          model.quantizeInput(half_ones),
+          model.quantizeInput(test::randomActivations(48, 0.5, 45))}},
+    };
 
-    for (const KernelVariant kernel :
-         {KernelVariant::Auto, KernelVariant::Reference}) {
-        const auto outputs =
-            core::kernel::runBatch(compiled, frames, nullptr, kernel);
-        for (std::size_t b = 0; b < frames.size(); ++b)
-            EXPECT_EQ(outputs[b], reference[b])
-                << core::kernel::kernelVariantName(kernel);
+    for (const auto &c : cases) {
+        const auto compiled = compileBlocks(c.plan, config, 3);
+        ASSERT_FALSE(core::kernel::vectorEligible(compiled));
+        EXPECT_EQ(core::kernel::resolveKernelVariant(KernelVariant::Auto,
+                                                     compiled, 64),
+                  KernelVariant::ActSparse);
+
+        core::kernel::Batch reference;
+        for (const auto &frame : c.frames)
+            reference.push_back(model.run(c.plan, frame).output_raw);
+        if (&c.plan == &rails_plan) {
+            for (const std::int64_t out : reference[0])
+                ASSERT_EQ(out, config.act_format.minRaw());
+            for (const std::int64_t out : reference[1])
+                ASSERT_EQ(out, config.act_format.maxRaw());
+        }
+
+        for (const std::size_t batch : {1u, 2u, 3u, 9u, 24u}) {
+            core::kernel::Batch repeated;
+            for (std::size_t b = 0; b < batch; ++b)
+                repeated.push_back(c.frames[b % c.frames.size()]);
+            for (core::kernel::WorkerPool *p :
+                 {static_cast<core::kernel::WorkerPool *>(nullptr),
+                  &pool}) {
+                for (const KernelVariant kernel :
+                     {KernelVariant::Auto, KernelVariant::ActSparse}) {
+                    const auto outputs = core::kernel::runBatch(
+                        compiled, repeated, p, kernel);
+                    ASSERT_EQ(outputs.size(), batch);
+                    for (std::size_t b = 0; b < batch; ++b)
+                        EXPECT_EQ(outputs[b],
+                                  reference[b % c.frames.size()])
+                            << core::kernel::kernelVariantName(kernel)
+                            << ", " << c.plan.name << ", batch " << batch
+                            << ", " << (p ? "pooled" : "serial")
+                            << ", frame " << b;
+                }
+            }
+        }
     }
 }
 
-TEST(KernelVariants, OutOfFormatActivationsFallBackToReference)
+TEST(KernelVariants, OutOfFormatActivationsFallBackToActSparse)
 {
     // The wire protocol carries raw int64 activations verbatim, so a
     // remote client can submit values outside act_format. The vector
     // variant's 32-bit lanes cannot represent them; runBatch must
-    // demote to the reference loop (same defined int64 semantics as
+    // demote to the actsparse loop (same defined int64 semantics as
     // the scalar oracle), not crash or wrap.
     core::EieConfig config;
     config.n_pe = 4;
@@ -647,12 +671,12 @@ TEST(KernelVariants, RaggedAndAllZeroBatchesAcrossVariants)
 
 TEST(KernelVariants, ActSparseBitExactAcrossDensitySweep)
 {
-    // The actsparse queue walk must reproduce the reference
+    // The actsparse column walk must reproduce the oracle's
     // saturating-MAC sequence exactly at every activation density:
-    // empty queues (0%), a single nonzero, the paper's 35%, fully
-    // dense (100%, where the queue degenerates to the dense walk),
-    // all-zero frames mixed into live batches, ragged batch sizes,
-    // and the pooled row-block route.
+    // no active column (0%), a single nonzero, the paper's 35%, fully
+    // dense (100%, where every column lists every frame), all-zero
+    // frames mixed into live batches, ragged batch sizes, and the
+    // pooled row-block route.
     core::EieConfig config;
     config.n_pe = 4;
     const auto layer = test::randomCompressedLayer(96, 64, 0.2, 4, 91);
@@ -674,14 +698,14 @@ TEST(KernelVariants, ActSparseBitExactAcrossDensitySweep)
         }
     }
     {
-        // Exactly one nonzero activation: the smallest live queue.
+        // Exactly one nonzero activation: one active column.
         std::vector<std::int64_t> one_hot(64, 0);
         one_hot[17] = model.quantizeInput(nn::Vector(1, 0.75f))[0];
         batches.push_back(core::kernel::Batch{std::move(one_hot)});
     }
     {
-        // All-zero frames interleaved with dense ones: per-frame
-        // queues of wildly different lengths in one batch.
+        // All-zero frames interleaved with dense ones: every column
+        // lists only the dense frames.
         core::kernel::Batch mixed;
         for (std::size_t b = 0; b < 6; ++b)
             mixed.push_back(
@@ -713,9 +737,9 @@ TEST(KernelVariants, ActSparseBitExactAcrossDensitySweep)
 
 TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
 {
-    // Every variant must reproduce the reference saturating-MAC
+    // Every variant must reproduce the oracle's saturating-MAC
     // sequence exactly from the table lookups: every activation
-    // density (empty queues at 0%, the paper's 9% weight / 35%
+    // density (no active column at 0%, the paper's 9% weight / 35%
     // activation regime, fully dense), ragged batch sizes off the SIMD
     // lane grid (under auto, 3, 5 and 9 reach the vector loop), serial
     // (blocks in order) and pooled (one block per worker) routes.
@@ -759,8 +783,7 @@ TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
                 if (!frames.empty()) {
                     EXPECT_EQ(info.variant,
                               core::kernel::resolveKernelVariant(
-                                  kernel, compiled, frames.size(),
-                                  info.act_density));
+                                  kernel, compiled, frames.size()));
                 }
                 for (std::size_t b = 0; b < frames.size(); ++b)
                     EXPECT_EQ(outputs[b], reference[b])
@@ -794,20 +817,18 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
                            KernelVariant::Auto, &info);
     EXPECT_EQ(info.variant, KernelVariant::ActSparse);
     ASSERT_GE(info.act_density, 0.0);
-    EXPECT_LE(info.act_density,
-              core::kernel::kActSparseAutoMaxDensity);
+    EXPECT_LE(info.act_density, 0.5);
 
     // A fully dense single frame probes high and still takes the
-    // queue walk; two dense frames take the SIMD lanes, or the
-    // reference loop on the portable sweep.
+    // actsparse walk; two dense frames take the SIMD lanes, or the
+    // actsparse walk on the portable sweep.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
     EXPECT_EQ(info.variant, KernelVariant::ActSparse);
-    EXPECT_GT(info.act_density,
-              core::kernel::kActSparseAutoMaxDensity);
+    EXPECT_GT(info.act_density, 0.5);
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1003)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
@@ -815,9 +836,8 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
     EXPECT_EQ(info.variant,
               std::string(core::kernel::simdIsaName()) != "scalar"
                   ? KernelVariant::Vector
-                  : KernelVariant::Reference);
-    EXPECT_GT(info.act_density,
-              core::kernel::kActSparseAutoMaxDensity);
+                  : KernelVariant::ActSparse);
+    EXPECT_GT(info.act_density, 0.5);
 
     // An empty batch reports an unknown density.
     core::kernel::runBatch(compiled, {}, nullptr, KernelVariant::Auto,

@@ -201,7 +201,6 @@ TEST(ExecutionBackend, CompiledKernelVariantsMatchScalarOnAStack)
 
     for (const core::kernel::KernelVariant kernel :
          {core::kernel::KernelVariant::Auto,
-          core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
           core::kernel::KernelVariant::ActSparse}) {
         for (const unsigned threads : {1u, 4u}) {

@@ -355,7 +355,6 @@ TEST(ClusterEngine, KernelVariantsServeBitExactOnEveryPlacement)
     ClusterFixture fx;
     for (const core::kernel::KernelVariant kernel :
          {core::kernel::KernelVariant::Auto,
-          core::kernel::KernelVariant::Reference,
           core::kernel::KernelVariant::Vector,
           core::kernel::KernelVariant::ActSparse}) {
         for (const serve::Placement placement :

@@ -185,10 +185,23 @@ TEST(FaultPoints, AdmissionControlEvictsLowestPriority)
     engine::InferenceServer server(fx.backend(), options);
 
     fault::arm("batcher.stall");
+    // The batcher fires the stall point once per batch it popped, so
+    // waiting on the hit count (not on a sleep) proves the request is
+    // in the stalled batch and out of the one queue slot.
+    auto awaitStalls = [](std::uint64_t batches) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (fault::hits("batcher.stall") < batches) {
+            ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+                << "the batcher never popped stalled batch " << batches;
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    };
+
     // A occupies the backend (stalled); B sits in the single queue
     // slot at priority 0; the priority-5 newcomer C must evict B.
     auto future_a = server.submit(fx.input(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_NO_FATAL_FAILURE(awaitStalls(1));
     engine::SubmitOptions low;
     low.priority = 0;
     auto future_b = server.submit(fx.input(2), low);
@@ -202,8 +215,9 @@ TEST(FaultPoints, AdmissionControlEvictsLowestPriority)
     EXPECT_EQ(server.stats().requests_shed, 1u);
 
     // An equal-priority newcomer is shed itself: FIFO within a level.
+    // C's batch was the second stall, so D's is the third.
     auto future_d = server.submit(fx.input(4));
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_NO_FATAL_FAILURE(awaitStalls(3));
     auto future_e = server.submit(fx.input(5), low);
     auto future_f = server.submit(fx.input(6), low);
     EXPECT_NO_THROW(future_d.get());

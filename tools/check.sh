@@ -17,7 +17,7 @@
 # pass so a serving regression is called out by name even when the
 # full run already covered it. A Release variant-matrix smoke then
 # drives eie_sim through every kernel variant (--kernel
-# reference|vector|actsparse|auto at batch 1, 5, 12, 16 and 24 on 1
+# vector|actsparse|auto at batch 1, 5, 12, 16 and 24 on 1
 # and 4 threads over NT-We, and at batch 1 and 64 on 3 threads over
 # NT-Wd)
 # in both the batched-throughput and the serving path, each checked
@@ -99,7 +99,7 @@ echo "=== kernel variant matrix (Release eie_sim smoke) ==="
 # two blocks with 4 pad lanes, batch 16 two exact blocks and batch 24
 # three. NT-Wd on 3 threads cuts three uneven blocks over
 # 4096 rows plus the ragged 599-row last row batch, at batch 1 and 64.
-for kernel in reference vector actsparse auto; do
+for kernel in vector actsparse auto; do
     for batch in 1 5 12 16 24; do
         for threads in 1 4; do
             ./build-check-release/eie_sim --throughput "${batch}" \

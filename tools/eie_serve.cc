@@ -102,7 +102,7 @@ usage()
         "  --policy P            replicated | partitioned\n"
         "  --backend NAME        shard backend (default compiled)\n"
         "  --kernel V            shard kernel variant: auto | "
-        "reference | vector | actsparse\n"
+        "vector | actsparse\n"
         "  --threads-per-shard T worker threads per shard "
         "(default 1)\n"
         "  --max-batch B         shard micro-batcher cap "

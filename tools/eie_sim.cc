@@ -79,8 +79,8 @@ usage()
         "  --dump-stats         print the raw statistics of each run\n"
         "  --throughput B       run the batched host engine, B frames\n"
         "  --threads T          row-parallel worker threads (default 1)\n"
-        "  --kernel V           kernel variant: auto | reference | "
-        "vector | actsparse\n"
+        "  --kernel V           kernel variant: auto | vector | "
+        "actsparse\n"
         "  --act-density D      activation density of generated "
         "inputs, 0..1\n"
         "                       (default: the benchmark's "

@@ -15,8 +15,8 @@
  *     depth summed over shards, shed / failover / ejection counters,
  *     mean batch and the p50/p95/p99/p99.9 latency curve;
  *   - per layer: the kernel variant the last sweep executed, the
- *     measured activation density driving density-aware dispatch,
- *     and the bytes the layer's weight streams keep resident;
+ *     measured activation density of its input, and the bytes the
+ *     layer's weight streams keep resident;
  *   - process totals from the metrics registry (server requests /
  *     batches / sheds and the process-wide latency histogram).
  *
@@ -159,8 +159,8 @@ render(const obs::JsonValue &stats, const obs::JsonValue &metrics,
     table.print(out);
 
     // Per-layer kernel variant and density mix — the dispatch
-    // decisions density-aware auto routing is making right now — and
-    // what each layer's weights cost to keep resident.
+    // decisions auto is making right now and the sparsity of the
+    // traffic — and what each layer's weights cost to keep resident.
     TextTable layers({"Model", "Layer", "Kernel", "ResKB", "ActDensity",
                       "MeanDensity", "Sweeps"});
     bool any_layers = false;
