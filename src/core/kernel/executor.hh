@@ -30,14 +30,15 @@
  * keep its 32-bit lanes exact, and runBatch enforces it — a batch
  * containing any out-of-format activation (e.g. unvalidated remote
  * input) executes on the actsparse loop instead, preserving the
- * defined wide-integer semantics without a crash path.
+ * defined wide-integer semantics without a crash path. So does every
+ * vector call on a CPU without AVX2, which has no vector sweep
+ * (simdIsaName() reads "none").
  */
 
 #ifndef EIE_CORE_KERNEL_EXECUTOR_HH
 #define EIE_CORE_KERNEL_EXECUTOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/kernel/compiled_layer.hh"
@@ -86,29 +87,14 @@ double probeActivationDensity(const Batch &inputs);
  *                bit-exact variant for the layer's formats and this
  *                call's batch size (resolveKernelVariant)
  * @param dispatch optional out-param recording the executed variant
- *                and the probed activation density
+ *                (actsparse where a vector call could not run on the
+ *                lanes) and the probed activation density
  * @return B output vectors of layer.output_size each
  */
 Batch runBatch(const CompiledLayer &layer, const Batch &inputs,
                WorkerPool *pool = nullptr,
                KernelVariant variant = KernelVariant::Auto,
                DispatchInfo *dispatch = nullptr);
-
-namespace detail {
-
-/** The vector sweep tiers this CPU runs, the dispatched one (the one
- *  simdIsaName() reports) first: "avx2" where supported, then
- *  "scalar". Test-only. */
-std::vector<std::string> vectorSweepIsas();
-
-/** runBatch(layer, inputs, pool, KernelVariant::Vector) on sweep tier
- *  @p isa, one of vectorSweepIsas(), instead of the dispatched one, so
- *  one CPU can check every tier it runs. Panics when the layer's
- *  formats or the inputs do not fit the lanes. Test-only. */
-Batch runVectorSweep(const CompiledLayer &layer, const Batch &inputs,
-                     WorkerPool *pool, const std::string &isa);
-
-} // namespace detail
 
 } // namespace eie::core::kernel
 

@@ -1,7 +1,6 @@
 #include "core/kernel/variant.hh"
 
 #include <algorithm>
-#include <string_view>
 
 #include "common/logging.hh"
 #include "core/kernel/compiled_layer.hh"
@@ -95,28 +94,14 @@ resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
       case KernelVariant::Auto:
         break;
     }
-    static const bool simd_sweep =
-        std::string_view(simdIsaName()) != "scalar";
-    return detail::resolveAuto(layer, batch, simd_sweep);
-}
-
-namespace detail {
-
-KernelVariant
-resolveAuto(const CompiledLayer &layer, std::size_t batch,
-            bool simd_sweep)
-{
     // From two frames on, each entry's SIMD MAC serves every frame at
     // once. The int64 column walk takes the rest: a single frame, where
-    // it skips zero activations at no cost, formats the lanes cannot
-    // run, and the portable sweep, which runs each entry on a whole
-    // 8-lane block in scalar code.
-    if (batch >= 2 && simd_sweep && vectorEligible(layer))
+    // it skips zero activations at no cost, and formats the lanes
+    // cannot run.
+    if (batch >= 2 && vectorEligible(layer))
         return KernelVariant::Vector;
     return KernelVariant::ActSparse;
 }
-
-} // namespace detail
 
 // simdIsaName() is defined in executor.cc, next to the vector sweep
 // dispatch it reports on, so the stamp can never drift from the loop

@@ -19,7 +19,7 @@
  *    semantic — the dense sweep is bit-exact). Accumulator rows and
  *    the activation panel are padded to whole 8-lane blocks, so each
  *    entry runs unmasked SIMD ops on every frame at once, and one
- *    ISA-dispatched sweep walks a whole row block (see simdIsaName()).
+ *    AVX2 sweep walks a whole row block (see simdIsaName()).
  *    Requires the layer's formats to fit 32-bit lanes; see
  *    vectorEligible().
  *  - "actsparse": the paper's leading-nonzero-detect datapath, the
@@ -30,16 +30,16 @@
  *    batch-1 latency scales with activation density instead of layer
  *    width. Works for every format, batch and thread count.
  *  - "auto": the default everywhere. "vector" for two or more frames
- *    when the layer's formats fit its lanes and the sweep runs on SIMD
- *    lanes, "actsparse" for everything else: a single frame (the
- *    paper's one-vector-at-a-time operating point), a layer the lanes
- *    cannot run, and every batch on a CPU whose sweep is the portable
- *    loop.
+ *    when the layer's formats fit its lanes, "actsparse" for
+ *    everything else: a single frame (the paper's one-vector-at-a-time
+ *    operating point) and a layer the lanes cannot run.
  *
  * Both variants produce bit-identical outputs (the saturating-MAC
  * update sequence per accumulator is preserved exactly); "vector" is
  * additionally gated by the format predicate so it can never be
- * selected where 32-bit lanes would overflow.
+ * selected where 32-bit lanes would overflow. On a CPU without AVX2
+ * there is no vector sweep, and runBatch runs every "vector" call on
+ * the actsparse loop.
  */
 
 #ifndef EIE_CORE_KERNEL_VARIANT_HH
@@ -90,37 +90,28 @@ bool vectorEligible(const CompiledLayer &layer);
  * Resolve @p requested for one runBatch call of @p batch frames:
  *
  *  - Auto picks Vector for a batch of two or more frames when the
- *    layer's formats are eligible and the vector sweep runs on SIMD
- *    lanes, and ActSparse otherwise.
+ *    layer's formats are eligible, and ActSparse otherwise.
  *  - Vector is fatal when the layer's formats are not eligible: the
  *    lanes would overflow, silently breaking bit-exactness.
  *  - ActSparse always resolves to itself: the int64 scalar loop is
  *    bit-exact for every format and thread count.
  *
- * The returned variant is always directly executable on @p layer.
+ * The returned variant never breaks bit-exactness on @p layer. The
+ * rule is the same on every CPU; runBatch runs a Vector call on the
+ * actsparse loop when the CPU has no vector sweep or the inputs leave
+ * act_format, and records that in its DispatchInfo.
  */
 KernelVariant resolveKernelVariant(KernelVariant requested,
                                    const CompiledLayer &layer,
                                    std::size_t batch);
 
 /**
- * The tier the vector sweep dispatched to at runtime on this machine,
- * decided once per process: "avx2" (8-lane blocks) or "scalar" (the
- * portable loop, for boxes without AVX2). Stamped into BENCH_*.json
- * files.
+ * The ISA of the vector sweep on this machine, decided once per
+ * process: "avx2" (8-lane blocks), or "none" on a CPU without AVX2,
+ * where "vector" calls run on the actsparse loop. Stamped into
+ * BENCH_*.json files.
  */
 const char *simdIsaName();
-
-namespace detail {
-
-/** Auto's rule (see resolveKernelVariant) with the sweep tier given:
- *  @p simd_sweep is whether the vector sweep runs on SIMD lanes.
- *  resolveKernelVariant passes the dispatched tier; a test can check
- *  both tiers' rule on one CPU. */
-KernelVariant resolveAuto(const CompiledLayer &layer, std::size_t batch,
-                          bool simd_sweep);
-
-} // namespace detail
 
 } // namespace eie::core::kernel
 

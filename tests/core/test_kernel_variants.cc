@@ -10,8 +10,8 @@
  * and across an activation-density sweep, and ragged / all-zero
  * activation batches (the panel skip paths and the vector sweep's
  * pad lanes) must flow through every variant — including the threads>1
- * WorkerPool route — without divergence. Every vector sweep tier the
- * CPU runs must match the oracle at every lane-stride shape.
+ * WorkerPool route — without divergence. The vector sweep must match
+ * the oracle at every lane-stride shape.
  *
  * The column-partitioned serving caveat that motivates the
  * saturation suite (splitting a saturating layer across shards
@@ -43,6 +43,28 @@ const std::vector<KernelVariant> kAllVariants{
 
 const std::vector<KernelVariant> kExplicitVariants{
     KernelVariant::Vector, KernelVariant::ActSparse};
+
+/** Whether this CPU has a vector sweep (AVX2). */
+bool
+haveVectorSweep()
+{
+    return std::string(core::kernel::simdIsaName()) != "none";
+}
+
+/** The variant runBatch executes for in-format frames: the resolved
+ *  one, except that a CPU without a vector sweep runs "vector" calls
+ *  on the actsparse loop. */
+KernelVariant
+executedVariant(KernelVariant requested,
+                const core::kernel::CompiledLayer &layer,
+                std::size_t batch)
+{
+    const KernelVariant resolved =
+        core::kernel::resolveKernelVariant(requested, layer, batch);
+    return resolved == KernelVariant::Vector && !haveVectorSweep()
+        ? KernelVariant::ActSparse
+        : resolved;
+}
 
 /**
  * A dense layer whose partial sums slam into both accumulator rails:
@@ -101,15 +123,13 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
 
     using core::kernel::resolveKernelVariant;
     // Auto: a single frame takes the column walk; every batch of two
-    // or more frames fills SIMD lanes, and the portable sweep leaves
-    // every batch to the column walk.
-    const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
+    // or more frames fills the lanes.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
-              simd ? KernelVariant::Vector : KernelVariant::ActSparse);
+              KernelVariant::Vector);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
               KernelVariant::ActSparse);
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2),
-              simd ? KernelVariant::Vector : KernelVariant::ActSparse);
+              KernelVariant::Vector);
     // Explicit requests stick where legal.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
               KernelVariant::Vector);
@@ -143,29 +163,24 @@ TEST(KernelVariants, AutoResolutionDoesNotDependOnDensity)
         wide_config);
     ASSERT_FALSE(core::kernel::vectorEligible(wide));
 
-    using core::kernel::detail::resolveAuto;
+    using core::kernel::resolveKernelVariant;
     const std::size_t batches[] = {1, 2, 7, 8, 64};
     for (const std::size_t batch : batches) {
-        // SIMD lanes: a single frame takes the column walk, every
-        // larger batch the lanes...
-        EXPECT_EQ(resolveAuto(compiled, batch, true),
+        // A single frame takes the column walk, every larger batch the
+        // lanes, and the ineligible layer the column walk at every
+        // batch.
+        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
+                                       batch),
                   batch == 1 ? KernelVariant::ActSparse
                              : KernelVariant::Vector)
             << batch;
-        // ...while the portable sweep and the ineligible layer take
-        // the column walk at every batch.
-        EXPECT_EQ(resolveAuto(compiled, batch, false),
+        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, batch),
                   KernelVariant::ActSparse)
             << batch;
-        for (const bool simd : {true, false})
-            EXPECT_EQ(resolveAuto(wide, batch, simd),
-                      KernelVariant::ActSparse)
-                << batch << ", simd " << simd;
     }
 
-    // runBatch applies the dispatched tier's rule at every measured
-    // activation density: all-zero, sparse, the paper's 35%, dense.
-    const bool simd = std::string(core::kernel::simdIsaName()) != "scalar";
+    // runBatch applies that rule at every measured activation density:
+    // all-zero, sparse, the paper's 35%, dense.
     const struct
     {
         const char *name;
@@ -185,7 +200,8 @@ TEST(KernelVariants, AutoResolutionDoesNotDependOnDensity)
                 core::kernel::runBatch(form.layer, frames, nullptr,
                                        KernelVariant::Auto, &info);
                 EXPECT_EQ(info.variant,
-                          resolveAuto(form.layer, batch, simd))
+                          executedVariant(KernelVariant::Auto, form.layer,
+                                          batch))
                     << form.name << ", batch " << batch << ", density "
                     << density;
             }
@@ -413,20 +429,12 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
     }
 }
 
-TEST(KernelVariants, EveryVectorSweepTierBitExact)
+TEST(KernelVariants, VectorSweepBitExactAtEveryLaneStride)
 {
-    // runBatch dispatches one sweep tier per process; the test seam
-    // runs every tier this CPU supports, so the portable loop is
-    // checked on a SIMD box too. The batches cover every lane-stride
-    // shape: pad lanes in one 8-lane block (1, 4, 5), one exact block
-    // (8, the AVX2 sweep's one-register loop), two blocks with pad
-    // lanes (9, 12) and without (16), three exact blocks (24) and four
-    // with one pad lane (31).
-    const auto isas = core::kernel::detail::vectorSweepIsas();
-    ASSERT_FALSE(isas.empty());
-    EXPECT_EQ(isas.front(), core::kernel::simdIsaName());
-    EXPECT_EQ(isas.back(), "scalar");
-
+    // The batches cover every lane-stride shape: pad lanes in one
+    // 8-lane block (1, 4, 5), one exact block (8, the AVX2 sweep's
+    // one-register loop), two blocks with pad lanes (9, 12) and without
+    // (16), three exact blocks (24) and four with one pad lane (31).
     core::EieConfig config;
     config.n_pe = 4;
     const core::FunctionalModel model(config);
@@ -454,20 +462,20 @@ TEST(KernelVariants, EveryVectorSweepTierBitExact)
             for (const auto &frame : frames)
                 reference.push_back(model.run(*plan, frame).output_raw);
 
-            for (const std::string &isa : isas) {
-                for (core::kernel::WorkerPool *p :
-                     {static_cast<core::kernel::WorkerPool *>(nullptr),
-                      &pool}) {
-                    const auto outputs = core::kernel::detail::
-                        runVectorSweep(compiled, frames, p, isa);
-                    ASSERT_EQ(outputs.size(), frames.size());
-                    for (std::size_t b = 0; b < batch; ++b)
-                        EXPECT_EQ(outputs[b], reference[b])
-                            << isa << ", " << plan->name << ", batch "
-                            << batch << ", "
-                            << (p ? "pooled" : "serial") << ", frame "
-                            << b;
-                }
+            for (core::kernel::WorkerPool *p :
+                 {static_cast<core::kernel::WorkerPool *>(nullptr),
+                  &pool}) {
+                core::kernel::DispatchInfo info;
+                const auto outputs = core::kernel::runBatch(
+                    compiled, frames, p, KernelVariant::Vector, &info);
+                EXPECT_EQ(info.variant,
+                          haveVectorSweep() ? KernelVariant::Vector
+                                            : KernelVariant::ActSparse);
+                ASSERT_EQ(outputs.size(), frames.size());
+                for (std::size_t b = 0; b < batch; ++b)
+                    EXPECT_EQ(outputs[b], reference[b])
+                        << plan->name << ", batch " << batch << ", "
+                        << (p ? "pooled" : "serial") << ", frame " << b;
             }
         }
     }
@@ -782,8 +790,8 @@ TEST(KernelVariants, EveryVariantBitExactAcrossDensitySweep)
                 // defaults.
                 if (!frames.empty()) {
                     EXPECT_EQ(info.variant,
-                              core::kernel::resolveKernelVariant(
-                                  kernel, compiled, frames.size()));
+                              executedVariant(kernel, compiled,
+                                              frames.size()));
                 }
                 for (std::size_t b = 0; b < frames.size(); ++b)
                     EXPECT_EQ(outputs[b], reference[b])
@@ -821,7 +829,7 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
 
     // A fully dense single frame probes high and still takes the
     // actsparse walk; two dense frames take the SIMD lanes, or the
-    // actsparse walk on the portable sweep.
+    // actsparse walk on a CPU without a vector sweep.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
@@ -833,10 +841,8 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
         model.quantizeInput(test::randomActivations(48, 1.0, 1003)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant,
-              std::string(core::kernel::simdIsaName()) != "scalar"
-                  ? KernelVariant::Vector
-                  : KernelVariant::ActSparse);
+    EXPECT_EQ(info.variant, haveVectorSweep() ? KernelVariant::Vector
+                                              : KernelVariant::ActSparse);
     EXPECT_GT(info.act_density, 0.5);
 
     // An empty batch reports an unknown density.
