@@ -15,12 +15,13 @@ namespace eie::core::kernel {
 namespace {
 
 /**
- * Per-pass activation panel of the actsparse variant, the batched form
- * of the LNZD's (j, a_j) broadcast, gathered once per tile instead of
- * once per row block per frame: the columns with a nonzero frame, in
- * ascending order, each with its (frame, value) pairs, frames
- * ascending. Listed column k's pairs occupy [begin[k], begin[k+1]), so
- * a sweep never visits a zero column and reads the pairs in order.
+ * Per-pass activation panel of the actsparse loop and of the vector
+ * variant's row lanes, the batched form of the LNZD's (j, a_j)
+ * broadcast, gathered once per tile instead of once per row block per
+ * frame: the columns with a nonzero frame, in ascending order, each
+ * with its (frame, value) pairs, frames ascending. Listed column k's
+ * pairs occupy [begin[k], begin[k+1]), so a sweep never visits a zero
+ * column and reads the pairs in order.
  */
 struct ActivationPanel
 {
@@ -42,29 +43,30 @@ struct ActivationPanel
         value.resize(cols * batch);
         columns = 0;
         std::uint32_t n = 0;
+        // Branch-free: each pair and column is written in place and kept
+        // only if nonzero, so a zero (which the LNZD never broadcasts)
+        // is overwritten by the next, and no activation pattern costs a
+        // mispredicted branch.
         for (std::size_t j = 0; j < cols; ++j) {
             const std::uint32_t first = n;
             for (std::size_t b = 0; b < batch; ++b) {
                 const std::int64_t a = inputs[b][col_begin + j];
-                if (a == 0)
-                    continue; // the LNZD would never broadcast it
                 frame[n] = static_cast<std::uint32_t>(b);
                 value[n] = a;
-                ++n;
+                n += a != 0;
             }
-            if (n != first) {
-                col[columns] = static_cast<std::uint32_t>(j);
-                begin[columns] = first;
-                ++columns;
-            }
+            col[columns] = static_cast<std::uint32_t>(j);
+            begin[columns] = first;
+            columns += n != first;
         }
         begin[columns] = n;
     }
 };
 
-/** Lanes of one vector-sweep block. The vector variant pads its dense
- *  panel and its accumulator rows to whole blocks, so every SIMD op of
- *  its sweep is unmasked. */
+/** Lanes of one vector-sweep block. The frame-lane sweep pads its
+ *  dense panel and its accumulator rows to whole blocks, so every SIMD
+ *  op of its sweep is unmasked; the row lanes take a column's entries
+ *  one block at a time. */
 constexpr std::size_t kLaneBlock = 8;
 
 /** The vector variant's lane stride: @p batch rounded up to a whole
@@ -76,7 +78,7 @@ laneStride(std::size_t batch)
 }
 
 /**
- * Per-pass activation panel of the vector variant: every frame of
+ * Per-pass activation panel of the frame-lane sweep: every frame of
  * every column, transposed to column-major int32 at the lane stride so
  * the sweep streams whole lane blocks. Zero activations stay in place
  * — their product is zero and sat(acc + 0) == acc, so the dense sweep
@@ -113,30 +115,50 @@ struct DensePanel
     }
 };
 
-// --------------------------------------------------- vector sweeps
+// ---------------------------------------------------- vector loops
 
-/** The saturating MAC every vector sweep lane runs:
+/** The saturating MAC every vector lane runs:
  *  acc = clamp(acc + ((lut[index] * act) >> shift), lo, hi). All
  *  intermediates fit int32 lanes by vectorEligible(); C++20
  *  guarantees the arithmetic right shift on negatives. */
 struct LaneMac
 {
-    const std::int32_t *lut; ///< the layer's table, narrowed to int32
+    /** The layer's table, narrowed to int32 and zero-padded to at least
+     *  kRowLaneTableEntries, so the row lanes load it as two whole
+     *  registers. */
+    const std::int32_t *lut;
     int shift;
     std::int32_t lo;
     std::int32_t hi;
 };
 
 /**
- * The vector variant's sweep of one row block over the dense panel:
- * every entry of every active column runs the LaneMac on all
- * panel.stride lanes of its accumulator row (rows are panel.stride
- * int32 apart). Lanes are independent frames, and each accumulator
- * still sees its column-ascending MAC sequence.
+ * The vector variant's frame-lane sweep of one row block over the
+ * dense panel, for two or more frames: every entry of every active
+ * column runs the LaneMac on all panel.stride lanes of its accumulator
+ * row (rows are panel.stride int32 apart). Lanes are independent
+ * frames, and each accumulator still sees its column-ascending MAC
+ * sequence.
  */
 using VectorSweepFn = void (*)(const SliceStream &block,
                                const DensePanel &panel,
                                const LaneMac &mac, std::int32_t *acc);
+
+/**
+ * The vector variant's loop for one frame, lanes as PEs: the LNZD
+ * broadcasts (j, a_j) of each listed column to every lane, and each
+ * lane takes one entry of column j, as each PE takes its own rows'
+ * entries (§III-B). A group of lanes splits row from codebook index,
+ * expands the index through the table held in two registers, runs the
+ * LaneMac on the gathered int32 accumulators (stride 1) and writes
+ * each lane back with a scalar store; a column's last group loads only
+ * the entries it has left. CSC stores at most one entry per (row,
+ * column), so the lanes of a group hit distinct rows and each
+ * accumulator still sees its columns ascending, the oracle's order.
+ */
+using RowLaneFn = void (*)(const SliceStream &block,
+                           const ActivationPanel &panel,
+                           const LaneMac &mac, std::int32_t *acc);
 
 #if defined(EIE_KERNEL_X86)
 
@@ -153,9 +175,10 @@ mac8(std::int32_t *acc, __m256i va, __m256i vw, __m128i vshift,
                                               vhi));
 }
 
-/** The AVX2 sweep: 8-lane blocks. At stride 8 (batches 1-8) each
- *  active column's activations load once into one register: 16-25%
- *  faster than the block loop on NT-We at batch 5 (4-vCPU Xeon). */
+/** The AVX2 frame-lane sweep: 8-lane blocks. At stride 8 (batches
+ *  2-8) each active column's activations load once into one register:
+ *  16-25% faster than the block loop on NT-We at batch 5 (4-vCPU
+ *  Xeon). */
 __attribute__((target("avx2"))) void
 sweepAvx2(const SliceStream &block, const DensePanel &panel,
           const LaneMac &mac, std::int32_t *acc)
@@ -199,24 +222,114 @@ sweepAvx2(const SliceStream &block, const DensePanel &panel,
     }
 }
 
+/**
+ * One group of row lanes: the LaneMac of the entries in @p entry's
+ * @p live lanes (the first @p n, 1-8; the others hold 0) against the
+ * broadcast activation @p va. The index's bits 0-2 pick an entry of
+ * each table half, and its bit 3 (shifted up to the sign bit the blend
+ * reads) picks the half.
+ */
+__attribute__((target("avx2"))) inline void
+rowGroup(std::int32_t *acc, __m256i entry, __m256i live, unsigned n,
+         __m256i va, __m256i lut_lo, __m256i lut_hi, __m128i vshift,
+         __m256i vlo, __m256i vhi)
+{
+    const __m256i rows = _mm256_srli_epi32(entry, kEntryIndexBits);
+    const __m256i w = _mm256_castps_si256(_mm256_blendv_ps(
+        _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(lut_lo, entry)),
+        _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(lut_hi, entry)),
+        _mm256_castsi256_ps(_mm256_slli_epi32(entry, 31 - 3))));
+    const __m256i sum = _mm256_add_epi32(
+        _mm256_mask_i32gather_epi32(_mm256_setzero_si256(), acc, rows,
+                                    live, sizeof(std::int32_t)),
+        _mm256_sra_epi32(_mm256_mullo_epi32(w, va), vshift));
+    alignas(32) std::int32_t value[kLaneBlock];
+    alignas(32) std::uint32_t row[kLaneBlock];
+    _mm256_store_si256(reinterpret_cast<__m256i *>(value),
+                       _mm256_min_epi32(_mm256_max_epi32(sum, vlo), vhi));
+    _mm256_store_si256(reinterpret_cast<__m256i *>(row), rows);
+    for (unsigned l = 0; l < n; ++l)
+        acc[row[l]] = value[l];
+}
+
+/** Listed columns the row lanes look ahead to prefetch the first
+ *  cache line of: 1.13-1.15x on the L3-resident Alex-6 and VGG-6 at
+ *  batch 1, and neutral on the L2-resident NeuralTalk layers (4-vCPU
+ *  Xeon). The LNZD list says where the walk jumps next. */
+constexpr std::size_t kPrefetchAhead = 2;
+
+/** The AVX2 row lanes: 8 entries of a column per group. */
+__attribute__((target("avx2"))) void
+rowLanesAvx2(const SliceStream &block, const ActivationPanel &panel,
+             const LaneMac &mac, std::int32_t *acc)
+{
+    const std::uint32_t *entries = block.entries.data();
+    const std::uint32_t *col_ptr = block.col_ptr.data();
+    const __m256i lut_lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(mac.lut));
+    const __m256i lut_hi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(mac.lut + kLaneBlock));
+    const __m128i vshift = _mm_cvtsi32_si128(mac.shift);
+    const __m256i vlo = _mm256_set1_epi32(mac.lo);
+    const __m256i vhi = _mm256_set1_epi32(mac.hi);
+    const __m256i all = _mm256_set1_epi32(-1);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    for (std::size_t k = 0; k < panel.columns; ++k) {
+        const std::uint32_t j = panel.col[k];
+        if (k + kPrefetchAhead < panel.columns)
+            _mm_prefetch(reinterpret_cast<const char *>(
+                             entries + col_ptr[panel.col[k + kPrefetchAhead]]),
+                         _MM_HINT_T0);
+        // In act_format range by the withinActFormat() gate in
+        // runBatch(), so the cast is value-preserving.
+        const __m256i va = _mm256_set1_epi32(
+            static_cast<std::int32_t>(panel.value[panel.begin[k]]));
+        std::uint32_t e = col_ptr[j];
+        const std::uint32_t e_end = col_ptr[j + 1];
+        for (; e + kLaneBlock <= e_end; e += kLaneBlock)
+            rowGroup(acc,
+                     _mm256_loadu_si256(
+                         reinterpret_cast<const __m256i *>(entries + e)),
+                     all, kLaneBlock, va, lut_lo, lut_hi, vshift, vlo,
+                     vhi);
+        if (e < e_end) {
+            const unsigned n = e_end - e;
+            const __m256i live =
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane);
+            rowGroup(acc,
+                     _mm256_maskload_epi32(
+                         reinterpret_cast<const int *>(entries + e), live),
+                     live, n, va, lut_lo, lut_hi, vshift, vlo, vhi);
+        }
+    }
+}
+
 #endif // EIE_KERNEL_X86
 
-/** The vector sweep this CPU runs: the AVX2 sweep, or none on a CPU
+/** The vector variant's loops on one CPU: the frame-lane sweep for two
+ *  or more frames and the row lanes for one. */
+struct VectorLoops
+{
+    VectorSweepFn frames = nullptr;
+    RowLaneFn rows = nullptr;
+};
+
+/** The vector loops this CPU runs: the AVX2 pair, or none on a CPU
  *  without AVX2, where runBatch runs the vector variant's calls on the
  *  actsparse loop. */
-VectorSweepFn
-dispatchVectorSweep()
+VectorLoops
+dispatchVectorLoops()
 {
 #if defined(EIE_KERNEL_X86)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2"))
-        return sweepAvx2;
+        return {sweepAvx2, rowLanesAvx2};
 #endif
-    return nullptr;
+    return {};
 }
 
 /** Runtime ISA dispatch, decided once per process. */
-const VectorSweepFn g_vector_sweep = dispatchVectorSweep();
+const VectorLoops g_vector = dispatchVectorLoops();
 
 // ------------------------------------------------- the scalar loop
 
@@ -247,11 +360,8 @@ struct ScalarMac
  * ScalarMac on each of that column's active frames, and a column
  * whose frames are all zero is never visited. Each accumulator sees
  * the columns ascending with at most one entry per column, the
- * oracle's saturating-MAC order. A single frame indexes one
- * accumulator per row, with no frame index: 1.18-1.34x faster than
- * the per-frame loop at batch 1 on NT-We and NT-LSTM (4-vCPU Xeon).
- * @p mac comes by value: a copy the accumulator stores cannot alias
- * stays in registers.
+ * oracle's saturating-MAC order. @p mac comes by value: a copy the
+ * accumulator stores cannot alias stays in registers.
  */
 void
 runStreamActSparse(const SliceStream &stream, const std::int64_t *lut,
@@ -268,15 +378,6 @@ runStreamActSparse(const SliceStream &stream, const std::int64_t *lut,
         const std::uint32_t t_begin = panel.begin[k];
         const std::uint32_t t_end = panel.begin[k + 1];
         const std::uint32_t e_end = col_ptr[j + 1];
-        if (batch == 1) {
-            const std::int64_t a = values[t_begin];
-            for (std::uint32_t e = col_ptr[j]; e < e_end; ++e) {
-                const std::uint32_t entry = entries[e];
-                std::int64_t &slot = acc[entryRow(entry)];
-                slot = mac(slot, lut[entryIndex(entry)], a);
-            }
-            continue;
-        }
         const std::uint32_t *f = frames + t_begin;
         const std::int64_t *v = values + t_begin;
         const std::uint32_t n_active = t_end - t_begin;
@@ -393,28 +494,38 @@ executeSparse(const CompiledLayer &layer, const Batch &inputs,
         });
 }
 
-/** The vector variant: int32 accumulators and the dense panel at the
- *  lane stride, one dispatched sweep call per row block. */
+/** The vector variant: int32 accumulators, one dispatched call per row
+ *  block. One frame runs the row lanes over the column panel at
+ *  stride 1; two or more run the frame-lane sweep over the dense panel
+ *  at the lane stride. */
 void
 executeVector(const CompiledLayer &layer, const Batch &inputs,
               WorkerPool *pool, Batch &outputs)
 {
     // vectorEligible() guarantees every table value fits an int32 lane.
-    std::vector<std::int32_t> lut;
-    lut.reserve(layer.lut.size());
-    for (const std::int64_t w : layer.lut)
-        lut.push_back(static_cast<std::int32_t>(w));
+    std::vector<std::int32_t> lut(
+        std::max(layer.lut.size(), kRowLaneTableEntries), 0);
+    std::copy(layer.lut.begin(), layer.lut.end(), lut.begin());
     const LaneMac mac{
         lut.data(), alignShift(layer),
         static_cast<std::int32_t>(layer.act_format.minRaw()),
         static_cast<std::int32_t>(layer.act_format.maxRaw())};
 
+    if (inputs.size() == 1) {
+        ActivationPanel panel;
+        executeTiles<std::int32_t>(
+            layer, inputs, pool, outputs, panel, 1,
+            [&](const SliceStream &block, std::int32_t *acc) {
+                g_vector.rows(block, panel, mac, acc);
+            });
+        return;
+    }
     DensePanel panel;
     panel.stride = laneStride(inputs.size());
     executeTiles<std::int32_t>(
         layer, inputs, pool, outputs, panel, panel.stride,
         [&](const SliceStream &block, std::int32_t *acc) {
-            g_vector_sweep(block, panel, mac, acc);
+            g_vector.frames(block, panel, mac, acc);
         });
 }
 
@@ -461,7 +572,7 @@ zeroOutputs(const CompiledLayer &layer, const Batch &inputs)
 const char *
 simdIsaName()
 {
-    return g_vector_sweep ? "avx2" : "none";
+    return g_vector.frames ? "avx2" : "none";
 }
 
 double
@@ -508,10 +619,10 @@ runBatch(const CompiledLayer &layer, const Batch &inputs,
     // The probe feeds DispatchInfo (stats surfaces), not the choice.
     const double act_density = probeActivationDensity(inputs);
     KernelVariant resolved = resolveKernelVariant(variant, layer, batch);
-    // The lanes need a SIMD sweep and in-format activations; without
-    // either, the call runs on the actsparse loop.
+    // The lanes need AVX2 and in-format activations; without either,
+    // the call runs on the actsparse loop.
     if (resolved == KernelVariant::Vector &&
-        (!g_vector_sweep || !withinActFormat(inputs, layer.act_format)))
+        (!g_vector.frames || !withinActFormat(inputs, layer.act_format)))
         resolved = KernelVariant::ActSparse;
     if (resolved == KernelVariant::Vector)
         executeVector(layer, inputs, pool, outputs);

@@ -4,17 +4,20 @@
  *
  * One sweep over the compressed columns is amortized across the whole
  * batch. The inner loop is selected by KernelVariant (see
- * variant.hh): the SIMD vector sweep (each entry's saturating MAC runs
- * on every frame at once, over int32 accumulator rows padded to whole
- * 8-lane blocks) or the int64 actsparse walk (each column lists its
- * nonzero frames — the paper's NZ-detect stage — and the inner loop
- * touches only columns with a nonzero frame). Both loops preserve the
- * exact per-accumulator update sequence of the scalar interpreter
- * (passes, then columns, then at most one entry per accumulator per
- * column; a zero activation contributes a zero product and
- * sat(acc + 0) == acc), so outputs are bit-exact with
- * FunctionalModel::run — saturation order included — regardless of
- * the variant.
+ * variant.hh): the vector variant's SIMD loops over int32
+ * accumulators — for two or more frames the frame-lane sweep (each
+ * entry's saturating MAC runs on every frame at once, over rows padded
+ * to whole 8-lane blocks), for one frame the row lanes (8 entries of a
+ * nonzero column at once, each lane on its own row, as the PEs take a
+ * broadcast column) — or the int64 actsparse walk (each column lists
+ * its nonzero frames — the paper's NZ-detect stage — and the inner
+ * loop touches only columns with a nonzero frame; the row lanes walk
+ * the same list). Every loop preserves the exact per-accumulator
+ * update sequence of the scalar interpreter (passes, then columns,
+ * then at most one entry per accumulator per column; a zero activation
+ * contributes a zero product and sat(acc + 0) == acc), so outputs are
+ * bit-exact with FunctionalModel::run — saturation order included —
+ * regardless of the variant.
  *
  * Parallel execution splits the work across a tile's contiguous row
  * blocks (see compiled_layer.hh): a worker pool hands one block to
@@ -31,7 +34,7 @@
  * containing any out-of-format activation (e.g. unvalidated remote
  * input) executes on the actsparse loop instead, preserving the
  * defined wide-integer semantics without a crash path. So does every
- * vector call on a CPU without AVX2, which has no vector sweep
+ * vector call on a CPU without AVX2, which has no vector loops
  * (simdIsaName() reads "none").
  */
 

@@ -79,26 +79,22 @@ KernelVariant
 resolveKernelVariant(KernelVariant requested, const CompiledLayer &layer,
                      std::size_t batch)
 {
-    switch (requested) {
-      case KernelVariant::ActSparse:
+    if (requested == KernelVariant::ActSparse)
         return KernelVariant::ActSparse;
-      case KernelVariant::Vector:
-        fatal_if(!vectorEligible(layer),
-                 "kernel variant 'vector' is not bit-exact for layer "
-                 "'%s' (weights Q%u.%u, accumulator Q%u.%u overflow "
-                 "32-bit lanes); use 'auto' or 'actsparse'",
-                 layer.name.c_str(), layer.weight_format.totalBits,
-                 layer.weight_format.fracBits,
-                 layer.act_format.totalBits, layer.act_format.fracBits);
-        return KernelVariant::Vector;
-      case KernelVariant::Auto:
-        break;
-    }
-    // From two frames on, each entry's SIMD MAC serves every frame at
-    // once. The int64 column walk takes the rest: a single frame, where
-    // it skips zero activations at no cost, and formats the lanes
-    // cannot run.
-    if (batch >= 2 && vectorEligible(layer))
+    fatal_if(requested == KernelVariant::Vector && !vectorEligible(layer),
+             "kernel variant 'vector' is not bit-exact for layer "
+             "'%s' (weights Q%u.%u, accumulator Q%u.%u overflow "
+             "32-bit lanes); use 'auto' or 'actsparse'",
+             layer.name.c_str(), layer.weight_format.totalBits,
+             layer.weight_format.fracBits, layer.act_format.totalBits,
+             layer.act_format.fracBits);
+    // Two or more frames share each entry's MAC across the frame lanes;
+    // one frame spreads a column's entries across the row lanes, whose
+    // two registers hold the table. The int64 column walk takes the
+    // rest: formats the lanes cannot run, and one frame on a larger
+    // table.
+    if (vectorEligible(layer) &&
+        (batch >= 2 || layer.lut.size() <= kRowLaneTableEntries))
         return KernelVariant::Vector;
     return KernelVariant::ActSparse;
 }

@@ -10,8 +10,10 @@
  * and across an activation-density sweep, and ragged / all-zero
  * activation batches (the panel skip paths and the vector sweep's
  * pad lanes) must flow through every variant — including the threads>1
- * WorkerPool route — without divergence. The vector sweep must match
- * the oracle at every lane-stride shape.
+ * WorkerPool route — without divergence. The vector variant's
+ * frame-lane sweep must match the oracle at every lane-stride shape,
+ * and its single-frame row lanes at every column tail, table size and
+ * row-block cut.
  *
  * The column-partitioned serving caveat that motivates the
  * saturation suite (splitting a saturating layer across shards
@@ -122,23 +124,37 @@ TEST(KernelVariants, ResolutionFollowsTheDocumentedRules)
     ASSERT_TRUE(core::kernel::vectorEligible(compiled));
 
     using core::kernel::resolveKernelVariant;
-    // Auto: a single frame takes the column walk; every batch of two
-    // or more frames fills the lanes.
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 64),
-              KernelVariant::Vector);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 1),
-              KernelVariant::ActSparse);
-    EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled, 2),
-              KernelVariant::Vector);
+    // Auto: every batch of an eligible layer runs on the lanes — a
+    // single frame on the row lanes, two or more on the frame lanes.
+    for (const std::size_t batch : {1u, 2u, 64u})
+        EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
+                                       batch),
+                  KernelVariant::Vector)
+            << batch;
     // Explicit requests stick where legal.
     EXPECT_EQ(resolveKernelVariant(KernelVariant::Vector, compiled, 1),
               KernelVariant::Vector);
 
     // An explicit actsparse request never demotes: it needs no SIMD
     // eligibility.
-    EXPECT_EQ(
-        resolveKernelVariant(KernelVariant::ActSparse, compiled, 64),
-        KernelVariant::ActSparse);
+    for (const std::size_t batch : {1u, 64u})
+        EXPECT_EQ(
+            resolveKernelVariant(KernelVariant::ActSparse, compiled, batch),
+            KernelVariant::ActSparse);
+
+    // A table of more than kRowLaneTableEntries entries does not fit
+    // the row lanes' two registers: a single frame takes the column
+    // walk, auto or explicit, and two or more frames keep the frame
+    // lanes, which look each weight up in memory.
+    auto wide = compiled;
+    wide.lut.resize(core::kernel::kRowLaneTableEntries + 1, 0);
+    for (const KernelVariant kernel :
+         {KernelVariant::Auto, KernelVariant::Vector}) {
+        EXPECT_EQ(resolveKernelVariant(kernel, wide, 1),
+                  KernelVariant::ActSparse);
+        EXPECT_EQ(resolveKernelVariant(kernel, wide, 2),
+                  KernelVariant::Vector);
+    }
 }
 
 TEST(KernelVariants, AutoResolutionDoesNotDependOnDensity)
@@ -166,13 +182,11 @@ TEST(KernelVariants, AutoResolutionDoesNotDependOnDensity)
     using core::kernel::resolveKernelVariant;
     const std::size_t batches[] = {1, 2, 7, 8, 64};
     for (const std::size_t batch : batches) {
-        // A single frame takes the column walk, every larger batch the
-        // lanes, and the ineligible layer the column walk at every
-        // batch.
+        // The eligible layer runs on the lanes at every batch, and the
+        // ineligible layer on the column walk.
         EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, compiled,
                                        batch),
-                  batch == 1 ? KernelVariant::ActSparse
-                             : KernelVariant::Vector)
+                  KernelVariant::Vector)
             << batch;
         EXPECT_EQ(resolveKernelVariant(KernelVariant::Auto, wide, batch),
                   KernelVariant::ActSparse)
@@ -228,6 +242,38 @@ compileBlocks(const core::LayerPlan &plan, const core::EieConfig &config,
     core::kernel::CompileOptions options;
     options.row_blocks = row_blocks;
     return core::kernel::CompiledLayer::compile(plan, config, options);
+}
+
+/** Column lengths columnTailLayer() holds in every row block: every
+ *  residue mod 8 of the row lanes, twice. */
+constexpr std::size_t kTailLengths = 18;
+
+/**
+ * A 256 x 72 layer, one row batch on 4 PEs, whose every row block
+ * under a 1- to 4-block cut holds columns of every length 0-17:
+ * column kTailLengths * g + n holds n entries on consecutive rows from
+ * start g, and each start's 17 rows lie inside one block of every cut
+ * (bounds 0/128, 0/80/160 and 0/64/128/192). Weights are random in
+ * +-[0.25, 1], trained into a table of @p table_size entries.
+ */
+compress::CompressedLayer
+columnTailLayer(std::size_t table_size)
+{
+    const std::size_t starts[] = {0, 80, 128, 239};
+    nn::SparseMatrix weights(256, 4 * kTailLengths);
+    Rng rng(4000 + table_size);
+    for (std::size_t g = 0; g < 4; ++g)
+        for (std::size_t n = 0; n < kTailLengths; ++n)
+            for (std::size_t r = 0; r < n; ++r) {
+                const double w = rng.uniformReal(0.25, 1.0);
+                weights.insert(starts[g] + r, kTailLengths * g + n,
+                               static_cast<float>(
+                                   rng.uniformInt(0, 1) ? w : -w));
+            }
+    compress::CompressionOptions opts;
+    opts.interleave.n_pe = 4;
+    opts.codebook.table_size = table_size;
+    return compress::CompressedLayer::compress("tails", weights, opts);
 }
 
 TEST(KernelVariants, StreamEntriesStayInsideTheirTileAndTable)
@@ -384,17 +430,22 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
 {
     core::EieConfig config;
     config.n_pe = 4;
-    const auto layer = saturatingLayer(8, 16, 4, 100.0f);
+    // 12 rows: each column is one whole group of row lanes and a
+    // 4-entry tail group.
+    const auto layer = saturatingLayer(12, 16, 4, 100.0f);
     // None (not ReLU) so the -saturated outputs stay observable.
     const auto plan =
         core::planLayer(layer, nn::Nonlinearity::None, config);
     const core::FunctionalModel model(config);
 
+    nn::Vector half_ones(16, 0.0f);
+    std::fill(half_ones.begin(), half_ones.begin() + 8, 1.0f);
     core::kernel::Batch frames;
     frames.push_back(model.quantizeInput(nn::Vector(16, 1.0f)));
     frames.push_back(model.quantizeInput(nn::Vector(16, 0.5f)));
     frames.push_back(model.quantizeInput(
         test::randomActivations(16, 1.0, 31)));
+    frames.push_back(model.quantizeInput(half_ones));
 
     core::kernel::Batch reference;
     for (const auto &frame : frames)
@@ -402,27 +453,39 @@ TEST(KernelVariants, SaturationBoundaryBitExactAcrossVariants)
 
     // The ones-frame proves the partials saturated: its unsaturated
     // sum is exactly zero per row, but the saturating MAC walk pins
-    // every accumulator to the negative rail.
+    // every accumulator to the negative rail. The frame live only on
+    // the positive columns ends every accumulator on the positive rail.
     for (const std::int64_t out : reference[0]) {
         ASSERT_NE(out, 0);
         ASSERT_EQ(out, config.act_format.minRaw());
     }
+    for (const std::int64_t out : reference[3])
+        ASSERT_EQ(out, config.act_format.maxRaw());
 
-    // The three frames repeated to 3, 9 and 24: the vector sweep's pad
-    // lanes in one 8-lane block, in the second of two and across three
-    // whole blocks all run beside lanes pinned to the rails.
+    // Each frame alone, on the row lanes; then the frames repeated to
+    // 3, 9 and 24: the frame-lane sweep's pad lanes in one 8-lane
+    // block, in the second of two and across three whole blocks all
+    // run beside lanes pinned to the rails.
+    std::vector<std::vector<std::size_t>> batches;
+    for (std::size_t f = 0; f < frames.size(); ++f)
+        batches.push_back({f});
     for (const std::size_t batch : {3u, 9u, 24u}) {
-        core::kernel::Batch repeated;
+        batches.emplace_back();
         for (std::size_t b = 0; b < batch; ++b)
-            repeated.push_back(frames[b % frames.size()]);
+            batches.back().push_back(b % frames.size());
+    }
+    for (const auto &picks : batches) {
+        core::kernel::Batch batch;
+        for (const std::size_t f : picks)
+            batch.push_back(frames[f]);
         for (unsigned threads : {1u, 4u}) {
             for (const KernelVariant kernel : kAllVariants) {
                 const auto outputs =
-                    model.runBatch(plan, repeated, threads, kernel);
-                for (std::size_t b = 0; b < batch; ++b)
-                    EXPECT_EQ(outputs[b], reference[b % frames.size()])
+                    model.runBatch(plan, batch, threads, kernel);
+                for (std::size_t b = 0; b < picks.size(); ++b)
+                    EXPECT_EQ(outputs[b], reference[picks[b]])
                         << core::kernel::kernelVariantName(kernel) << ", "
-                        << threads << " threads, batch " << batch
+                        << threads << " threads, batch " << picks.size()
                         << ", frame " << b;
             }
         }
@@ -475,6 +538,138 @@ TEST(KernelVariants, VectorSweepBitExactAtEveryLaneStride)
                 for (std::size_t b = 0; b < batch; ++b)
                     EXPECT_EQ(outputs[b], reference[b])
                         << plan->name << ", batch " << batch << ", "
+                        << (p ? "pooled" : "serial") << ", frame " << b;
+            }
+        }
+    }
+}
+
+TEST(KernelVariants, RowLanesBitExactAtEveryColumnTail)
+{
+    // One frame under auto runs the row lanes: 8 entries of a column
+    // per group and a masked group for the column's tail, the index
+    // expanded through two table halves. Columns of every length 0-17
+    // in every row block of 1 to 4 blocks, serial and pooled, over
+    // tables of 2 to 16 entries (one half, and both).
+    core::EieConfig config;
+    config.n_pe = 4;
+    const core::FunctionalModel model(config);
+    core::kernel::WorkerPool pool(3);
+    const KernelVariant lanes =
+        haveVectorSweep() ? KernelVariant::Vector : KernelVariant::ActSparse;
+    const std::size_t cols = 4 * kTailLengths;
+
+    for (std::size_t table = 2; table <= 16; ++table) {
+        const auto layer = columnTailLayer(table);
+        ASSERT_EQ(layer.codebook().size(), table);
+        // None keeps negative sums observable.
+        const auto plan =
+            core::planLayer(layer, nn::Nonlinearity::None, config);
+        ASSERT_EQ(plan.batches(), 1u);
+        ASSERT_EQ(plan.passes(), 1u);
+
+        // Dense, the paper's 35%, one-hot on a 17-entry column (two
+        // groups, one a 1-entry tail) and on a 13-entry one (a 5-entry
+        // tail), and all-zero.
+        std::vector<std::int64_t> one_hot_17(cols, 0);
+        one_hot_17[kTailLengths - 1] = 256;
+        std::vector<std::int64_t> one_hot_13(cols, 0);
+        one_hot_13[3 * kTailLengths + 13] = 192;
+        const core::kernel::Batch frames{
+            model.quantizeInput(
+                test::randomActivations(cols, 1.0, 500 + table)),
+            model.quantizeInput(
+                test::randomActivations(cols, 0.35, 600 + table)),
+            one_hot_17, one_hot_13, std::vector<std::int64_t>(cols, 0)};
+
+        for (unsigned blocks = 1; blocks <= 4; ++blocks) {
+            const auto compiled = compileBlocks(plan, config, blocks);
+            // Every block holds every column length.
+            for (const auto &block : compiled.tiles[0][0].blocks) {
+                std::vector<bool> seen(kTailLengths, false);
+                for (std::size_t j = 0; j < cols; ++j) {
+                    const std::size_t n =
+                        block.col_ptr[j + 1] - block.col_ptr[j];
+                    if (n < kTailLengths)
+                        seen[n] = true;
+                }
+                ASSERT_EQ(std::count(seen.begin(), seen.end(), true),
+                          static_cast<long>(kTailLengths))
+                    << blocks << " blocks";
+            }
+            for (const auto &frame : frames) {
+                const auto reference = model.run(plan, frame).output_raw;
+                for (core::kernel::WorkerPool *p :
+                     {static_cast<core::kernel::WorkerPool *>(nullptr),
+                      &pool}) {
+                    core::kernel::DispatchInfo info;
+                    const auto outputs = core::kernel::runBatch(
+                        compiled, {frame}, p, KernelVariant::Auto, &info);
+                    EXPECT_EQ(info.variant, lanes);
+                    ASSERT_EQ(outputs.size(), 1u);
+                    EXPECT_EQ(outputs[0], reference)
+                        << table << "-entry table, " << blocks
+                        << " blocks, " << (p ? "pooled" : "serial")
+                        << ", frame " << &frame - frames.data();
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelVariants, WideTableRunsOneFrameOnActSparse)
+{
+    // Index 16 gets a copy of an in-use entry's weight, and that
+    // entry's stream entries move onto it: the same products through a
+    // 17-entry table, one more than the row lanes' two registers hold.
+    // A single frame must take the column walk and stay bit-exact; two
+    // frames keep the frame lanes.
+    core::EieConfig config;
+    config.n_pe = 4;
+    const core::FunctionalModel model(config);
+    core::kernel::WorkerPool pool(3);
+    const auto plan = core::planLayer(columnTailLayer(16),
+                                      nn::Nonlinearity::None, config);
+    auto wide = compileBlocks(plan, config, 2);
+    const std::uint32_t moved = 5;
+    ASSERT_NE(wide.lut[moved], 0);
+    wide.lut.push_back(wide.lut[moved]);
+    ASSERT_EQ(wide.lut.size(), core::kernel::kRowLaneTableEntries + 1);
+    std::size_t moved_entries = 0;
+    for (auto &block : wide.tiles[0][0].blocks)
+        for (std::uint32_t &e : block.entries)
+            if (core::kernel::entryIndex(e) == moved) {
+                e = core::kernel::packEntry(core::kernel::entryRow(e), 16);
+                ++moved_entries;
+            }
+    ASSERT_GT(moved_entries, 0u);
+
+    const std::size_t cols = 4 * kTailLengths;
+    const core::kernel::Batch frames{
+        model.quantizeInput(test::randomActivations(cols, 1.0, 701)),
+        model.quantizeInput(test::randomActivations(cols, 0.35, 702))};
+    core::kernel::Batch reference;
+    for (const auto &frame : frames)
+        reference.push_back(model.run(plan, frame).output_raw);
+
+    for (const std::size_t batch : {1u, 2u}) {
+        const core::kernel::Batch inputs(frames.begin(),
+                                         frames.begin() + batch);
+        for (const KernelVariant kernel :
+             {KernelVariant::Auto, KernelVariant::Vector}) {
+            for (core::kernel::WorkerPool *p :
+                 {static_cast<core::kernel::WorkerPool *>(nullptr),
+                  &pool}) {
+                core::kernel::DispatchInfo info;
+                const auto outputs =
+                    core::kernel::runBatch(wide, inputs, p, kernel, &info);
+                EXPECT_EQ(info.variant, executedVariant(kernel, wide, batch));
+                EXPECT_EQ(info.variant == KernelVariant::ActSparse,
+                          batch == 1 || !haveVectorSweep());
+                for (std::size_t b = 0; b < batch; ++b)
+                    EXPECT_EQ(outputs[b], reference[b])
+                        << core::kernel::kernelVariantName(kernel)
+                        << ", batch " << batch << ", "
                         << (p ? "pooled" : "serial") << ", frame " << b;
             }
         }
@@ -815,34 +1010,37 @@ TEST(KernelVariants, DispatchInfoReportsDensityAndVariant)
         core::kernel::CompiledLayer::compile(plan, config);
     const core::FunctionalModel model(config);
 
+    // Auto sends every batch to the SIMD lanes, or to the actsparse
+    // walk on a CPU without AVX2, whatever the density.
+    const KernelVariant lanes =
+        haveVectorSweep() ? KernelVariant::Vector : KernelVariant::ActSparse;
+
     // A quarter-dense single frame: the probe must measure low
-    // density and Auto must dispatch the actsparse walk.
+    // density, and the frame runs on the row lanes.
     core::kernel::Batch sparse_frames;
     sparse_frames.push_back(model.quantizeInput(
         test::randomActivations(48, 0.25, 1001)));
     core::kernel::DispatchInfo info;
     core::kernel::runBatch(compiled, sparse_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant, KernelVariant::ActSparse);
+    EXPECT_EQ(info.variant, lanes);
     ASSERT_GE(info.act_density, 0.0);
     EXPECT_LE(info.act_density, 0.5);
 
-    // A fully dense single frame probes high and still takes the
-    // actsparse walk; two dense frames take the SIMD lanes, or the
-    // actsparse walk on a CPU without a vector sweep.
+    // A fully dense single frame probes high and runs on the row
+    // lanes; two dense frames run on the frame lanes.
     core::kernel::Batch dense_frames;
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1002)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant, KernelVariant::ActSparse);
+    EXPECT_EQ(info.variant, lanes);
     EXPECT_GT(info.act_density, 0.5);
     dense_frames.push_back(
         model.quantizeInput(test::randomActivations(48, 1.0, 1003)));
     core::kernel::runBatch(compiled, dense_frames, nullptr,
                            KernelVariant::Auto, &info);
-    EXPECT_EQ(info.variant, haveVectorSweep() ? KernelVariant::Vector
-                                              : KernelVariant::ActSparse);
+    EXPECT_EQ(info.variant, lanes);
     EXPECT_GT(info.act_density, 0.5);
 
     // An empty batch reports an unknown density.

@@ -18,8 +18,9 @@
 # full run already covered it. A Release variant-matrix smoke then
 # drives eie_sim through every kernel variant (--kernel
 # vector|actsparse|auto at batch 1, 5, 12, 16 and 24 on 1
-# and 4 threads over NT-We, and at batch 1 and 64 on 3 threads over
-# NT-Wd)
+# and 4 threads over NT-We, at batch 1 on 1 and 4 threads over Alex-7,
+# whose 35%-dense activations run the zero-column skip, and at batch 1
+# and 64 on 3 threads over NT-Wd)
 # in both the batched-throughput and the serving path, each checked
 # bit-exact against the scalar oracle by the tool itself.
 #
@@ -42,10 +43,13 @@
 # bytes, and the client's pending requests live in one table of
 # promise variants), HTTP-parser fuzz, the JSON number parser that
 # reads untrusted gateway bodies, fault injection, retry, model-file
-# corruption, tenant-config parsing — under Address+UndefinedBehavior
-# sanitizers (-DEIE_ASAN=ON) so a decoder overread or UB on a garbage
-# frame, corrupt model file or malformed HTTP request fails loudly
-# instead of decoding garbage quietly.
+# corruption, tenant-config parsing, and the kernel equivalence suites
+# (the vector variant's row lanes store each result through the
+# entry's row field, so a wrong shift or tail writes out of bounds) —
+# under Address+UndefinedBehavior sanitizers (-DEIE_ASAN=ON) so a
+# decoder overread or UB on a garbage frame, corrupt model file or
+# malformed HTTP request fails loudly instead of decoding garbage
+# quietly.
 #
 # Finally two daemon-signal smokes: `eie_serve` against a scratch
 # registry must exit 0 on SIGINT, and `eie_gateway` fronting that
@@ -92,13 +96,15 @@ done
 
 echo "=== kernel variant matrix (Release eie_sim smoke) ==="
 # One thread walks each tile's stream as one row block, four threads
-# as four. The vector sweep pads accumulator rows to whole 8-lane
-# blocks: batch 1 is the single-frame path (auto: actsparse) and one
-# block with 7 pad lanes, batch 5 one block with 3 pad lanes (the
-# ntwe-burst shape, on the AVX2 sweep's one-register loop), batch 12
-# two blocks with 4 pad lanes, batch 16 two exact blocks and batch 24
-# three. NT-Wd on 3 threads cuts three uneven blocks over
-# 4096 rows plus the ragged 599-row last row batch, at batch 1 and 64.
+# as four. Batch 1 is the single-frame path: the vector variant's row
+# lanes (auto: vector), 8 entries of a column per group. The
+# frame-lane sweep pads accumulator rows to whole 8-lane blocks: batch
+# 5 one block with 3 pad lanes (the ntwe-burst shape, on the AVX2
+# sweep's one-register loop), batch 12 two blocks with 4 pad lanes,
+# batch 16 two exact blocks and batch 24 three. NT-We's activations are
+# dense; Alex-7's are 35% dense, so its batch-1 runs skip zero columns.
+# NT-Wd on 3 threads cuts three uneven blocks over 4096 rows plus the
+# ragged 599-row last row batch, at batch 1 and 64.
 for kernel in vector actsparse auto; do
     for batch in 1 5 12 16 24; do
         for threads in 1 4; do
@@ -106,6 +112,10 @@ for kernel in vector actsparse auto; do
                 --threads "${threads}" --benchmark NT-We \
                 --kernel "${kernel}"
         done
+    done
+    for threads in 1 4; do
+        ./build-check-release/eie_sim --throughput 1 \
+            --threads "${threads}" --benchmark Alex-7 --kernel "${kernel}"
     done
     for batch in 1 64; do
         ./build-check-release/eie_sim --throughput "${batch}" \
@@ -136,11 +146,11 @@ ctest --test-dir "${tsan_dir}" --output-on-failure \
     -R "$(echo "${tsan_tests}" | tr ' ' '|')"
 
 echo "=== Address+UB sanitizers (wire fuzz + tcp + faults + model \
-file) ==="
+file + kernels) ==="
 asan_dir="build-check-asan"
 asan_tests="test_wire test_tcp test_session test_model_file \
 test_registry test_faults test_retry test_client test_http \
-test_tenants test_json"
+test_tenants test_json test_kernel test_kernel_variants"
 cmake -B "${asan_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEIE_ASAN=ON "$@"
 cmake --build "${asan_dir}" -j "${jobs}" \

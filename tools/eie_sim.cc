@@ -127,7 +127,10 @@ makeRequestInputs(const workloads::Benchmark &bench,
 }
 
 /** The --throughput mode: scalar oracle vs. compiled batched engine,
- *  both driven through the unified ExecutionBackend API. */
+ *  both driven through the unified ExecutionBackend API. The Kernel
+ *  column is the loop runBatch executed (RunReport::dispatch), which
+ *  differs from the requested variant where auto resolves or a vector
+ *  call runs on actsparse. */
 int
 runThroughput(workloads::SuiteRunner &runner,
               const std::vector<std::string> &names,
@@ -136,8 +139,9 @@ runThroughput(workloads::SuiteRunner &runner,
               unsigned repeats,
               std::uint64_t seed, double act_density)
 {
-    TextTable table({"Benchmark", "Batch", "Threads", "Scalar f/s",
-                     "Batched f/s", "Speedup", "GOP/s", "Exact"});
+    TextTable table({"Benchmark", "Batch", "Threads", "Kernel",
+                     "Scalar f/s", "Batched f/s", "Speedup", "GOP/s",
+                     "Exact"});
 
     for (const std::string &name : names) {
         const auto &bench = workloads::findBenchmark(name);
@@ -175,15 +179,16 @@ runThroughput(workloads::SuiteRunner &runner,
         // Compiled backend: pre-decoded kernels + worker pool.
         const engine::ExecutionBackend &compiled =
             net.backend("compiled", threads, kernel);
-        core::kernel::Batch outputs;
+        engine::RunReport report;
         double batched_s = 0.0;
         for (unsigned rep = 0; rep < repeats; ++rep) {
             const auto start = std::chrono::steady_clock::now();
-            outputs = compiled.runBatch(inputs).outputs;
+            report = compiled.runBatch(inputs);
             const double elapsed = secondsSince(start);
             batched_s = rep == 0 ? elapsed
                                  : std::min(batched_s, elapsed);
         }
+        const core::kernel::Batch &outputs = report.outputs;
 
         bool exact = outputs.size() == reference.size();
         for (std::size_t b = 0; exact && b < outputs.size(); ++b)
@@ -194,6 +199,7 @@ runThroughput(workloads::SuiteRunner &runner,
             .add(name)
             .add(static_cast<std::uint64_t>(batch))
             .add(static_cast<std::uint64_t>(threads))
+            .add(report.dispatch.at(0).kernel)
             .add(fbatch / scalar_s, 1)
             .add(fbatch / batched_s, 1)
             .add(scalar_s / batched_s, 2)
@@ -206,7 +212,8 @@ runThroughput(workloads::SuiteRunner &runner,
 
     std::cout << "Host engine: batch " << batch << ", " << threads
               << " thread(s), kernel '"
-              << core::kernel::kernelVariantName(kernel) << "'\n";
+              << core::kernel::kernelVariantName(kernel)
+              << "' requested\n";
     table.print(std::cout);
     return 0;
 }
