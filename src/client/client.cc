@@ -962,15 +962,17 @@ class HttpChannel
         idle_;
 };
 
-/** Parse a gateway response body; a non-2xx maps onto the Status
- *  taxonomy (error-body code name first, HTTP status class as the
- *  fallback). On Ok @p out is the parsed body. */
+/** Parse a gateway response body, its arrays of numbers stored as
+ *  @p arrays says; a non-2xx maps onto the Status taxonomy
+ *  (error-body code name first, HTTP status class as the fallback).
+ *  On Ok @p out is the parsed body. */
 Status
 gatewayStatus(int http_status, const std::string &body,
-              obs::JsonValue &out)
+              obs::JsonValue &out,
+              obs::JsonNumberArrays arrays = obs::JsonNumberArrays::Tree)
 {
     try {
-        out = obs::parseJson(body);
+        out = obs::parseJson(body, arrays);
     } catch (const std::exception &) {
         out = obs::JsonValue{};
         if (http_status / 100 == 2)
@@ -1017,11 +1019,10 @@ class HttpSession final : public SessionImpl
                                   "session is closed"),
                     {}};
         obs::JsonWriter request;
-        request.beginObject().field("session", id_);
-        request.key("x").beginArray();
-        for (const float value : x)
-            request.value(static_cast<double>(value));
-        request.endArray()
+        request.beginObject()
+            .field("session", id_)
+            .key("x")
+            .floatArray(x)
             .field("priority", priority)
             .field("deadline_us",
                    static_cast<std::int64_t>(deadline.count()))
@@ -1034,21 +1035,18 @@ class HttpSession final : public SessionImpl
         if (!status.ok())
             return {std::move(status), {}};
         obs::JsonValue parsed;
-        status = gatewayStatus(http_status, body, parsed);
+        status = gatewayStatus(http_status, body, parsed,
+                               obs::JsonNumberArrays::Float);
         if (!status.ok())
             return {std::move(status), {}};
         const obs::JsonValue *h = parsed.find("h");
-        if (h == nullptr || !h->isArray())
+        if (h == nullptr || h->kind != obs::JsonValue::Kind::FloatArray)
             return {Status::error(StatusCode::ProtocolError,
                                   "gateway step response without "
                                   "\"h\""),
                     {}};
-        nn::Vector hidden;
-        hidden.reserve(h->array.size());
-        for (const obs::JsonValue &value : h->array)
-            hidden.push_back(static_cast<float>(value.number));
         ++steps_;
-        return {Status::success(), std::move(hidden),
+        return {Status::success(), h->floats,
                 static_cast<std::uint64_t>(
                     parsed.numberOr("trace_id", 0.0))};
     }
@@ -1148,10 +1146,7 @@ class HttpTransport final : public Transport
         request.beginObject()
             .field("model", model)
             .field("version", std::uint64_t{version});
-        request.key("frames").beginArray().beginArray();
-        for (const std::int64_t value : frame)
-            request.value(value);
-        request.endArray().endArray();
+        request.key("frames").beginArray().int64Array(frame).endArray();
         request
             .field("priority", priority)
             .field("deadline_us",
@@ -1169,7 +1164,8 @@ class HttpTransport final : public Transport
                 if (!status.ok())
                     return {std::move(status), {}};
                 obs::JsonValue parsed;
-                status = gatewayStatus(http_status, response, parsed);
+                status = gatewayStatus(http_status, response, parsed,
+                                       obs::JsonNumberArrays::Int64);
                 const obs::JsonValue *frames = parsed.find("frames");
                 if (frames == nullptr || !frames->isArray() ||
                     frames->array.empty()) {
@@ -1197,18 +1193,13 @@ class HttpTransport final : public Transport
                                 code, first.stringOr("message", "")),
                             {}};
                 const obs::JsonValue *output = first.find("output");
-                if (output == nullptr || !output->isArray())
+                if (output == nullptr ||
+                    output->kind != obs::JsonValue::Kind::Int64Array)
                     return {Status::error(
                                 StatusCode::ProtocolError,
                                 "gateway frame without an output"),
                             {}};
-                FrameResult result;
-                result.status = Status::success();
-                result.output.reserve(output->array.size());
-                for (const obs::JsonValue &value : output->array)
-                    result.output.push_back(
-                        static_cast<std::int64_t>(value.number));
-                return result;
+                return {Status::success(), output->int64s};
             }));
     }
 

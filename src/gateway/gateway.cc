@@ -52,14 +52,15 @@ errorResponse(StatusCode code, const std::string &message,
     return response;
 }
 
-/** Parse the request body as a JSON object; false → @p bad is the
- *  400 to return. */
+/** Parse the request body as a JSON object, its arrays of numbers
+ *  stored as @p arrays says; false → @p bad is the 400 to return. */
 bool
 parseBodyObject(const HttpRequest &request, obs::JsonValue &out,
-                HttpResponse &bad)
+                HttpResponse &bad,
+                obs::JsonNumberArrays arrays = obs::JsonNumberArrays::Tree)
 {
     try {
-        out = obs::parseJson(request.body);
+        out = obs::parseJson(request.body, arrays);
     } catch (const std::exception &exception) {
         bad = errorResponse(StatusCode::InvalidArgument,
                             std::string("malformed JSON body: ") +
@@ -337,9 +338,12 @@ HttpResponse
 HttpGateway::handleInfer(const HttpRequest &request,
                          const TenantConfig &tier)
 {
+    // Raw frames are exact integers: a value above 2^53 keeps its low
+    // bits, and a non-integer or out-of-range one is a 400.
     obs::JsonValue body;
     HttpResponse bad;
-    if (!parseBodyObject(request, body, bad))
+    if (!parseBodyObject(request, body, bad,
+                         obs::JsonNumberArrays::Int64))
         return bad;
 
     client::InferenceRequest infer;
@@ -356,20 +360,10 @@ HttpGateway::handleInfer(const HttpRequest &request,
             StatusCode::InvalidArgument,
             "missing \"frames\" (non-empty array of arrays)");
     for (const obs::JsonValue &frame : frames->array) {
-        if (!frame.isArray())
+        if (frame.kind != obs::JsonValue::Kind::Int64Array)
             return errorResponse(StatusCode::InvalidArgument,
                                  "frames must be arrays of numbers");
-        std::vector<std::int64_t> fixed;
-        fixed.reserve(frame.array.size());
-        for (const obs::JsonValue &value : frame.array) {
-            if (value.kind != obs::JsonValue::Kind::Number)
-                return errorResponse(
-                    StatusCode::InvalidArgument,
-                    "frames must be arrays of numbers");
-            fixed.push_back(
-                static_cast<std::int64_t>(value.number));
-        }
-        infer.fixed.push_back(std::move(fixed));
+        infer.fixed.push_back(frame.int64s);
     }
     infer.priority =
         static_cast<std::int32_t>(body.numberOr("priority", 0.0));
@@ -392,11 +386,10 @@ HttpGateway::handleInfer(const HttpRequest &request,
                        result.frame_status[i].code))
             .field("message", result.frame_status[i].message)
             .key("output")
-            .beginArray();
-        if (i < result.outputs.size())
-            for (const std::int64_t value : result.outputs[i])
-                out.value(value);
-        out.endArray();
+            .int64Array(i < result.outputs.size()
+                            ? std::span<const std::int64_t>(
+                                  result.outputs[i])
+                            : std::span<const std::int64_t>());
         out.field("trace_id",
                   std::uint64_t{i < result.trace_ids.size()
                                     ? result.trace_ids[i]
@@ -504,9 +497,12 @@ HttpGateway::handleSessionStep(const HttpRequest &request,
                                const std::string &tenant,
                                const TenantConfig &tier)
 {
+    // x crosses as float32 text: read by from_chars(float), never
+    // through a double, which misrounds some values.
     obs::JsonValue body;
     HttpResponse bad;
-    if (!parseBodyObject(request, body, bad))
+    if (!parseBodyObject(request, body, bad,
+                         obs::JsonNumberArrays::Float))
         return bad;
     const std::string id = body.stringOr("session", "");
     std::shared_ptr<GatewaySession> entry;
@@ -523,17 +519,9 @@ HttpGateway::handleSessionStep(const HttpRequest &request,
                              "unknown session '" + id + "'");
 
     const obs::JsonValue *x = body.find("x");
-    if (x == nullptr || !x->isArray())
+    if (x == nullptr || x->kind != obs::JsonValue::Kind::FloatArray)
         return errorResponse(StatusCode::InvalidArgument,
                              "missing \"x\" (array of numbers)");
-    nn::Vector input;
-    input.reserve(x->array.size());
-    for (const obs::JsonValue &value : x->array) {
-        if (value.kind != obs::JsonValue::Kind::Number)
-            return errorResponse(StatusCode::InvalidArgument,
-                                 "\"x\" must be numbers");
-        input.push_back(static_cast<float>(value.number));
-    }
     std::int32_t priority =
         static_cast<std::int32_t>(body.numberOr("priority", 0.0));
     std::chrono::microseconds deadline(
@@ -543,7 +531,7 @@ HttpGateway::handleSessionStep(const HttpRequest &request,
     client::Session::StepResult result;
     {
         std::lock_guard<std::mutex> lock(entry->mutex);
-        result = entry->session->step(input, priority, deadline);
+        result = entry->session->step(x->floats, priority, deadline);
     }
     if (!result.ok())
         return errorResponse(result.status.code,
@@ -553,10 +541,7 @@ HttpGateway::handleSessionStep(const HttpRequest &request,
     out.beginObject()
         .field("code", client::statusCodeName(StatusCode::Ok))
         .key("h")
-        .beginArray();
-    for (const float value : result.h)
-        out.value(static_cast<double>(value));
-    out.endArray()
+        .floatArray(result.h)
         .field("trace_id", std::uint64_t{result.trace_id})
         .endObject();
     HttpResponse response;

@@ -15,7 +15,7 @@
  *   POST /v1/infer        {"model","version"?,"frames":[[i64...]...],
  *                          "priority"?,"deadline_us"?}
  *                      -> {"code","message","frames":[{"code",
- *                          "message","output":[...],"trace_id"}...]}
+ *                          "message","output":[i64...],"trace_id"}...]}
  *   GET  /v1/models/NAME[?version=N]
  *                      -> {"model","version","input_size",
  *                          "output_size","shards","placement"}
@@ -27,6 +27,11 @@
  *   POST /v1/session/close {"session"}        -> {"code":"OK"}
  *   GET  /v1/stats      gateway + per-tenant + backend statistics
  *   GET  /metrics[.json | /json]  process metrics exposition
+ *
+ * i64 arrays are exact integers (a frame value that is not an int64
+ * literal is a 400); f arrays are float32, written as the shortest
+ * text that reads back to the same float and read by
+ * from_chars(float) (README "HTTP gateway" has the whole contract).
  *
  * Status ↔ HTTP mapping (README "HTTP gateway" holds the table):
  * Ok→200, InvalidArgument→400, NotFound→404, DeadlineExpired→504,

@@ -4,7 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace eie::obs {
 
@@ -99,9 +101,8 @@ JsonWriter::value(double v)
     // Whole numbers print in full, as the counters they usually are.
     // Everything else, and a zero (whose sign the integer cast would
     // drop), prints as the shortest string that parses back to
-    // exactly v: values must survive a write/parse round trip
-    // bit-exactly (the HTTP gateway ships session hidden states and
-    // float outputs as JSON).
+    // exactly v, so a double survives a write/parse round trip
+    // bit-exactly.
     char buf[32];
     const bool whole = v != 0 && v == std::floor(v) && std::abs(v) < 1e15;
     const std::to_chars_result written = whole
@@ -139,6 +140,46 @@ JsonWriter::value(bool v)
 {
     separator();
     out_ += v ? "true" : "false";
+    return *this;
+}
+
+namespace {
+
+/** Append @p values as one JSON array of to_chars text. */
+template <typename T>
+void
+appendNumberArray(std::string &out, std::span<const T> values)
+{
+    out.reserve(out.size() + 2 + 16 * values.size());
+    out += '[';
+    char buf[32];
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i != 0)
+            out += ',';
+        T v = values[i];
+        if constexpr (std::is_floating_point_v<T>)
+            if (!std::isfinite(v))
+                v = 0;
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+    }
+    out += ']';
+}
+
+} // namespace
+
+JsonWriter &
+JsonWriter::floatArray(std::span<const float> values)
+{
+    separator();
+    appendNumberArray(out_, values);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::int64Array(std::span<const std::int64_t> values)
+{
+    separator();
+    appendNumberArray(out_, values);
     return *this;
 }
 
@@ -233,10 +274,19 @@ JsonValue::keys() const
 
 namespace {
 
+bool
+isNumberChar(char c)
+{
+    return std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
+        c == 'e' || c == 'E' || c == '+' || c == '-';
+}
+
 class Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    Parser(const std::string &text, JsonNumberArrays arrays)
+        : text_(text), arrays_(arrays)
+    {}
 
     JsonValue
     parse()
@@ -371,9 +421,20 @@ class Parser
     parseArray()
     {
         JsonValue v;
-        v.kind = JsonValue::Kind::Array;
         expect('[');
         skipWhitespace();
+        if (arrays_ != JsonNumberArrays::Tree &&
+            (peek() == ']' || isNumberChar(peek()))) {
+            if (arrays_ == JsonNumberArrays::Float) {
+                v.kind = JsonValue::Kind::FloatArray;
+                v.floats = numberArray<float>();
+            } else {
+                v.kind = JsonValue::Kind::Int64Array;
+                v.int64s = numberArray<std::int64_t>();
+            }
+            return v;
+        }
+        v.kind = JsonValue::Kind::Array;
         if (peek() == ']') {
             ++pos_;
             return v;
@@ -389,6 +450,34 @@ class Parser
             if (c == ']') {
                 ++pos_;
                 return v;
+            }
+            fail("expected ',' or ']'");
+        }
+    }
+
+    /** The rest of an array of numbers, '[' consumed: each element
+     *  straight into the vector, no JsonValue per element. */
+    template <typename T>
+    std::vector<T>
+    numberArray()
+    {
+        std::vector<T> out;
+        if (peek() == ']') {
+            ++pos_;
+            return out;
+        }
+        while (true) {
+            skipWhitespace();
+            out.push_back(number<T>());
+            skipWhitespace();
+            const char c = peek();
+            if (c == ',') {
+                ++pos_;
+                continue;
+            }
+            if (c == ']') {
+                ++pos_;
+                return out;
             }
             fail("expected ',' or ']'");
         }
@@ -473,39 +562,67 @@ class Parser
     JsonValue
     parseNumber()
     {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(
-                       static_cast<unsigned char>(text_[pos_]))
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E' || text_[pos_] == '+'
-                   || text_[pos_] == '-'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
         JsonValue v;
         v.kind = JsonValue::Kind::Number;
-        // The whole scanned token must be one number: "1.2.3" is
-        // malformed, not 1.2 followed by junk.
-        const char *first = text_.data() + start;
-        const char *last = text_.data() + pos_;
-        const std::from_chars_result parsed =
-            std::from_chars(first, last, v.number);
-        if (parsed.ec != std::errc() || parsed.ptr != last)
-            fail("bad number");
+        v.number = number<double>();
         return v;
     }
 
+    /** The next number token, read by from_chars of @p T. The whole
+     *  token must be one number: "1.2.3" is malformed, not 1.2
+     *  followed by junk. */
+    template <typename T>
+    T
+    number()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() && isNumberChar(text_[pos_]))
+            ++pos_;
+        if (pos_ == start)
+            fail("expected a value");
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        T value{};
+        const std::from_chars_result parsed =
+            std::from_chars(first, last, value);
+        if (parsed.ec == std::errc() && parsed.ptr == last)
+            return value;
+        if constexpr (!std::is_same_v<T, double>) {
+            // A token that is a well-formed number, but not one of
+            // type T, is out of T's range or (for int64) not an
+            // integer literal.
+            double wide = 0.0;
+            const std::from_chars_result as_double =
+                std::from_chars(first, last, wide);
+            if (as_double.ec == std::errc() && as_double.ptr == last) {
+                if constexpr (std::is_same_v<T, float>) {
+                    // It overflows or underflows float: read it as
+                    // ±inf (which the quantizer saturates) or ±0, as
+                    // a double-to-float cast did, but without the
+                    // cast, which is undefined out of range.
+                    const float magnitude = std::abs(wide) > 1.0
+                        ? std::numeric_limits<float>::infinity()
+                        : 0.0f;
+                    return std::signbit(wide) ? -magnitude : magnitude;
+                } else {
+                    fail("not a 64-bit integer");
+                }
+            }
+        }
+        fail("bad number");
+    }
+
     const std::string &text_;
+    const JsonNumberArrays arrays_;
     std::size_t pos_ = 0;
 };
 
 } // namespace
 
 JsonValue
-parseJson(const std::string &text)
+parseJson(const std::string &text, JsonNumberArrays arrays)
 {
-    return Parser(text).parse();
+    return Parser(text, arrays).parse();
 }
 
 } // namespace eie::obs

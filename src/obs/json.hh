@@ -13,13 +13,22 @@
  * throws std::runtime_error on malformed input. It is not a
  * general-purpose validator (no \u surrogate pairs, no depth limit
  * beyond the stack).
+ *
+ * The HTTP gateway's hot bodies are mostly one long array of numbers
+ * (a session's x and h, a raw frame and its output), so both ends
+ * have a typed form of it: floatArray()/int64Array() write the
+ * shortest text of each element, and parseJson's Float and Int64
+ * modes read such an array straight into a std::vector of that type,
+ * with no JsonValue per element.
  */
 
 #ifndef EIE_OBS_JSON_HH
 #define EIE_OBS_JSON_HH
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +67,16 @@ class JsonWriter
         return value(v);
     }
 
+    /** An array of floats, each the shortest text that
+     *  std::from_chars(float) reads back bit-exactly. Read it as
+     *  float32 (parseJson's Float mode): parsing that text as a double
+     *  and narrowing misrounds some values (±7.038531e-26). A
+     *  non-finite value prints as 0, as value(double) prints it. */
+    JsonWriter &floatArray(std::span<const float> values);
+
+    /** An array of integers, each printed exactly. */
+    JsonWriter &int64Array(std::span<const std::int64_t> values);
+
     /** Splice an already-serialized JSON document as a value. */
     JsonWriter &raw(const std::string &json);
 
@@ -86,6 +105,8 @@ struct JsonValue
         String,
         Array,
         Object,
+        FloatArray, ///< an array of numbers in JsonNumberArrays::Float
+        Int64Array, ///< an array of numbers in JsonNumberArrays::Int64
     };
 
     Kind kind = Kind::Null;
@@ -94,6 +115,8 @@ struct JsonValue
     std::string string;
     std::vector<JsonValue> array;
     std::map<std::string, JsonValue> object;
+    std::vector<float> floats;        ///< FloatArray elements
+    std::vector<std::int64_t> int64s; ///< Int64Array elements
 
     bool
     isObject() const
@@ -121,8 +144,28 @@ struct JsonValue
     std::vector<std::string> keys() const;
 };
 
+/**
+ * How parseJson stores an array of numbers: one that is empty or
+ * whose first element is a number token. In the typed modes every
+ * element of such an array must be a number.
+ */
+enum class JsonNumberArrays
+{
+    Tree,  ///< a Kind::Array of Kind::Number (double) nodes
+    /** A Kind::FloatArray, each element read by from_chars(float).
+     *  A magnitude that overflows float reads as ±inf and one that
+     *  underflows to zero as ±0; one beyond double's range is a bad
+     *  number, as in Tree mode. */
+    Float,
+    /** A Kind::Int64Array, each element read by from_chars(int64).
+     *  A well-formed number that is not an integer literal within
+     *  int64 ("1.5", "1e3", "9223372036854775808") is an error. */
+    Int64,
+};
+
 /** Parse @p text; throws std::runtime_error on malformed input. */
-JsonValue parseJson(const std::string &text);
+JsonValue parseJson(const std::string &text,
+                    JsonNumberArrays arrays = JsonNumberArrays::Tree);
 
 } // namespace eie::obs
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <filesystem>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -183,6 +185,7 @@ ModelRegistry::publish(const std::string &name, std::uint32_t version,
         for (auto it = cache_.lower_bound(prefix);
              it != cache_.end() && it->first.starts_with(prefix);)
             it = cache_.erase(it);
+        scans_.erase(name);
     }
     return path;
 }
@@ -217,13 +220,38 @@ ModelRegistry::list() const
 std::uint32_t
 ModelRegistry::latestVersion(const std::string &name) const
 {
-    std::uint32_t latest = 0;
+    const std::string dir = modelDir(name);
+    struct stat st{};
+    if (::stat(dir.c_str(), &st) != 0)
+        return 0;
+    const auto ns = [](const struct timespec &t) {
+        return static_cast<std::int64_t>(t.tv_sec) * 1'000'000'000 +
+            t.tv_nsec;
+    };
+    VersionScan scan;
+    scan.stamp = {ns(st.st_mtim), ns(st.st_ctim),
+                  static_cast<std::uint64_t>(st.st_ino),
+                  static_cast<std::int64_t>(st.st_size)};
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = scans_.find(name);
+        if (it != scans_.end() && it->second.stamp == scan.stamp)
+            return it->second.latest;
+    }
+    const std::int64_t scanned_at_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::system_clock::now().time_since_epoch())
+            .count();
     std::error_code ec;
-    for (const auto &file :
-         fs::directory_iterator(modelDir(name), ec))
-        latest = std::max(
-            latest, parseVersionFile(file.path().filename().string()));
-    return latest;
+    for (const auto &file : fs::directory_iterator(dir, ec))
+        scan.latest = std::max(
+            scan.latest,
+            parseVersionFile(file.path().filename().string()));
+    if (scanned_at_ns - scan.stamp.mtime_ns >= 2'000'000'000) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        scans_[name] = scan;
+    }
+    return scan.latest;
 }
 
 bool

@@ -146,7 +146,10 @@ class ModelRegistry
      *  ascending version. */
     std::vector<ModelId> list() const;
 
-    /** Highest published version of @p name; 0 when absent. */
+    /** Highest published version of @p name; 0 when absent. The
+     *  directory scan is cached while the model directory's stat
+     *  identity holds (see VersionScan), so a version file written in
+     *  without publish() is still seen. */
     std::uint32_t latestVersion(const std::string &name) const;
 
     /** Whether version @p version of @p name exists on disk. */
@@ -170,6 +173,31 @@ class ModelRegistry
     std::string versionPath(const std::string &name,
                             std::uint32_t version) const;
 
+    /** A directory's stat identity. Adding, removing or renaming a
+     *  file changes its mtime and ctime. */
+    struct DirStamp
+    {
+        std::int64_t mtime_ns = 0;
+        std::int64_t ctime_ns = 0;
+        std::uint64_t inode = 0;
+        std::int64_t size = 0;
+
+        bool operator==(const DirStamp &) const = default;
+    };
+
+    /**
+     * One model directory's latest version, good while the directory
+     * keeps the stamp it had before the scan. A scan is kept only
+     * when that mtime was at least two seconds old at scan time
+     * (Git's racy-timestamp rule): a change within the mtime's
+     * granularity of the scan could leave the stamp unchanged.
+     */
+    struct VersionScan
+    {
+        DirStamp stamp;
+        std::uint32_t latest = 0;
+    };
+
     std::string root_;
     core::EieConfig config_;
 
@@ -177,6 +205,8 @@ class ModelRegistry
     /** Cache key "name@version#nonlin" (version resolved, never 0):
      *  the plan depends on the drain nonlinearity too. */
     std::map<std::string, std::shared_ptr<const LoadedModel>> cache_;
+    /** latestVersion()'s trusted scans, by model name. */
+    mutable std::map<std::string, VersionScan> scans_;
 };
 
 } // namespace eie::serve

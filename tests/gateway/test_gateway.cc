@@ -14,7 +14,9 @@
 
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <mutex>
 
 #include <unistd.h>
 
@@ -344,6 +346,113 @@ TEST(Gateway, MalformedNumberInABodyIsInvalidArgument)
         << bad.body;
 }
 
+TEST(Gateway, FrameValuesMustBeInt64Literals)
+{
+    // A well-formed number that is not an int64 literal (a fraction,
+    // an exponent, a magnitude of 2^63 or more) is a 400, not a value
+    // cast through a double: 1.5 is not served as 1, nor 1e30 as
+    // whatever an out-of-range conversion yields.
+    GatewayFixture fx;
+    const auto body = [](const std::string &last) {
+        std::string frame;
+        for (int i = 1; i < 64; ++i)
+            frame += "0,";
+        return R"({"model":"fc","frames":[[)" + frame + last + "]]}";
+    };
+    EXPECT_EQ(fx.raw("POST", "/v1/infer", body("7")).status, 200);
+    for (const char *value : {"1e30", "-1e30", "1.5", "5.0", "1e3",
+                              "9223372036854775808"}) {
+        const auto bad = fx.raw("POST", "/v1/infer", body(value));
+        EXPECT_EQ(bad.status, 400) << value;
+        EXPECT_EQ(GatewayFixture::errorCode(bad.body),
+                  "INVALID_ARGUMENT")
+            << value;
+        EXPECT_NE(bad.body.find("not a 64-bit integer"),
+                  std::string::npos)
+            << bad.body;
+    }
+}
+
+TEST(Gateway, RawFramesAndOutputsCrossExactly)
+{
+    // Integers above 2^53 keep their low bits on every leg of the
+    // gateway: the request body it parses, the frame it forwards to
+    // its backend and the output it reads back and returns. The
+    // backend is a stub http:// server (a real model saturates such
+    // inputs) that records the body it is sent and answers with the
+    // same values as the frame's output.
+    const std::vector<std::int64_t> values = {
+        9007199254740993, // 2^53 + 1: a double rounds it to ...992
+        -9007199254740993,
+        std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min(),
+        0,
+    };
+    std::mutex mutex;
+    std::string forwarded;
+    gateway::HttpListener stub(
+        {}, [&](const gateway::HttpRequest &request) {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                forwarded = request.body;
+            }
+            obs::JsonWriter out;
+            out.beginObject()
+                .field("code", "OK")
+                .field("message", "")
+                .key("frames")
+                .beginArray()
+                .beginObject()
+                .field("code", "OK")
+                .field("message", "")
+                .key("output")
+                .int64Array(values)
+                .field("trace_id", std::uint64_t{0})
+                .endObject()
+                .endArray()
+                .endObject();
+            gateway::HttpResponse response;
+            response.body = out.str();
+            return response;
+        });
+    obs::MetricsRegistry metrics;
+    gateway::GatewayOptions options;
+    options.client.config = makeConfig();
+    options.registry = &metrics;
+    client::Status status;
+    const auto front = gateway::HttpGateway::create(
+        "http://127.0.0.1:" + std::to_string(stub.port()), options,
+        status);
+    ASSERT_NE(front, nullptr) << status.toString();
+
+    gateway::HttpClientConnection connection("127.0.0.1", front->port());
+    const gateway::HttpParsedResponse response = connection.roundTrip(
+        "POST", "/v1/infer", {},
+        "{\"model\":\"fc\",\"frames\":[[9007199254740993,"
+        "-9007199254740993,9223372036854775807,"
+        "-9223372036854775808,0]]}");
+    ASSERT_EQ(response.status, 200) << response.body;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        const obs::JsonValue sent =
+            obs::parseJson(forwarded, obs::JsonNumberArrays::Int64);
+        const obs::JsonValue *frames = sent.find("frames");
+        ASSERT_NE(frames, nullptr) << forwarded;
+        ASSERT_EQ(frames->array.size(), 1u) << forwarded;
+        EXPECT_EQ(frames->array[0].int64s, values) << forwarded;
+    }
+    const obs::JsonValue answer =
+        obs::parseJson(response.body, obs::JsonNumberArrays::Int64);
+    const obs::JsonValue *frames = answer.find("frames");
+    ASSERT_NE(frames, nullptr) << response.body;
+    ASSERT_EQ(frames->array.size(), 1u) << response.body;
+    const obs::JsonValue *output = frames->array[0].find("output");
+    ASSERT_NE(output, nullptr) << response.body;
+    EXPECT_EQ(output->int64s, values) << response.body;
+    front->stop();
+    stub.stop();
+}
+
 TEST(Gateway, AuthQuotasAndTiersEnforcePerTenant)
 {
     GatewayFixture fx;
@@ -469,7 +578,8 @@ TEST(Gateway, SessionsStreamBitExactWithTcp)
     EXPECT_EQ(http_session->model(), "nt-lstm");
 
     // The recurrent trajectory must match step for step. The hidden
-    // state travels as JSON doubles, which carry any float exactly.
+    // state travels as shortest float32 text, read back by
+    // from_chars(float), which carries any float exactly.
     for (int t = 0; t < 6; ++t) {
         const nn::Vector x =
             test::randomActivations(kX, 0.8, 7000 + t);

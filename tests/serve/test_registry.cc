@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 
 #include <unistd.h>
 
+#include "compress/model_file.hh"
 #include "core/functional.hh"
 #include "helpers.hh"
 #include "serve/registry.hh"
@@ -72,6 +74,41 @@ TEST(ModelRegistry, PublishListLatestHas)
     EXPECT_EQ(registry.latestVersion("absent"), 0u);
     EXPECT_TRUE(registry.has("fc6", 3));
     EXPECT_FALSE(registry.has("fc6", 2));
+}
+
+TEST(ModelRegistry, CachedVersionScanSeesAFileWrittenStraightIn)
+{
+    // latestVersion() keeps the scan of a directory whose mtime was
+    // old enough to trust. A version file written in without
+    // publish() (rsync'd in by an operator) changes the directory's
+    // stat identity, so the next lookup scans again and finds it.
+    ScratchDir dir;
+    serve::ModelRegistry registry(dir.path.string(), makeConfig());
+    const auto layer =
+        test::randomCompressedLayer(32, 24, 0.3, 4, 101);
+    registry.publish("fc", 1, layer.storage());
+    registry.publish("fc", 2, layer.storage());
+    const fs::path model_dir = dir.path / "fc";
+    const auto backdate = [&] {
+        fs::last_write_time(model_dir,
+                            fs::file_time_type::clock::now() -
+                                std::chrono::hours(1));
+    };
+
+    backdate();
+    EXPECT_EQ(registry.latestVersion("fc"), 2u); // scanned, cached
+    EXPECT_EQ(registry.latestVersion("fc"), 2u);
+    compress::saveModelFile((model_dir / "v3.eiem").string(),
+                            layer.storage());
+    EXPECT_EQ(registry.latestVersion("fc"), 3u);
+    const auto latest = registry.load("fc", 0);
+    ASSERT_NE(latest, nullptr);
+    EXPECT_EQ(latest->version(), 3u);
+
+    backdate();
+    EXPECT_EQ(registry.latestVersion("fc"), 3u);
+    registry.publish("fc", 4, layer.storage());
+    EXPECT_EQ(registry.latestVersion("fc"), 4u);
 }
 
 TEST(ModelRegistry, LoadedPlanIsBitExactWithTheOriginalPipeline)

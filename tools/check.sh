@@ -42,10 +42,12 @@
 # TCP front end and LSTM sessions (server and client both decode peer
 # bytes, and the client's pending requests live in one table of
 # promise variants), HTTP-parser fuzz, the JSON number parser that
-# reads untrusted gateway bodies, fault injection, retry, model-file
-# corruption, tenant-config parsing, and the kernel equivalence suites
-# (the vector variant's row lanes store each result through the
-# entry's row field, so a wrong shift or tail writes out of bounds) —
+# reads untrusted gateway bodies and the gateway end to end (its typed
+# float and int64 array readers parse those bodies), fault injection,
+# retry, model-file corruption, tenant-config parsing, and the kernel
+# equivalence suites (the vector variant's row lanes store each result
+# through the entry's row field, so a wrong shift or tail writes out
+# of bounds) —
 # under Address+UndefinedBehavior sanitizers (-DEIE_ASAN=ON) so a
 # decoder overread or UB on a garbage frame, corrupt model file or
 # malformed HTTP request fails loudly instead of decoding garbage
@@ -145,12 +147,12 @@ ${TSAN_OPTIONS:-}" \
 ctest --test-dir "${tsan_dir}" --output-on-failure \
     -R "$(echo "${tsan_tests}" | tr ' ' '|')"
 
-echo "=== Address+UB sanitizers (wire fuzz + tcp + faults + model \
-file + kernels) ==="
+echo "=== Address+UB sanitizers (wire fuzz + tcp + gateway + faults + \
+model file + kernels) ==="
 asan_dir="build-check-asan"
 asan_tests="test_wire test_tcp test_session test_model_file \
 test_registry test_faults test_retry test_client test_http \
-test_tenants test_json test_kernel test_kernel_variants"
+test_tenants test_json test_gateway test_kernel test_kernel_variants"
 cmake -B "${asan_dir}" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DEIE_ASAN=ON "$@"
 cmake --build "${asan_dir}" -j "${jobs}" \

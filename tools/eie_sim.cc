@@ -20,9 +20,9 @@
  *
  * --throughput switches to the host execution engine: each benchmark
  * layer runs through the unified "compiled" ExecutionBackend on B
- * frames, optionally row-parallel across T worker threads, with the
- * "scalar" backend as both the baseline timing and the bit-exactness
- * oracle.
+ * frames, optionally row-parallel across T worker threads, with one
+ * pass of the scalar interpreter as both the baseline timing and the
+ * bit-exactness oracle.
  *
  * --serve puts each benchmark layer behind the typed
  * eie::client::Client on a `local:<backend>` endpoint (an in-memory
@@ -85,8 +85,10 @@ usage()
         "inputs, 0..1\n"
         "                       (default: the benchmark's "
         "paper-reported density)\n"
-        "  --repeats R          timing repetitions, best wins "
-        "(default 3)\n"
+        "  --repeats R          timing repetitions of the compiled "
+        "backend, best wins\n"
+        "                       (default 3; the scalar interpreter "
+        "runs once)\n"
         "  --serve N            serve N open-loop requests per "
         "benchmark\n"
         "  --rate RPS           offered request rate (0 = "
@@ -154,27 +156,19 @@ runThroughput(workloads::SuiteRunner &runner,
         const core::kernel::Batch inputs =
             makeRequestInputs(bench, model, batch, seed, act_density);
 
-        // Scalar oracle timing: rep 0 walks the interpreter with work
-        // accounting (it doubles as the reference and the GOP/s
-        // denominator), further reps go through the scalar backend.
+        // Scalar oracle timing: one pass of the interpreter with work
+        // accounting, which is also the reference and the GOP/s
+        // denominator. It is deterministic, so --repeats times only
+        // the compiled backend.
         core::kernel::Batch reference;
         double useful_gops = 0.0;
-        double scalar_s = 0.0;
-        {
-            const auto start = std::chrono::steady_clock::now();
-            for (const auto &frame : inputs) {
-                auto result = model.run(net.plan(0), frame);
-                useful_gops += result.work.usefulGops();
-                reference.push_back(std::move(result.output_raw));
-            }
-            scalar_s = secondsSince(start);
+        const auto scalar_start = std::chrono::steady_clock::now();
+        for (const auto &frame : inputs) {
+            auto result = model.run(net.plan(0), frame);
+            useful_gops += result.work.usefulGops();
+            reference.push_back(std::move(result.output_raw));
         }
-        const engine::ExecutionBackend &scalar = net.backend("scalar");
-        for (unsigned rep = 1; rep < repeats; ++rep) {
-            const auto start = std::chrono::steady_clock::now();
-            reference = scalar.runBatch(inputs).outputs;
-            scalar_s = std::min(scalar_s, secondsSince(start));
-        }
+        const double scalar_s = secondsSince(scalar_start);
 
         // Compiled backend: pre-decoded kernels + worker pool.
         const engine::ExecutionBackend &compiled =
